@@ -7,6 +7,13 @@ topological order and returns a fresh :class:`GradMap`; no gradient state
 survives between calls. Gradients from multiple consumers of the same
 tensor accumulate additively.
 
+Every vector-Jacobian closure has the signature ``vjp(g, need)`` and
+returns one gradient per parent. ``need`` holds one flag per parent; an
+op may return None for a parent whose flag is false instead of computing
+its gradient (affine and conv1d skip their weight and bias products this
+way). ``backward(root, wrt=...)`` sets the flags so only parents on a path
+to the requested tensors are differentiated.
+
 Conventions: all values are float64; the ReLU derivative at exactly 0 is 0;
 broadcasting is limited to bias-style row/column vectors.
 """
@@ -14,6 +21,7 @@ broadcasting is limited to bias-style row/column vectors.
 from __future__ import annotations
 
 import contextlib
+from itertools import compress
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -24,6 +32,9 @@ from .errors import ContractError, DimensionError, NumericError
 Array = np.ndarray
 
 _grad_enabled = True
+
+# ``need`` for a full backward pass: every parent (no op has more than three).
+ALL_PARENTS = (True, True, True)
 
 
 @contextlib.contextmanager
@@ -144,8 +155,12 @@ def affine(x, w, b) -> Tensor:
         )
     out = x.values @ w.values + b.values
 
-    def vjp(g: Array):
-        return g @ w.values.T, x.values.T @ g, g.sum(axis=0)
+    def vjp(g: Array, need=ALL_PARENTS):
+        return (
+            g @ w.values.T if need[0] else None,
+            x.values.T @ g if need[1] else None,
+            g.sum(axis=0) if need[2] else None,
+        )
 
     return _record(out, "affine", (x, w, b), vjp)
 
@@ -155,7 +170,7 @@ def relu(x) -> Tensor:
     x = as_tensor(x)
     out = np.maximum(x.values, 0.0)
 
-    def vjp(g: Array):
+    def vjp(g: Array, need=ALL_PARENTS):
         return (np.where(x.values > 0.0, g, 0.0),)
 
     return _record(out, "relu", (x,), vjp)
@@ -172,7 +187,7 @@ def softmax_rows(logits) -> Tensor:
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
 
-    def vjp(g: Array):
+    def vjp(g: Array, need=ALL_PARENTS):
         inner = (g * p).sum(axis=1, keepdims=True)
         return (p * (g - inner),)
 
@@ -190,7 +205,7 @@ def log_sum_exp_rows(logits) -> Tensor:
     out = (m + np.log(s)).ravel()
     p = e / s
 
-    def vjp(g: Array):
+    def vjp(g: Array, need=ALL_PARENTS):
         return (g[:, None] * p,)
 
     return _record(out, "log_sum_exp_rows", (z,), vjp)
@@ -209,7 +224,7 @@ def take_per_row(a, indices) -> Tensor:
     rows = np.arange(a.shape[0])
     out = a.values[rows, idx]
 
-    def vjp(g: Array):
+    def vjp(g: Array, need=ALL_PARENTS):
         d = np.zeros_like(a.values)
         d[rows, idx] = g
         return (d,)
@@ -227,7 +242,7 @@ def select_rows(a, indices) -> Tensor:
         raise IndexError(f"row index out of range for {a.shape[0]} rows")
     out = a.values[idx]
 
-    def vjp(g: Array):
+    def vjp(g: Array, need=ALL_PARENTS):
         d = np.zeros_like(a.values)
         np.add.at(d, idx, g)
         return (d,)
@@ -247,7 +262,7 @@ def mean_rows(a) -> Tensor:
     n = a.shape[0]
     out = a.values[0] + (a.values - a.values[0]).mean(axis=0)
 
-    def vjp(g: Array):
+    def vjp(g: Array, need=ALL_PARENTS):
         return (np.broadcast_to(g / n, a.values.shape).copy(),)
 
     return _record(out, "mean_rows", (a,), vjp)
@@ -260,7 +275,7 @@ def sub_rowvec(a, v) -> Tensor:
         raise DimensionError(f"sub_rowvec shapes do not agree: {a.shape} minus {v.shape}")
     out = a.values - v.values
 
-    def vjp(g: Array):
+    def vjp(g: Array, need=ALL_PARENTS):
         return g, -g.sum(axis=0)
 
     return _record(out, "sub_rowvec", (a, v), vjp)
@@ -275,7 +290,7 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _same_shape(a, b, "add")
 
-    def vjp(g: Array):
+    def vjp(g: Array, need=ALL_PARENTS):
         return g, g
 
     return _record(a.values + b.values, "add", (a, b), vjp)
@@ -285,7 +300,7 @@ def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _same_shape(a, b, "sub")
 
-    def vjp(g: Array):
+    def vjp(g: Array, need=ALL_PARENTS):
         return g, -g
 
     return _record(a.values - b.values, "sub", (a, b), vjp)
@@ -295,7 +310,7 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _same_shape(a, b, "mul")
 
-    def vjp(g: Array):
+    def vjp(g: Array, need=ALL_PARENTS):
         return g * b.values, g * a.values
 
     return _record(a.values * b.values, "mul", (a, b), vjp)
@@ -306,7 +321,7 @@ def scale(a, s: float) -> Tensor:
     a = as_tensor(a)
     s = float(s)
 
-    def vjp(g: Array):
+    def vjp(g: Array, need=ALL_PARENTS):
         return (g * s,)
 
     return _record(a.values * s, "scale", (a,), vjp)
@@ -317,7 +332,7 @@ def sum_all(a) -> Tensor:
     a = as_tensor(a)
     out = np.asarray(a.values.sum())
 
-    def vjp(g: Array):
+    def vjp(g: Array, need=ALL_PARENTS):
         return (np.broadcast_to(g, a.values.shape).copy(),)
 
     return _record(out, "sum_all", (a,), vjp)
@@ -327,7 +342,7 @@ def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     out = a.values.reshape(shape)
 
-    def vjp(g: Array):
+    def vjp(g: Array, need=ALL_PARENTS):
         return (g.reshape(a.values.shape),)
 
     return _record(out, "reshape", (a,), vjp)
@@ -355,14 +370,19 @@ def conv1d(x, w, b) -> Tensor:
     windows = sliding_window_view(xp, k, axis=2)  # (batch, c_in, length, k)
     out = np.einsum("bclk,ock->bol", windows, w.values, optimize=True) + b.values[None, :, None]
 
-    def vjp(g: Array):
-        dw = np.einsum("bol,bclk->ock", g, windows, optimize=True)
-        db = g.sum(axis=(0, 2))
-        dwin = np.einsum("bol,ock->bclk", g, w.values, optimize=True)
-        dxp = np.zeros_like(xp)
-        for j in range(k):
-            dxp[:, :, j : j + length] += dwin[:, :, :, j]
-        return dxp[:, :, pad : pad + length].copy(), dw, db
+    def vjp(g: Array, need=ALL_PARENTS):
+        dx = dw = db = None
+        if need[1]:
+            dw = np.einsum("bol,bclk->ock", g, windows, optimize=True)
+        if need[2]:
+            db = g.sum(axis=(0, 2))
+        if need[0]:
+            dwin = np.einsum("bol,ock->bclk", g, w.values, optimize=True)
+            dxp = np.zeros_like(xp)
+            for j in range(k):
+                dxp[:, :, j : j + length] += dwin[:, :, :, j]
+            dx = dxp[:, :, pad : pad + length].copy()
+        return dx, dw, db
 
     return _record(out, "conv1d", (x, w, b), vjp)
 
@@ -375,7 +395,7 @@ def global_avg_pool(x) -> Tensor:
     length = x.shape[2]
     out = x.values.mean(axis=2)
 
-    def vjp(g: Array):
+    def vjp(g: Array, need=ALL_PARENTS):
         return (np.broadcast_to(g[:, :, None] / length, x.values.shape).copy(),)
 
     return _record(out, "global_avg_pool", (x,), vjp)
@@ -385,11 +405,15 @@ def global_avg_pool(x) -> Tensor:
 # backward pass
 
 
-def backward(root: Tensor) -> GradMap:
-    """Reverse-mode gradients of a scalar root for every reachable tensor.
+def backward(root: Tensor, wrt: Sequence[Tensor] | None = None) -> GradMap:
+    """Reverse-mode gradients of a scalar root.
 
-    Returns a fresh GradMap per call; tensors are left untouched and
-    gradients over multiple paths accumulate additively.
+    Without ``wrt`` the map holds every reachable tensor. With ``wrt`` it
+    holds only the listed tensors that the root depends on, and each op is
+    asked only for the parents that lie on a path to one of them (the
+    parameter products of a saliency pass are never formed). Returns a
+    fresh GradMap per call; tensors are left untouched and gradients over
+    multiple paths accumulate additively.
     """
     if not isinstance(root, Tensor):
         raise ContractError("backward expects a Tensor root")
@@ -412,13 +436,27 @@ def backward(root: Tensor) -> GradMap:
             if id(parent) not in visited:
                 stack.append((parent, False))
 
+    live: set[int] | None = None
+    if wrt is not None:
+        # topo lists parents before children: one forward sweep marks every
+        # node that depends on a requested tensor
+        live = {id(t) for t in wrt}
+        for node in topo:
+            if any(id(p) in live for p in node._parents):
+                live.add(id(node))
+
     grads: dict[int, Array] = {id(root): np.ones((), dtype=np.float64)}
     keep: dict[int, Tensor] = {id(root): root}
     for node in reversed(topo):
         g = grads.get(id(node))
         if g is None or node._vjp is None:
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        if live is None:
+            flow = zip(node._parents, node._vjp(g))
+        else:
+            need = tuple(id(p) in live for p in node._parents)
+            flow = compress(zip(node._parents, node._vjp(g, need)), need)
+        for parent, pg in flow:
             pid = id(parent)
             keep[pid] = parent
             if pid in grads:
@@ -426,6 +464,8 @@ def backward(root: Tensor) -> GradMap:
             else:
                 grads[pid] = pg
 
+    if wrt is not None:
+        return GradMap({id(t): (t, np.asarray(grads[id(t)])) for t in wrt if id(t) in grads})
     return GradMap({tid: (keep[tid], np.asarray(g)) for tid, g in grads.items()})
 
 

@@ -86,8 +86,8 @@ def augment_batch(batch, model: Model, cfg: MaskConfig, sg_cfg: SmoothGradConfig
     if count == 0:
         return out, labels
     chosen = rng.choice(x_values.shape[0], size=count, replace=False)
-    for i in chosen:
-        sal = smoothgrad(model, x_values[i], int(labels[i]), sg_cfg)
+    sal = smoothgrad(model, x_values[chosen], labels[chosen], sg_cfg)
+    for j, i in enumerate(chosen):
         q = sample_threshold(cfg.q_max, rng)
-        out[i] = mask_below_percentile(x_values[i], sal, q, rng)
+        out[i] = mask_below_percentile(x_values[i], sal.scores[j], q, rng)
     return out, labels

@@ -3,7 +3,8 @@
 The vanilla map squares the gradient of one class logit with respect to the
 input. The denoised variant averages that map over Gaussian-perturbed
 copies of the input; its noise scale is a fraction of the sample's value
-range, so a constant sample degenerates to the vanilla map.
+range, so a constant sample degenerates to the vanilla map. SmoothGrad
+also takes a stack of samples and computes every map in one pass.
 """
 
 from __future__ import annotations
@@ -36,10 +37,14 @@ class SmoothGradConfig:
 
 @dataclass
 class SaliencyMap:
-    """Nonnegative relevance scores, one per input observation."""
+    """Nonnegative relevance scores, one per input observation.
+
+    For a stack of samples, ``scores`` carries a leading sample axis and
+    ``class_used`` holds one class per sample.
+    """
 
     scores: np.ndarray
-    class_used: int
+    class_used: int | np.ndarray
     kind: str
 
     def __post_init__(self):
@@ -48,54 +53,62 @@ class SaliencyMap:
             raise ValueError("saliency scores must be nonnegative")
 
 
-def _sample_values(model: Model, x) -> np.ndarray:
-    values = np.asarray(getattr(x, "values", x), dtype=np.float64)
+def _check_sample_shape(model: Model, shape: tuple) -> None:
     expected = model.input_shape
-    if len(values.shape) != len(expected) or any(
-        want is not None and got != want for got, want in zip(values.shape, expected)
+    if len(shape) != len(expected) or any(
+        want is not None and got != want for got, want in zip(shape, expected)
     ):
-        raise DimensionError(
-            f"sample shape {values.shape} does not match model input shape {expected}"
-        )
-    return values
+        raise DimensionError(f"sample shape {shape} does not match model input shape {expected}")
 
 
 def vanilla_saliency(model: Model, x, c: int) -> SaliencyMap:
     """Squared gradient of the class-c logit with respect to one sample."""
-    values = _sample_values(model, x)
+    values = np.asarray(getattr(x, "values", x), dtype=np.float64)
+    _check_sample_shape(model, values.shape)
     if not 0 <= int(c) < model.num_classes:
         raise IndexError(f"class index {c} out of range for {model.num_classes} classes")
     grad = class_logit_input_gradients(model, values[None], np.array([int(c)]))[0]
     return SaliencyMap(grad * grad, int(c), VANILLA)
 
 
-def smoothgrad(model: Model, x, c: int, cfg: SmoothGradConfig) -> SaliencyMap:
+def smoothgrad(model: Model, x, c, cfg: SmoothGradConfig) -> SaliencyMap:
     """Average the squared-gradient map over n Gaussian-perturbed copies.
 
-    Noise scale is cfg.sigma times the sample's value range. All replicate
-    inputs are stacked into one batch (rows pass through the network
-    independently, so this matches sequential evaluation draw for draw; the
-    noise comes from a single stream seeded by cfg.seed). The average is
-    anchored at the first replicate, which keeps it exact when every
-    replicate map is identical, e.g. for linear models or zero noise.
+    ``x`` is one sample with class ``c``, or a stack (k, *input_shape) with
+    one class per row in ``c``; a stack returns (k, *input_shape) scores and
+    row i equals the single-sample call on x[i] bit for bit. One draw of
+    (n, *input_shape) standard-normal noise from cfg.seed is shared by every
+    row and scaled per row by cfg.sigma times that row's value range, so a
+    constant row gets no noise. All k*n replicates go through one
+    input-gradient pass (rows pass through the network independently). The
+    average is anchored at the first replicate, which keeps it exact when
+    every replicate map is identical, e.g. for linear models or zero noise.
     """
     if cfg.n < 1:
         raise ConfigError(f"smoothgrad replicate count must be >= 1, got {cfg.n}")
-    values = _sample_values(model, x)
-    if not 0 <= int(c) < model.num_classes:
+    values = np.asarray(getattr(x, "values", x), dtype=np.float64)
+    stacked = values.ndim == len(model.input_shape) + 1
+    samples = values if stacked else values[None]
+    _check_sample_shape(model, samples.shape[1:])
+    classes = np.asarray(c).reshape(-1)
+    if classes.shape != samples.shape[:1]:
+        raise DimensionError(f"need one class per sample: {classes.shape} for {samples.shape[0]} samples")
+    if classes.min() < 0 or classes.max() >= model.num_classes:
         raise IndexError(f"class index {c} out of range for {model.num_classes} classes")
 
-    span = float(values.max() - values.min()) if values.size else 0.0
-    sigma_abs = cfg.sigma * span
-    if sigma_abs == 0.0:
-        # zero noise makes every replicate identical; one pass suffices and
-        # the result coincides with the vanilla map bit for bit
-        grad = class_logit_input_gradients(model, values[None], np.array([int(c)]))[0]
-        return SaliencyMap(grad * grad, int(c), SMOOTHGRAD)
-    rng = np.random.default_rng(cfg.seed)
-    noise = rng.standard_normal((cfg.n, *values.shape)) * sigma_abs
-    batch = values[None] + noise
-    grads = class_logit_input_gradients(model, batch, np.full(cfg.n, int(c)))
-    squared = grads * grads
-    scores = squared[0] + (squared - squared[0]).mean(axis=0)
-    return SaliencyMap(np.maximum(scores, 0.0), int(c), SMOOTHGRAD)
+    k, shape = samples.shape[0], samples.shape[1:]
+    flat = samples.reshape(k, -1)
+    sigma_abs = cfg.sigma * (flat.max(axis=1) - flat.min(axis=1))
+    # without noise every replicate is the sample itself, and one replicate
+    # per row reproduces the vanilla one-row pass bit for bit
+    n = cfg.n if sigma_abs.any() else 1
+    noise = np.random.default_rng(cfg.seed).standard_normal((n, *shape))
+    replicates = samples[:, None] + noise * sigma_abs.reshape(k, *(1,) * (1 + len(shape)))
+    grads = class_logit_input_gradients(
+        model, replicates.reshape(k * n, *shape), np.repeat(classes.astype(np.intp), n)
+    )
+    squared = (grads * grads).reshape(k, n, *shape)
+    scores = np.maximum(squared[:, 0] + (squared - squared[:, :1]).mean(axis=1), 0.0)
+    if stacked:
+        return SaliencyMap(scores, classes.astype(np.intp), SMOOTHGRAD)
+    return SaliencyMap(scores[0], int(classes[0]), SMOOTHGRAD)

@@ -237,3 +237,51 @@ def test_gradmap_lookup_api():
     assert gm.get(Tensor([9.0])) is None
     with pytest.raises(KeyError):
         gm[Tensor([9.0])]
+
+
+def _count_parameter_vjps(root, params):
+    """Wrap every recorded VJP so it counts the parameter gradients it returns."""
+    counts = {"parameter_grads": 0}
+    stack, seen = [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._vjp is not None:
+
+            def spy(g, need=ad.ALL_PARENTS, _node=node, _vjp=node._vjp):
+                out = _vjp(g, need)
+                counts["parameter_grads"] += sum(
+                    pg is not None for p, pg in zip(_node._parents, out) if any(p is q for q in params)
+                )
+                return out
+
+            node._vjp = spy
+        stack.extend(node._parents)
+    return counts
+
+
+def test_backward_wrt_input_is_bitwise_full_pass_without_parameter_vjps():
+    rng = np.random.default_rng(40)
+    x = Tensor(rng.standard_normal((5, 2, 9)))
+    cw, cb = Tensor(rng.standard_normal((3, 2, 3))), Tensor(rng.standard_normal(3))
+    hw, hb = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal(4))
+    params = (cw, cb, hw, hb)
+
+    def root():
+        h = ad.global_avg_pool(ad.relu(ad.conv1d(x, cw, cb)))
+        logits = ad.affine(h, hw, hb)
+        return ad.sum_all(ad.take_per_row(logits, [0, 1, 2, 3, 0]))
+
+    full_root = root()
+    full_counts = _count_parameter_vjps(full_root, params)
+    full = backward(full_root)
+    assert full_counts["parameter_grads"] == 4  # the double does see parameter VJPs
+
+    pruned_root = root()
+    counts = _count_parameter_vjps(pruned_root, params)
+    pruned = backward(pruned_root, wrt=(x,))
+    assert counts["parameter_grads"] == 0
+    assert np.array_equal(pruned[x], full[x])
+    assert len(pruned) == 1 and cw not in pruned

@@ -7,6 +7,7 @@ from dglab.errors import ConfigError, DimensionError
 from dglab.models import (
     build_cnn1d,
     build_mlp,
+    class_logit_input_gradients,
     features,
     forward,
     load_model,
@@ -171,3 +172,9 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         shape = (2, 4) if len(model.input_shape) == 1 else (2, 1, 19)
         x = np.random.default_rng(8).standard_normal(shape)
         assert np.array_equal(forward(model, x).values, forward(loaded, x).values)
+
+
+def test_input_gradient_needs_one_class_per_row():
+    model = build_mlp([4, 6], 3, seed=0)
+    with pytest.raises(DimensionError):
+        class_logit_input_gradients(model, np.zeros((3, 4)), [0, 1])

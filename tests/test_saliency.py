@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dglab.errors import ConfigError
-from dglab.models import build_mlp, logit_input_gradient
+from dglab import models
+from dglab.errors import ConfigError, DimensionError
+from dglab.models import build_cnn1d, build_mlp, logit_input_gradient
 from dglab.saliency import SmoothGradConfig, smoothgrad, vanilla_saliency
 
 
@@ -147,3 +148,47 @@ def test_vanilla_agrees_with_logit_input_gradient():
     grad = logit_input_gradient(model, x[None], 2).values
     sal = vanilla_saliency(model, x, 2)
     assert np.array_equal(sal.scores, grad**2)
+
+
+def _stack_with_constant_row(shape, rng):
+    X = rng.standard_normal((9, *shape))
+    X[4] = 0.7  # zero value range: this row gets no noise
+    return X, rng.integers(0, 3, 9)
+
+
+@pytest.mark.parametrize("sigma", [0.15, 0.0])
+def test_stacked_smoothgrad_rows_equal_single_calls_cnn1d(sigma, monkeypatch):
+    model = build_cnn1d([2, 4, 5], 3, 3, seed=22)
+    X, y = _stack_with_constant_row((2, 12), np.random.default_rng(23))
+    # 7-row chunks: the 9 x 5 replicate stack spans 7 chunks, cut mid-sample
+    monkeypatch.setattr(
+        models, "INPUT_GRADIENT_CHUNK_ELEMENTS", 7 * models._largest_row_intermediate(model, (2, 12))
+    )
+    cfg = SmoothGradConfig(n=5, sigma=sigma, seed=24)
+    stacked = smoothgrad(model, X, y, cfg)
+    assert stacked.scores.shape == X.shape and np.array_equal(stacked.class_used, y)
+    for i in range(len(X)):
+        assert np.array_equal(stacked.scores[i], smoothgrad(model, X[i], int(y[i]), cfg).scores)
+
+
+@pytest.mark.parametrize("sigma", [0.15, 0.0])
+def test_stacked_smoothgrad_rows_match_single_calls_mlp(sigma):
+    # OpenBLAS picks its dgemm kernel by matrix size (and gemv for one row),
+    # so the hidden layer's input-gradient product can round differently in
+    # a 45-row pass than in a 5-row one: equal to a few ulps, not bitwise.
+    # Without a hidden layer the gradient is a weight column: bitwise.
+    X, y = _stack_with_constant_row((6,), np.random.default_rng(25))
+    cfg = SmoothGradConfig(n=5, sigma=sigma, seed=26)
+    linear, hidden = build_mlp([6], 3, seed=27), build_mlp([6, 8], 3, seed=28)
+    stacked_linear = smoothgrad(linear, X, y, cfg).scores
+    stacked_hidden = smoothgrad(hidden, X, y, cfg).scores
+    for i in range(len(X)):
+        assert np.array_equal(stacked_linear[i], smoothgrad(linear, X[i], int(y[i]), cfg).scores)
+        single = smoothgrad(hidden, X[i], int(y[i]), cfg).scores
+        np.testing.assert_allclose(stacked_hidden[i], single, rtol=0, atol=1e-12 * single.max())
+
+
+def test_stacked_smoothgrad_rejects_class_count_mismatch():
+    model = build_mlp([4, 6], 3, seed=0)
+    with pytest.raises(DimensionError):
+        smoothgrad(model, np.zeros((3, 4)), [0, 1], SmoothGradConfig(n=2))
