@@ -4,6 +4,8 @@ Observations scoring strictly below a sampled percentile threshold have
 their values randomly permuted among themselves, preserving the sample's
 value multiset. Strict inequality makes a zero threshold percentile and a
 constant score map exact no-ops, and leaves ties at the threshold alone.
+A masked batch is thresholded and shuffled row-wise in one vectorised
+step; the single-sample function is the one-row case of the same code.
 """
 
 from __future__ import annotations
@@ -37,32 +39,71 @@ class MaskConfig:
             raise ConfigError(f"q_max must be in [0, 100], got {self.q_max}")
 
 
-def sample_threshold(q_max: float, rng) -> float:
-    """Draw a threshold percentile uniformly from [0, q_max]."""
+def sample_threshold(q_max: float, rng, size: int | None = None):
+    """Draw threshold percentiles uniformly from [0, q_max]: one float, or ``size`` of them."""
     if not 0.0 <= q_max <= 100.0:
         raise ConfigError(f"q_max must be in [0, 100], got {q_max}")
-    return float(rng.uniform(0.0, q_max))
+    if size is None:
+        return float(rng.uniform(0.0, q_max))
+    return rng.uniform(0.0, q_max, size=size)
+
+
+def row_percentiles(scores: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """The qs[i]-th percentile of each row of a (k, d) score array.
+
+    Bit-equal to ``np.percentile(scores[i], qs[i], method=PERCENTILE_METHOD)``:
+    one sort for all rows, then numpy's linear interpolation step by step.
+    """
+    ordered = np.sort(scores, axis=1)
+    last = scores.shape[1] - 1
+    virtual = last * (qs / 100)
+    floor = np.floor(virtual)
+    gamma = virtual - floor
+    rows = np.arange(scores.shape[0])
+    lo_index = floor.astype(np.intp)
+    lo = ordered[rows, lo_index]
+    hi = ordered[rows, np.minimum(lo_index + 1, last)]
+    diff = hi - lo
+    return np.where(gamma >= 0.5, hi - diff * (1 - gamma), lo + diff * gamma)
+
+
+def mask_rows_below_percentile(x, scores, qs, rng) -> np.ndarray:
+    """Row i of (k, d) ``x``: shuffle the values scoring strictly below its qs[i]-th percentile.
+
+    One random key per masked position and one sort by (row, key) shuffle
+    every row at once, so values never leave their row. Positions at or
+    above a row's threshold are bit-identical to the input.
+    """
+    out = np.array(x, dtype=np.float64, copy=True)
+    scores = np.asarray(scores, dtype=np.float64)
+    qs = np.asarray(qs, dtype=np.float64)
+    if out.ndim != 2 or scores.shape != out.shape or qs.shape != out.shape[:1]:
+        raise DimensionError(
+            f"need (k, d) values and scores and k percentiles, got {out.shape}, {scores.shape}, {qs.shape}"
+        )
+    if qs.size and not (0.0 <= qs.min() and qs.max() <= 100.0):
+        raise ConfigError(f"percentiles must be in [0, 100], got {qs.min()}..{qs.max()}")
+    rows, cols = np.nonzero(scores < row_percentiles(scores, qs)[:, None])
+    order = np.lexsort((rng.random(rows.size), rows))
+    out[rows, cols] = out[rows, cols[order]]
+    return out
 
 
 def mask_below_percentile(x, sal, q: float, rng) -> np.ndarray:
     """Shuffle the values at positions scoring strictly below the q-th percentile.
 
-    Positions at or above the threshold are bit-identical to the input, and
-    the returned sample always holds the same value multiset as x.
+    The one-row case of :func:`mask_rows_below_percentile`. Positions at or
+    above the threshold are bit-identical to the input, and the returned
+    sample always holds the same value multiset as x.
     """
     if not 0.0 <= q <= 100.0:
         raise ConfigError(f"percentile q must be in [0, 100], got {q}")
     scores = sal.scores if isinstance(sal, SaliencyMap) else np.asarray(sal, dtype=np.float64)
-    out = np.array(getattr(x, "values", x), dtype=np.float64, copy=True)
-    if scores.shape != out.shape:
-        raise DimensionError(f"saliency shape {scores.shape} does not match sample shape {out.shape}")
-    flat_scores = scores.ravel()
-    threshold = np.percentile(flat_scores, q, method=PERCENTILE_METHOD)
-    masked = np.flatnonzero(flat_scores < threshold)
-    if masked.size > 1:
-        flat = out.ravel()
-        flat[masked] = flat[masked][rng.permutation(masked.size)]
-    return out
+    values = np.asarray(getattr(x, "values", x), dtype=np.float64)
+    if scores.shape != values.shape:
+        raise DimensionError(f"saliency shape {scores.shape} does not match sample shape {values.shape}")
+    out = mask_rows_below_percentile(values.reshape(1, -1), scores.reshape(1, -1), [q], rng)
+    return out.reshape(values.shape)
 
 
 def _round_half_away(v: float) -> int:
@@ -74,7 +115,9 @@ def augment_batch(batch, model: Model, cfg: MaskConfig, sg_cfg: SmoothGradConfig
 
     Each chosen sample gets its own freshly sampled threshold; saliency is
     conditioned on the sample's true label using the model's current
-    parameters. Unchosen rows come back bit-identical.
+    parameters, in one stacked SmoothGrad pass. Unchosen rows come back
+    bit-identical. ``rng`` is drawn in this order: the chosen rows, all
+    thresholds, then the shuffle keys of every masked position.
     """
     x_batch, labels = batch
     x_values = np.asarray(x_batch, dtype=np.float64)
@@ -86,8 +129,9 @@ def augment_batch(batch, model: Model, cfg: MaskConfig, sg_cfg: SmoothGradConfig
     if count == 0:
         return out, labels
     chosen = rng.choice(x_values.shape[0], size=count, replace=False)
-    sal = smoothgrad(model, x_values[chosen], labels[chosen], sg_cfg)
-    for j, i in enumerate(chosen):
-        q = sample_threshold(cfg.q_max, rng)
-        out[i] = mask_below_percentile(x_values[i], sal.scores[j], q, rng)
+    rows = x_values[chosen]
+    sal = smoothgrad(model, rows, labels[chosen], sg_cfg)
+    qs = sample_threshold(cfg.q_max, rng, size=count)
+    masked = mask_rows_below_percentile(rows.reshape(count, -1), sal.scores.reshape(count, -1), qs, rng)
+    out[chosen] = masked.reshape(rows.shape)
     return out, labels

@@ -3,13 +3,15 @@ import pytest
 
 from dglab.errors import ConfigError
 from dglab.masking import (
+    PERCENTILE_METHOD,
     MaskConfig,
     augment_batch,
     mask_below_percentile,
+    row_percentiles,
     sample_threshold,
 )
-from dglab.models import build_mlp
-from dglab.saliency import SaliencyMap, SmoothGradConfig
+from dglab.models import build_cnn1d, build_mlp
+from dglab.saliency import SaliencyMap, SmoothGradConfig, smoothgrad
 
 
 def _map(scores):
@@ -167,3 +169,51 @@ def test_mask_config_validation():
         MaskConfig(m_percent=-1)
     with pytest.raises(ConfigError):
         MaskConfig(q_max=120)
+
+
+def test_row_percentiles_bitwise_equal_numpy_with_ties_and_end_points():
+    rng = np.random.default_rng(30)
+    for d in (1, 2, 7, 25, 64):
+        scores = rng.integers(0, 5, (200, d)) * rng.uniform(0.1, 1.0)  # heavy ties
+        scores[::3] = rng.uniform(0.0, 1.0, scores[::3].shape)
+        qs = rng.uniform(0.0, 100.0, 200)
+        qs[:4] = [0.0, 100.0, 50.0, 100.0 * (1 - 1e-16)]
+        expected = [np.percentile(row, q, method=PERCENTILE_METHOD) for row, q in zip(scores, qs)]
+        assert np.array_equal(row_percentiles(scores, qs), expected)
+
+
+def test_sample_threshold_batch_draw_matches_sequential_draws():
+    batch = sample_threshold(70.0, np.random.default_rng(31), size=5)
+    gen = np.random.default_rng(31)
+    assert np.array_equal(batch, [sample_threshold(70.0, gen) for _ in range(5)])
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn1d"])
+def test_augment_batch_row_invariants_against_replayed_draws(arch):
+    # replay the documented draw order: chosen rows, then every threshold
+    if arch == "mlp":
+        model, shape = build_mlp([12, 8], 3, seed=32), (12,)
+    else:
+        model, shape = build_cnn1d([2, 4], 3, 3, seed=33), (2, 6)
+    rng = np.random.default_rng(34)
+    X = rng.standard_normal((40, *shape))
+    y = rng.integers(0, 3, 40)
+    cfg, sg = MaskConfig(m_percent=60.0, q_max=90.0), SmoothGradConfig(n=4, sigma=0.2, seed=35)
+    out, labels = augment_batch((X, y), model, cfg, sg, np.random.default_rng(36))
+    again, _ = augment_batch((X, y), model, cfg, sg, np.random.default_rng(36))
+    assert np.array_equal(out, again) and np.array_equal(labels, y)
+
+    replay = np.random.default_rng(36)
+    chosen = replay.choice(40, size=24, replace=False)
+    qs = replay.uniform(0.0, 90.0, size=24)
+    scores = smoothgrad(model, X[chosen], y[chosen], sg).scores
+    unchosen = np.setdiff1d(np.arange(40), chosen)
+    assert np.array_equal(out[unchosen], X[unchosen])
+    shuffled = 0
+    for j, i in enumerate(chosen):
+        row, before, sal = out[i].ravel(), X[i].ravel(), scores[j].ravel()
+        keep = sal >= np.percentile(sal, qs[j], method=PERCENTILE_METHOD)
+        assert np.array_equal(np.sort(row), np.sort(before))
+        assert np.array_equal(row[keep], before[keep])
+        shuffled += not np.array_equal(row, before)
+    assert shuffled > 0
