@@ -130,11 +130,11 @@ def cmd_saliency_export(args) -> int:
         path = f"{stem}_{k:03d}{ext}"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("index,value,vanilla,smoothgrad\n")
-            values = np.asarray(sample).ravel()
-            v_flat = vanilla.scores.ravel()
-            s_flat = smooth.scores.ravel()
-            for i in range(values.size):
-                fh.write(f"{i},{values[i]!r},{v_flat[i]!r},{s_flat[i]!r}\n")
+            # tolist() gives Python floats, whose repr is the shortest
+            # round-tripping decimal (numpy 2 scalars repr as np.float64(...))
+            columns = (np.asarray(sample).ravel(), vanilla.scores.ravel(), smooth.scores.ravel())
+            for i, (value, plain, smoothed) in enumerate(zip(*(c.tolist() for c in columns))):
+                fh.write(f"{i},{value!r},{plain!r},{smoothed!r}\n")
     print(f"wrote {count} per-sample saliency files next to {args.out}")
     return 0
 

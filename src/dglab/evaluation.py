@@ -21,7 +21,7 @@ from .autodiff import Tensor, no_grad
 from .data import DomainDataset, TrainView, leave_one_domain_out, split_holdout
 from .errors import ConfigError, ContractError, NumericError
 from .models import Model, features, forward
-from .trainer import TrainConfig, train
+from .trainer import STRATEGY_MODES, TrainConfig, train
 
 REPORT_FORMAT = "dglab-report-v1"
 
@@ -161,6 +161,9 @@ def lodo_experiment(
         raise ConfigError("lodo_experiment needs at least one seed")
     if not methods:
         raise ConfigError("lodo_experiment needs at least one method")
+    unknown = [m for m in methods if m not in STRATEGY_MODES]
+    if unknown:
+        raise ConfigError(f"unknown methods {unknown}; choose from {STRATEGY_MODES}")
 
     rows: list[ReportRow] = []
     for target in ds.domain_names:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -41,6 +42,23 @@ STRATEGY_MODES = (
 
 ARCHITECTURES = ("mlp", "cnn1d")
 
+INTEGER_FIELDS = ("sg_n", "batch_size", "iterations", "seed", "kernel")
+REAL_FIELDS = (
+    "alpha",
+    "m_percent",
+    "q_max",
+    "sg_sigma",
+    "base_lr",
+    "lr_decay_factor",
+    "lr_decay_at_fraction",
+    "min_class_ratio",
+    "momentum",
+)
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
 
 @dataclass
 class TrainConfig:
@@ -66,6 +84,18 @@ class TrainConfig:
     kernel: int = 5
 
     def __post_init__(self):
+        # types first: JSON configs can carry strings, fractions and NaN
+        for name in INTEGER_FIELDS:
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in REAL_FIELDS:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ConfigError(f"{name} must be a finite number, got {v!r}")
+        for name in ("hidden", "channels"):
+            v = getattr(self, name)
+            if not isinstance(v, (list, tuple)) or not all(_is_integer(h) for h in v):
+                raise ConfigError(f"{name} must be a list of integers, got {v!r}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if not 0.0 <= self.m_percent <= 100.0:
@@ -80,6 +110,14 @@ class TrainConfig:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.base_lr <= 0:
+            raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
+        if self.lr_decay_factor <= 0:
+            raise ConfigError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         for name in ("lr_decay_at_fraction", "min_class_ratio"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -101,6 +139,8 @@ class TrainConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrainConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(doc).__name__}")
         known = set(cls.__dataclass_fields__)
         unknown = set(doc) - known
         if unknown:

@@ -113,6 +113,9 @@ def test_saliency_export(dataset_dir, config_path, tmp_path):
         lines = (tmp_path / f"sal_{k:03d}.csv").read_text().splitlines()
         assert lines[0] == "index,value,vanilla,smoothgrad"
         assert len(lines) == 11  # 10 observations per sample
+        for line in lines[1:]:
+            index, *cells = line.split(",")
+            assert int(index) >= 0 and all(isinstance(float(c), float) for c in cells)
 
 
 def test_export_features_cli(dataset_dir, config_path, tmp_path):
@@ -160,3 +163,36 @@ def test_numeric_failure_exits_two(dataset_dir, tmp_path):
     result = run_cli("train", "--data", str(dataset_dir), "--config", str(cfg), "--out", str(out))
     assert result.returncode == 2
     assert "numeric" in result.stderr
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"iterations": "10"},
+        {"iterations": 2.5},
+        {"alpha": float("nan")},
+        {"base_lr": float("inf")},
+        {"momentum": -3},
+    ],
+    ids=["iterations-string", "iterations-fraction", "alpha-nan", "base-lr-inf", "momentum-negative"],
+)
+def test_bad_config_value_exits_one_before_training(bad, dataset_dir, tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"iterations": 4, "batch_size": 12, "sg_n": 1, "hidden": [8], **bad}))
+    out = tmp_path / "run"
+    result = run_cli("train", "--data", str(dataset_dir), "--config", str(cfg), "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+    assert next(iter(bad)) in result.stderr
+    assert not out.exists()
+
+
+def test_unknown_method_rejected_before_any_training(dataset_dir, tmp_path):
+    # ce_only fails numerically at this learning rate (exit 2) once it trains
+    cfg = tmp_path / "explode.json"
+    cfg.write_text(json.dumps({"iterations": 40, "batch_size": 12, "base_lr": 1e12, "hidden": [8], "sg_n": 1}))
+    result = run_cli(
+        "lodo", "--data", str(dataset_dir), "--config", str(cfg),
+        "--methods", "ce_only,bogus", "--seeds", "0", "--out", str(tmp_path / "x.json"),
+    )
+    assert result.returncode == 1
+    assert "bogus" in result.stderr and "Traceback" not in result.stderr
