@@ -51,8 +51,9 @@ def sample_threshold(q_max: float, rng, size: int | None = None):
 def row_percentiles(scores: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """The qs[i]-th percentile of each row of a (k, d) score array.
 
-    Bit-equal to ``np.percentile(scores[i], qs[i], method=PERCENTILE_METHOD)``:
-    one sort for all rows, then numpy's linear interpolation step by step.
+    Bit-equal to ``np.percentile(scores[i], qs[i], method=PERCENTILE_METHOD)``
+    for finite scores: one sort for all rows, then numpy's linear
+    interpolation step by step.
     """
     ordered = np.sort(scores, axis=1)
     last = scores.shape[1] - 1
@@ -96,8 +97,6 @@ def mask_below_percentile(x, sal, q: float, rng) -> np.ndarray:
     above the threshold are bit-identical to the input, and the returned
     sample always holds the same value multiset as x.
     """
-    if not 0.0 <= q <= 100.0:
-        raise ConfigError(f"percentile q must be in [0, 100], got {q}")
     scores = sal.scores if isinstance(sal, SaliencyMap) else np.asarray(sal, dtype=np.float64)
     values = np.asarray(getattr(x, "values", x), dtype=np.float64)
     if scores.shape != values.shape:

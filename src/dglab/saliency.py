@@ -76,7 +76,9 @@ def smoothgrad(model: Model, x, c, cfg: SmoothGradConfig) -> SaliencyMap:
 
     ``x`` is one sample with class ``c``, or a stack (k, *input_shape) with
     one class per row in ``c``; a stack returns (k, *input_shape) scores and
-    row i equals the single-sample call on x[i] bit for bit. One draw of
+    row i is the single-sample call on x[i], with the same noise and the
+    same per-row arithmetic (the BLAS may pick another matrix-product
+    kernel for another row count, which can move the last bits). One draw of
     (n, *input_shape) standard-normal noise from cfg.seed is shared by every
     row and scaled per row by cfg.sigma times that row's value range, so a
     constant row gets no noise. All k*n replicates go through one
@@ -90,7 +92,7 @@ def smoothgrad(model: Model, x, c, cfg: SmoothGradConfig) -> SaliencyMap:
     stacked = values.ndim == len(model.input_shape) + 1
     samples = values if stacked else values[None]
     _check_sample_shape(model, samples.shape[1:])
-    classes = np.asarray(c).reshape(-1)
+    classes = np.asarray(c, dtype=np.intp).reshape(-1)
     if classes.shape != samples.shape[:1]:
         raise DimensionError(f"need one class per sample: {classes.shape} for {samples.shape[0]} samples")
     if classes.min() < 0 or classes.max() >= model.num_classes:
@@ -105,10 +107,10 @@ def smoothgrad(model: Model, x, c, cfg: SmoothGradConfig) -> SaliencyMap:
     noise = np.random.default_rng(cfg.seed).standard_normal((n, *shape))
     replicates = samples[:, None] + noise * sigma_abs.reshape(k, *(1,) * (1 + len(shape)))
     grads = class_logit_input_gradients(
-        model, replicates.reshape(k * n, *shape), np.repeat(classes.astype(np.intp), n)
+        model, replicates.reshape(k * n, *shape), np.repeat(classes, n)
     )
     squared = (grads * grads).reshape(k, n, *shape)
     scores = np.maximum(squared[:, 0] + (squared - squared[:, :1]).mean(axis=1), 0.0)
     if stacked:
-        return SaliencyMap(scores, classes.astype(np.intp), SMOOTHGRAD)
+        return SaliencyMap(scores, classes, SMOOTHGRAD)
     return SaliencyMap(scores[0], int(classes[0]), SMOOTHGRAD)
