@@ -22,9 +22,10 @@ from .errors import ConfigError, ContractError, DimensionError
 CHECKPOINT_FORMAT = "dglab-checkpoint-v1"
 
 # Cap on rows x largest per-row intermediate in one input-gradient pass
-# (2**18 float64 = 2 MiB). An unchunked 1600-row SmoothGrad stack through
-# the 1-d CNN more than doubles a LODO run's peak RSS; at this cap it stays
-# flat, while the MLP still takes all 1600 rows in one pass.
+# (2**18 float64 = 2 MiB). Unchunked, a 1600-row SmoothGrad stack through
+# the default 1-d CNN raised an 8-iteration waveforms LODO run's peak RSS
+# from 68 to 167 MB; at this cap the CNN takes ~100 rows per chunk and the
+# MLP still takes all 1600 rows in one pass.
 INPUT_GRADIENT_CHUNK_ELEMENTS = 2**18
 
 
