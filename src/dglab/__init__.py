@@ -38,7 +38,7 @@ from .losses import (
     alignment_loss,
     class_centroids,
     cross_entropy,
-    total_loss,
+    objective_parts,
 )
 from .masking import MaskConfig, augment_batch, mask_below_percentile, sample_threshold
 from .models import (
@@ -48,7 +48,7 @@ from .models import (
     features,
     forward,
     load_model,
-    logit_input_gradient,
+    model_batch,
     save_model,
 )
 from .saliency import SaliencyMap, SmoothGradConfig, smoothgrad, vanilla_saliency

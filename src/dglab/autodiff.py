@@ -50,14 +50,14 @@ def no_grad() -> Iterator[None]:
 
 
 class Tensor:
-    """Dense float64 array with an optional gradient buffer and lineage.
+    """Dense float64 array with its lineage.
 
     Tensors built directly from data are leaves. Tensors produced by an
     operation carry the producing op's name, its parent tensors and a
     closure mapping an output gradient to per-parent gradients.
     """
 
-    __slots__ = ("values", "grad", "_op", "_parents", "_vjp")
+    __slots__ = ("values", "_op", "_parents", "_vjp")
 
     def __init__(
         self,
@@ -67,7 +67,6 @@ class Tensor:
         vjp: Callable[[Array], tuple[Array, ...]] | None = None,
     ):
         self.values = np.asarray(values, dtype=np.float64)
-        self.grad: Array | None = None
         self._op = op
         self._parents = tuple(parents)
         self._vjp = vjp
@@ -82,14 +81,6 @@ class Tensor:
         if self._op is None:
             return None
         return (self._op, self._parents)
-
-    def is_leaf(self) -> bool:
-        return self._op is None
-
-    def item(self) -> float:
-        if self.values.size != 1:
-            raise ContractError(f"item() requires a single value, got shape {self.shape}")
-        return float(self.values.reshape(()))
 
     def __repr__(self) -> str:
         tag = self._op or "leaf"
@@ -336,16 +327,6 @@ def sum_all(a) -> Tensor:
         return (np.broadcast_to(g, a.values.shape).copy(),)
 
     return _record(out, "sum_all", (a,), vjp)
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out = a.values.reshape(shape)
-
-    def vjp(g: Array, need=ALL_PARENTS):
-        return (g.reshape(a.values.shape),)
-
-    return _record(out, "reshape", (a,), vjp)
 
 
 def conv1d(x, w, b) -> Tensor:

@@ -12,10 +12,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .data import (
-    DomainDataset,
     TrainView,
     generate_shifted_waveforms,
     generate_spurious_gaussian,
@@ -24,7 +21,7 @@ from .data import (
 )
 from .errors import ConfigError, ContractError, DataFormatError, NumericError
 from .evaluation import ablation_grid, ablation_text, export_features, lodo_experiment
-from .models import load_model, save_model
+from .models import load_model, model_batch, save_model
 from .saliency import SmoothGradConfig, smoothgrad, vanilla_saliency
 from .trainer import TrainConfig, train
 
@@ -121,10 +118,9 @@ def cmd_saliency_export(args) -> int:
     sg_cfg = SmoothGradConfig(n=args.sg_n, sigma=args.sg_sigma, seed=args.sg_seed)
     stem, ext = os.path.splitext(args.out)
     ext = ext or ".csv"
-    flat = len(model.input_shape) == 1
+    samples = model_batch(model, ds.X)
     for k in range(count):
-        sample = ds.X[k].reshape(-1) if flat else ds.X[k]
-        label = int(ds.y[k])
+        sample, label = samples[k], int(ds.y[k])
         vanilla = vanilla_saliency(model, sample, label)
         smooth = smoothgrad(model, sample, label, sg_cfg)
         path = f"{stem}_{k:03d}{ext}"
@@ -132,7 +128,7 @@ def cmd_saliency_export(args) -> int:
             fh.write("index,value,vanilla,smoothgrad\n")
             # tolist() gives Python floats, whose repr is the shortest
             # round-tripping decimal (numpy 2 scalars repr as np.float64(...))
-            columns = (np.asarray(sample).ravel(), vanilla.scores.ravel(), smooth.scores.ravel())
+            columns = (sample.ravel(), vanilla.scores.ravel(), smooth.scores.ravel())
             for i, (value, plain, smoothed) in enumerate(zip(*(c.tolist() for c in columns))):
                 fh.write(f"{i},{value!r},{plain!r},{smoothed!r}\n")
     print(f"wrote {count} per-sample saliency files next to {args.out}")

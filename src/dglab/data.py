@@ -295,20 +295,13 @@ def load_dataset(path) -> DomainDataset:
 
 
 def leave_one_domain_out(ds: DomainDataset, target: str):
-    """Partition into (domain-free train view, tagged sources, target test set)."""
+    """Partition into (domain-free train view, target test set)."""
     if len(ds.domain_names) < 2:
         raise ConfigError("leave_one_domain_out needs at least 2 domains")
     if target not in ds.domain_names:
         raise ConfigError(f"unknown target domain {target!r}; have {ds.domain_names}")
     test_mask = ds.domain == target
     train = TrainView(X=ds.X[~test_mask].copy(), y=ds.y[~test_mask].copy())
-    held = DomainDataset(
-        X=ds.X[~test_mask].copy(),
-        y=ds.y[~test_mask].copy(),
-        domain=ds.domain[~test_mask].copy(),
-        num_classes=ds.num_classes,
-        domain_names=list(ds.domain_names),
-    )
     test = DomainDataset(
         X=ds.X[test_mask].copy(),
         y=ds.y[test_mask].copy(),
@@ -316,7 +309,7 @@ def leave_one_domain_out(ds: DomainDataset, target: str):
         num_classes=ds.num_classes,
         domain_names=list(ds.domain_names),
     )
-    return train, held, test
+    return train, test
 
 
 def split_holdout(view: TrainView, fraction: float = 0.1, seed: int = 0):

@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import Tensor, no_grad
 from .data import DomainDataset, TrainView, leave_one_domain_out, split_holdout
 from .errors import ConfigError, ContractError, NumericError
-from .models import Model, features, forward
+from .models import Model, features, forward, model_batch
 from .trainer import STRATEGY_MODES, TrainConfig, train
 
 REPORT_FORMAT = "dglab-report-v1"
@@ -57,9 +57,6 @@ class RunReport:
                 raise ContractError(
                     f"row ({r.target}, {r.method}): mean {r.mean} != recomputed {recomputed}"
                 )
-
-    def method_mean(self, method: str) -> float:
-        return self.footer[method]
 
     def cell(self, target: str, method: str) -> ReportRow:
         for r in self.rows:
@@ -108,9 +105,8 @@ class RunReport:
 
 
 def _accuracy(model: Model, X: np.ndarray, y: np.ndarray) -> float:
-    batch = X.reshape(X.shape[0], -1) if len(model.input_shape) == 1 else X
     with no_grad():
-        logits = forward(model, Tensor(batch)).values
+        logits = forward(model, Tensor(model_batch(model, X))).values
     predictions = np.argmax(logits, axis=1)  # argmax ties resolve to the lowest class
     return float(np.mean(predictions == y))
 
@@ -167,7 +163,7 @@ def lodo_experiment(
 
     rows: list[ReportRow] = []
     for target in ds.domain_names:
-        train_view, _held, test = leave_one_domain_out(ds, target)
+        train_view, test = leave_one_domain_out(ds, target)
         for method in methods:
             accuracies: list[float] = []
             vals: list[float] = []
@@ -271,10 +267,8 @@ def ablation_text(report: RunReport) -> str:
 
 def export_features(model: Model, held: DomainDataset, path) -> None:
     """Write penultimate-layer activations with domain and label columns."""
-    batch = held.X.reshape(held.n, -1) if len(model.input_shape) == 1 else held.X
     with no_grad():
-        feats = features(model, Tensor(batch)).values
-    feats = feats.reshape(held.n, -1)
+        feats = features(model, Tensor(model_batch(model, held.X))).values
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["domain", "label"] + [f"f{i}" for i in range(feats.shape[1])])

@@ -44,10 +44,6 @@ class SoftLabelBatch:
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= p.shape[1]):
             raise ContractError(f"labels must lie in [0, {p.shape[1]})")
 
-    @property
-    def num_classes(self) -> int:
-        return self.probs.shape[1]
-
 
 def _check_labels(logits: Tensor, labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.intp)
@@ -123,8 +119,3 @@ def objective_parts(logits, labels, alpha: float) -> tuple[Tensor, Tensor, Tenso
     soft = SoftLabelBatch(ad.softmax_rows(z), labels)
     align = alignment_loss(soft)
     return ad.add(ce, ad.scale(align, float(alpha))), ce, align
-
-
-def total_loss(logits, labels, alpha: float) -> Tensor:
-    """Cross-entropy plus alpha times the alignment term, one scalar graph."""
-    return objective_parts(logits, labels, alpha)[0]

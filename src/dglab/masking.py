@@ -30,7 +30,6 @@ class MaskConfig:
 
     m_percent: float = 50.0
     q_max: float = 70.0
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.m_percent <= 100.0:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, DimensionError
 
 CHECKPOINT_FORMAT = "dglab-checkpoint-v1"
 
@@ -131,27 +131,28 @@ def _check_batch_shape(model: Model, shape: tuple) -> None:
             raise DimensionError(f"input batch shape {shape} does not match per-sample shape {expected}")
 
 
-def forward(model: Model, x) -> Tensor:
-    """Run the layer stack; returns logits of shape (batch, num_classes)."""
+def _walk(model: Model, x, stop: int) -> Tensor:
+    """Run model.layers[:stop] on a checked input batch."""
     h = ad.as_tensor(x)
     _check_batch_shape(model, h.shape)
-    for layer in model.layers:
+    for layer in model.layers[:stop]:
         kind = layer["kind"]
-        if kind == "affine":
+        if kind in ("affine", "conv1d"):
+            op = ad.affine if kind == "affine" else ad.conv1d
             name = layer["name"]
-            h = ad.affine(h, model.params[f"{name}_w"], model.params[f"{name}_b"])
+            h = op(h, model.params[f"{name}_w"], model.params[f"{name}_b"])
         elif kind == "relu":
             h = ad.relu(h)
-        elif kind == "conv1d":
-            name = layer["name"]
-            h = ad.conv1d(h, model.params[f"{name}_w"], model.params[f"{name}_b"])
         elif kind == "gap":
             h = ad.global_avg_pool(h)
-        elif kind == "flatten":
-            h = ad.reshape(h, (h.shape[0], -1))
         else:
             raise ConfigError(f"unknown layer kind {kind!r}")
     return h
+
+
+def forward(model: Model, x) -> Tensor:
+    """Run the layer stack; returns logits of shape (batch, num_classes)."""
+    return _walk(model, x, len(model.layers))
 
 
 def features(model: Model, x) -> Tensor:
@@ -159,24 +160,14 @@ def features(model: Model, x) -> Tensor:
 
     For a purely linear model this is the input itself.
     """
-    head_idx = max(i for i, layer in enumerate(model.layers) if layer["kind"] == "affine")
-    h = ad.as_tensor(x)
-    _check_batch_shape(model, h.shape)
-    for layer in model.layers[:head_idx]:
-        kind = layer["kind"]
-        if kind == "affine":
-            name = layer["name"]
-            h = ad.affine(h, model.params[f"{name}_w"], model.params[f"{name}_b"])
-        elif kind == "relu":
-            h = ad.relu(h)
-        elif kind == "conv1d":
-            name = layer["name"]
-            h = ad.conv1d(h, model.params[f"{name}_w"], model.params[f"{name}_b"])
-        elif kind == "gap":
-            h = ad.global_avg_pool(h)
-        elif kind == "flatten":
-            h = ad.reshape(h, (h.shape[0], -1))
-    return h
+    if not model.layers or model.layers[-1]["kind"] != "affine":
+        raise ConfigError("the last layer must be the affine head")
+    return _walk(model, x, len(model.layers) - 1)
+
+
+def model_batch(model: Model, X: np.ndarray) -> np.ndarray:
+    """Lay a (n, *sample_shape) array out as the model's input: an MLP takes flat rows."""
+    return X.reshape(X.shape[0], -1) if len(model.input_shape) == 1 else X
 
 
 def _largest_row_intermediate(model: Model, row_shape: tuple) -> int:
@@ -223,21 +214,6 @@ def class_logit_input_gradients(model: Model, batch_values: np.ndarray, classes)
     return grads
 
 
-def logit_input_gradient(model: Model, x, c: int) -> Tensor:
-    """Gradient of the class-c logit with respect to a single input sample.
-
-    ``x`` carries a leading batch axis of size 1; the result drops it.
-    Model parameters are read but never written.
-    """
-    x = ad.as_tensor(x)
-    if x.shape[0] != 1:
-        raise ContractError(f"logit_input_gradient expects a single-sample batch, got {x.shape}")
-    if not 0 <= int(c) < model.num_classes:
-        raise IndexError(f"class index {c} out of range for {model.num_classes} classes")
-    grads = class_logit_input_gradients(model, x.values, np.array([int(c)]))
-    return Tensor(grads[0].copy())
-
-
 # ---------------------------------------------------------------------------
 # checkpoint round-trip
 
@@ -261,17 +237,29 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
+    """Read a JSON checkpoint; a malformed one raises ConfigError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}: invalid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: a checkpoint must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"{path}: not a model checkpoint (format {doc.get('format')!r})")
-    params = {}
-    for name, entry in doc["params"].items():
-        shape = tuple(entry["shape"])
-        values = np.asarray(entry["values"], dtype=np.float64)
-        expected = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if values.size != expected:
-            raise ConfigError(f"{path}: parameter {name} has {values.size} values for shape {shape}")
-        params[name] = Tensor(values.reshape(shape))
-    input_shape = tuple(d if d is None else int(d) for d in doc["input_shape"])
-    return Model(doc["layers"], params, int(doc["num_classes"]), input_shape, int(doc["seed"]))
+    try:
+        if not all(isinstance(layer, dict) and "kind" in layer for layer in doc["layers"]):
+            raise TypeError("every layer must be an object with a kind")
+        params = {}
+        for name, entry in doc["params"].items():
+            shape = tuple(entry["shape"])
+            values = np.asarray(entry["values"], dtype=np.float64)
+            if values.size != math.prod(shape):
+                raise ValueError(f"parameter {name} has {values.size} values for shape {shape}")
+            params[name] = Tensor(values.reshape(shape))
+        input_shape = tuple(d if d is None else int(d) for d in doc["input_shape"])
+        return Model(doc["layers"], params, int(doc["num_classes"]), input_shape, int(doc["seed"]))
+    except KeyError as e:
+        raise ConfigError(f"{path}: checkpoint has no field {e}") from e
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: malformed checkpoint: {e}") from e

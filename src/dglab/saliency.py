@@ -1,10 +1,10 @@
 """Per-observation relevance scores from squared input gradients.
 
-The vanilla map squares the gradient of one class logit with respect to the
-input. The denoised variant averages that map over Gaussian-perturbed
-copies of the input; its noise scale is a fraction of the sample's value
-range, so a constant sample degenerates to the vanilla map. SmoothGrad
-also takes a stack of samples and computes every map in one pass.
+SmoothGrad averages the squared gradient of one class logit with respect
+to the input over Gaussian-perturbed copies of the input; its noise scale
+is a fraction of the sample's value range, so a constant sample gets no
+noise. The vanilla map is its one-replicate, noise-free case. Both take
+one sample or a stack of samples and compute every map in one pass.
 """
 
 from __future__ import annotations
@@ -62,13 +62,10 @@ def _check_sample_shape(model: Model, shape: tuple) -> None:
 
 
 def vanilla_saliency(model: Model, x, c: int) -> SaliencyMap:
-    """Squared gradient of the class-c logit with respect to one sample."""
-    values = np.asarray(getattr(x, "values", x), dtype=np.float64)
-    _check_sample_shape(model, values.shape)
-    if not 0 <= int(c) < model.num_classes:
-        raise IndexError(f"class index {c} out of range for {model.num_classes} classes")
-    grad = class_logit_input_gradients(model, values[None], np.array([int(c)]))[0]
-    return SaliencyMap(grad * grad, int(c), VANILLA)
+    """Squared gradient of the class-c logit: SmoothGrad with one noise-free replicate."""
+    sal = smoothgrad(model, x, c, SmoothGradConfig(n=1, sigma=0.0))
+    sal.kind = VANILLA
+    return sal
 
 
 def smoothgrad(model: Model, x, c, cfg: SmoothGradConfig) -> SaliencyMap:

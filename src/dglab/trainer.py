@@ -23,7 +23,7 @@ from .data import TrainView, class_balanced_batches
 from .errors import ConfigError, ContractError, NumericError
 from .losses import cross_entropy, objective_parts
 from .masking import MaskConfig, augment_batch
-from .models import Model, build_cnn1d, build_mlp, forward
+from .models import Model, build_cnn1d, build_mlp, forward, model_batch
 from .saliency import SmoothGradConfig
 
 STRATEGY_ALIGN = "align"
@@ -269,10 +269,6 @@ def build_model_for(cfg: TrainConfig, input_shape: tuple, num_classes: int, mode
     return build_cnn1d([int(input_shape[0]), *cfg.channels], cfg.kernel, num_classes, model_seed)
 
 
-def _model_batch(cfg: TrainConfig, X: np.ndarray) -> np.ndarray:
-    return X.reshape(X.shape[0], -1) if cfg.arch == "mlp" else X
-
-
 def train(dataset: TrainView, cfg: TrainConfig):
     """Train on a domain-free view; returns (model, history).
 
@@ -294,7 +290,7 @@ def train(dataset: TrainView, cfg: TrainConfig):
     rng_step = np.random.default_rng(ss_step)
 
     model = build_model_for(cfg, dataset.X.shape[1:], num_classes, model_seed)
-    view = TrainView(X=_model_batch(cfg, dataset.X), y=dataset.y)
+    view = TrainView(X=model_batch(model, dataset.X), y=dataset.y)
     batches = class_balanced_batches(view, cfg.batch_size, cfg.min_class_ratio, rng_batch)
     momentum_state = {name: np.zeros_like(p.values) for name, p in model.params.items()}
 

@@ -22,7 +22,7 @@ from dglab.data import (
     generate_spurious_gaussian,
     leave_one_domain_out,
 )
-from dglab.losses import SoftLabelBatch, alignment_loss, cross_entropy, total_loss
+from dglab.losses import SoftLabelBatch, alignment_loss, cross_entropy, objective_parts
 from dglab.masking import mask_below_percentile, sample_threshold
 from dglab.models import build_mlp, forward
 from dglab.saliency import SmoothGradConfig, smoothgrad, vanilla_saliency
@@ -93,7 +93,7 @@ def test_criterion_1_gradient_correctness():
         losses = {
             "ce": lambda: cross_entropy(logits(), labels),
             "align": lambda: alignment_loss(SoftLabelBatch(ad.softmax_rows(logits()), labels)),
-            "total": lambda: total_loss(logits(), labels, 0.1),
+            "total": lambda: objective_parts(logits(), labels, 0.1)[0],
         }
         for fn in losses.values():
             worst = max(worst, _max_fd_error(fn, tensors))
@@ -217,7 +217,7 @@ def test_criterion_6_schedule_exactness():
 
 def test_criterion_7_domain_free_training_path():
     ds = generate_spurious_gaussian(num_domains=3, classes=3, n_per_domain_class=30, seed=5)
-    view, _held, _test = leave_one_domain_out(ds, "d1")
+    view, _test = leave_one_domain_out(ds, "d1")
     no_domain_field = set(TrainView.__dataclass_fields__) == {"X", "y"} and not hasattr(
         view, "domain"
     )

@@ -122,7 +122,10 @@ def test_fresh_gradmap_per_backward_call():
     gm2 = backward(root)
     assert gm1 is not gm2
     assert np.array_equal(gm1[x], gm2[x])
-    assert x.grad is None  # backward never mutates tensors
+    # backward never mutates tensors: no gradient slot, values and lineage as built
+    assert not hasattr(x, "grad")
+    assert np.array_equal(x.values, [1.0, 2.0]) and x.lineage is None
+    assert root.lineage[0] == "sum_all" and float(root.values) == 5.0
 
 
 def test_no_grad_blocks_lineage():

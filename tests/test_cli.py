@@ -196,3 +196,47 @@ def test_unknown_method_rejected_before_any_training(dataset_dir, tmp_path):
     )
     assert result.returncode == 1
     assert "bogus" in result.stderr and "Traceback" not in result.stderr
+
+
+@pytest.fixture(scope="module")
+def checkpoint_doc(dataset_dir, config_path, tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("run")
+    result = run_cli("train", "--data", str(dataset_dir), "--config", str(config_path), "--out", str(run_dir))
+    assert result.returncode == 0, result.stderr
+    return json.loads((run_dir / "checkpoint.json").read_text())
+
+
+def _exports(checkpoint, dataset_dir, tmp_path):
+    return [
+        run_cli("export-features", "--checkpoint", str(checkpoint), "--data", str(dataset_dir),
+                "--out", str(tmp_path / "features.csv")),
+        run_cli("saliency-export", "--checkpoint", str(checkpoint), "--data", str(dataset_dir),
+                "--samples", "2", "--out", str(tmp_path / "sal.csv"), "--sg-n", "2"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[1, 2]", "{bad", None],
+    ids=["json-list", "invalid-json", "missing-params"],
+)
+def test_malformed_checkpoint_exits_one(text, checkpoint_doc, dataset_dir, tmp_path):
+    if text is None:
+        text = json.dumps({k: v for k, v in checkpoint_doc.items() if k != "params"})
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(text)
+    for result in _exports(bad, dataset_dir, tmp_path):
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+        assert str(bad) in result.stderr
+
+
+def test_unknown_layer_kind_exits_one(checkpoint_doc, dataset_dir, tmp_path):
+    doc = json.loads(json.dumps(checkpoint_doc))
+    doc["layers"].insert(1, {"kind": "bogus"})
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(doc))
+    for result in _exports(bad, dataset_dir, tmp_path):
+        assert result.returncode == 1, result.stderr
+        assert "bogus" in result.stderr and "Traceback" not in result.stderr
+    assert not (tmp_path / "features.csv").exists()

@@ -11,7 +11,7 @@ from dglab.losses import (
     alignment_loss,
     class_centroids,
     cross_entropy,
-    total_loss,
+    objective_parts,
 )
 from dglab.models import build_mlp, forward
 
@@ -130,7 +130,7 @@ def test_total_loss_alpha_zero_is_cross_entropy_graph():
     rng = np.random.default_rng(6)
     logits = Tensor(rng.standard_normal((6, 3)))
     labels = rng.integers(0, 3, 6)
-    combined = total_loss(logits, labels, 0.0)
+    combined = objective_parts(logits, labels, 0.0)[0]
     ce = cross_entropy(logits, labels)
     assert float(combined.values) == float(ce.values)
     assert np.array_equal(backward(combined)[logits], backward(ce)[logits])
@@ -143,7 +143,7 @@ def test_total_loss_is_weighted_sum():
     ce = float(cross_entropy(logits, labels).values)
     p = ad.softmax_rows(logits)
     align = float(alignment_loss(SoftLabelBatch(p, labels)).values)
-    combined = float(total_loss(logits, labels, 0.1).values)
+    combined = float(objective_parts(logits, labels, 0.1)[0].values)
     assert abs(combined - (ce + 0.1 * align)) < 1e-12
 
 
@@ -151,7 +151,7 @@ def test_total_loss_gradient_finite_differences():
     labels = np.array([0, 2, 1, 1])
 
     def loss(z):
-        return total_loss(z, labels, 0.1)
+        return objective_parts(z, labels, 0.1)[0]
 
     err = grad_check(loss, np.random.default_rng(8).uniform(-1, 1, (4, 3)), eps=1e-5)
     assert err < 1e-4
@@ -159,7 +159,7 @@ def test_total_loss_gradient_finite_differences():
 
 def test_total_loss_rejects_negative_alpha():
     with pytest.raises(ConfigError):
-        total_loss(np.zeros((2, 3)), [0, 1], -0.1)
+        objective_parts(np.zeros((2, 3)), [0, 1], -0.1)
 
 
 def test_soft_label_batch_validation():

@@ -11,7 +11,6 @@ from dglab.models import (
     features,
     forward,
     load_model,
-    logit_input_gradient,
     save_model,
 )
 
@@ -116,8 +115,8 @@ def test_linear_model_input_gradient_is_weight_column():
     for c in range(3):
         for x_seed in range(3):
             x = np.random.default_rng(x_seed).standard_normal((1, 5))
-            grad = logit_input_gradient(model, x, c)
-            assert np.array_equal(grad.values, w[:, c])
+            grad = class_logit_input_gradients(model, x, [c])[0]
+            assert np.array_equal(grad, w[:, c])
 
 
 def test_input_gradient_finite_differences():
@@ -133,14 +132,14 @@ def test_input_gradient_finite_differences():
 def test_input_gradient_shape_matches_conv_input():
     model = build_cnn1d([2, 4], 3, 3, seed=0)
     x = np.random.default_rng(6).standard_normal((1, 2, 17))
-    grad = logit_input_gradient(model, x, 1)
+    grad = class_logit_input_gradients(model, x, [1])[0]
     assert grad.shape == (2, 17)
 
 
 def test_input_gradient_leaves_params_untouched():
     model = build_mlp([4, 6], 3, seed=2)
     before = {name: p.values.copy() for name, p in model.params.items()}
-    logit_input_gradient(model, np.random.default_rng(7).standard_normal((1, 4)), 0)
+    class_logit_input_gradients(model, np.random.default_rng(7).standard_normal((1, 4)), [0])
     for name, p in model.params.items():
         assert np.array_equal(p.values, before[name])
 
@@ -148,7 +147,7 @@ def test_input_gradient_leaves_params_untouched():
 def test_input_gradient_class_out_of_range():
     model = build_mlp([4], 3, seed=0)
     with pytest.raises(IndexError):
-        logit_input_gradient(model, np.zeros((1, 4)), 3)
+        class_logit_input_gradients(model, np.zeros((1, 4)), [3])
 
 
 def test_features_width_is_penultimate():
@@ -157,6 +156,24 @@ def test_features_width_is_penultimate():
     assert feats.shape == (5, 8)
     linear = build_mlp([4], 3, seed=0)
     assert features(linear, np.zeros((5, 4))).shape == (5, 4)
+    cnn = build_cnn1d([2, 4, 6], 3, 3, seed=0)
+    assert features(cnn, np.zeros((5, 2, 11))).shape == (5, 6)
+    # the head applied to the features is the forward pass, bit for bit
+    rng = np.random.default_rng(9)
+    for m, x in ((model, rng.standard_normal((5, 4))), (linear, rng.standard_normal((5, 4))),
+                 (cnn, rng.standard_normal((5, 2, 11)))):
+        head = ad.affine(features(m, x), m.params["head_w"], m.params["head_b"])
+        assert np.array_equal(head.values, forward(m, x).values)
+
+
+def test_unknown_layer_kind_rejected_by_forward_and_features():
+    for position in (1, 3):  # inside the feature stack, and after the head
+        model = build_mlp([4, 8], 3, seed=0)
+        model.layers.insert(position, {"kind": "bogus"})
+        with pytest.raises(ConfigError):
+            forward(model, np.zeros((2, 4)))
+        with pytest.raises(ConfigError):
+            features(model, np.zeros((2, 4)))
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

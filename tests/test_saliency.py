@@ -3,7 +3,7 @@ import pytest
 
 from dglab import models
 from dglab.errors import ConfigError, DimensionError
-from dglab.models import build_cnn1d, build_mlp, logit_input_gradient
+from dglab.models import build_cnn1d, build_mlp, class_logit_input_gradients
 from dglab.saliency import SmoothGradConfig, smoothgrad, vanilla_saliency
 
 
@@ -143,11 +143,17 @@ def test_noise_stream_is_sequential():
 
 
 def test_vanilla_agrees_with_logit_input_gradient():
-    model = build_mlp([4, 6], 3, seed=15)
-    x = np.random.default_rng(16).standard_normal(4)
-    grad = logit_input_gradient(model, x[None], 2).values
-    sal = vanilla_saliency(model, x, 2)
-    assert np.array_equal(sal.scores, grad**2)
+    mlp, cnn = build_mlp([4, 6], 3, seed=15), build_cnn1d([2, 4], 3, 3, seed=17)
+    rng = np.random.default_rng(16)
+    for model, x in ((mlp, rng.standard_normal(4)), (cnn, rng.standard_normal((2, 13)))):
+        grad = class_logit_input_gradients(model, x[None], [2])[0]
+        sal = vanilla_saliency(model, x, 2)
+        assert np.array_equal(sal.scores, grad**2)
+        assert sal.kind == "vanilla" and sal.class_used == 2
+        # vanilla is SmoothGrad with one noise-free replicate, whatever the seed
+        for seed in (0, 1, 7, 123):
+            cfg = SmoothGradConfig(n=1, sigma=0.0, seed=seed)
+            assert np.array_equal(sal.scores, smoothgrad(model, x, 2, cfg).scores)
 
 
 def _stack_with_constant_row(shape, rng):

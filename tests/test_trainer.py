@@ -20,7 +20,7 @@ from dglab.models import build_mlp
 
 def tiny_view(n_per=40, seed=0):
     ds = generate_spurious_gaussian(num_domains=3, classes=3, n_per_domain_class=n_per, seed=seed)
-    view, _, _ = leave_one_domain_out(ds, "d0")
+    view, _ = leave_one_domain_out(ds, "d0")
     return view
 
 
