@@ -51,7 +51,7 @@ from .models import (
     model_batch,
     save_model,
 )
-from .saliency import SaliencyMap, SmoothGradConfig, smoothgrad, vanilla_saliency
+from .saliency import SmoothGradConfig, smoothgrad, vanilla_saliency
 from .trainer import TrainConfig, TrainHistory, choose_strategy, lr_schedule, train, train_step
 
 __version__ = "0.1.0"

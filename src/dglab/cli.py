@@ -8,6 +8,7 @@ export-features. Exit codes: 0 success, 1 configuration or contract error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -45,28 +46,21 @@ def _int_list(text: str) -> list[int]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
+GENERATORS = {
+    "spurious-gaussian": generate_spurious_gaussian,
+    "waveforms": generate_shifted_waveforms,
+}
+
+
 def cmd_generate(args) -> int:
-    if args.kind == "spurious-gaussian":
-        ds = generate_spurious_gaussian(
-            num_domains=args.num_domains,
-            classes=args.classes,
-            signal_dims=args.signal_dims,
-            nuisance_dims=args.nuisance_dims,
-            nuisance_strength=args.nuisance_strength,
-            noise_sd=args.noise_sd,
-            n_per_domain_class=args.n_per_domain_class,
-            seed=args.seed,
-        )
-    else:
-        ds = generate_shifted_waveforms(
-            num_domains=args.num_domains,
-            classes=args.classes,
-            length=args.length,
-            n_per_domain_class=args.n_per_domain_class,
-            seed=args.seed,
-            background_amplitude=args.background_amplitude,
-            noise_sd=args.noise_sd,
-        )
+    # only the flags given reach the generator, so its signature holds every default
+    generator = GENERATORS[args.kind]
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "func", "kind", "out")}
+    accepted = inspect.signature(generator).parameters
+    for name in given:
+        if name not in accepted:
+            raise ConfigError(f"--{name.replace('_', '-')} does not apply to --kind {args.kind}")
+    ds = generator(**given)
     save_dataset(ds, args.out)
     print(f"wrote {ds.n} rows ({len(ds.domain_names)} domains, {ds.num_classes} classes) to {args.out}")
     return 0
@@ -112,6 +106,8 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_saliency_export(args) -> int:
+    if args.samples < 0:
+        raise ConfigError(f"--samples must be >= 0, got {args.samples}")
     model = load_model(args.checkpoint)
     ds = load_dataset(args.data)
     count = min(args.samples, ds.n)
@@ -128,7 +124,7 @@ def cmd_saliency_export(args) -> int:
             fh.write("index,value,vanilla,smoothgrad\n")
             # tolist() gives Python floats, whose repr is the shortest
             # round-tripping decimal (numpy 2 scalars repr as np.float64(...))
-            columns = (sample.ravel(), vanilla.scores.ravel(), smooth.scores.ravel())
+            columns = (sample.ravel(), vanilla.ravel(), smooth.ravel())
             for i, (value, plain, smoothed) in enumerate(zip(*(c.tolist() for c in columns))):
                 fh.write(f"{i},{value!r},{plain!r},{smoothed!r}\n")
     print(f"wrote {count} per-sample saliency files next to {args.out}")
@@ -147,19 +143,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dglab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write a synthetic multi-domain dataset")
-    p.add_argument("--kind", choices=["spurious-gaussian", "waveforms"], required=True)
+    p = sub.add_parser(
+        "generate",
+        help="write a synthetic multi-domain dataset",
+        description="Unset flags take the chosen generator's defaults; a flag it does not take is an error.",
+        argument_default=argparse.SUPPRESS,
+    )
+    p.add_argument("--kind", choices=list(GENERATORS), required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--num-domains", type=int, default=4)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--signal-dims", type=int, default=2)
-    p.add_argument("--nuisance-dims", type=int, default=8)
-    p.add_argument("--nuisance-strength", type=float, default=3.0)
-    p.add_argument("--noise-sd", type=float, default=None)
-    p.add_argument("--n-per-domain-class", type=int, default=None)
-    p.add_argument("--length", type=int, default=64)
-    p.add_argument("--background-amplitude", type=float, default=1.0)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--num-domains", type=int)
+    p.add_argument("--classes", type=int)
+    p.add_argument("--signal-dims", type=int)
+    p.add_argument("--nuisance-dims", type=int)
+    p.add_argument("--nuisance-strength", type=float)
+    p.add_argument("--noise-sd", type=float)
+    p.add_argument("--n-per-domain-class", type=int)
+    p.add_argument("--length", type=int)
+    p.add_argument("--background-amplitude", type=float)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train on every row of a dataset (domains dropped)")
@@ -208,12 +209,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # fill kind-dependent generator defaults
-        if getattr(args, "command", None) == "generate":
-            if args.noise_sd is None:
-                args.noise_sd = 0.5 if args.kind == "spurious-gaussian" else 0.05
-            if args.n_per_domain_class is None:
-                args.n_per_domain_class = 500 if args.kind == "spurious-gaussian" else 200
         return args.func(args)
     except USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)

@@ -301,11 +301,11 @@ def leave_one_domain_out(ds: DomainDataset, target: str):
     if target not in ds.domain_names:
         raise ConfigError(f"unknown target domain {target!r}; have {ds.domain_names}")
     test_mask = ds.domain == target
-    train = TrainView(X=ds.X[~test_mask].copy(), y=ds.y[~test_mask].copy())
+    train = TrainView(X=ds.X[~test_mask], y=ds.y[~test_mask])
     test = DomainDataset(
-        X=ds.X[test_mask].copy(),
-        y=ds.y[test_mask].copy(),
-        domain=ds.domain[test_mask].copy(),
+        X=ds.X[test_mask],
+        y=ds.y[test_mask],
+        domain=ds.domain[test_mask],
         num_classes=ds.num_classes,
         domain_names=list(ds.domain_names),
     )
@@ -325,8 +325,8 @@ def split_holdout(view: TrainView, fraction: float = 0.1, seed: int = 0):
     held_idx = np.sort(np.concatenate(held_idx))
     keep = np.setdiff1d(np.arange(view.y.size), held_idx)
     return (
-        TrainView(X=view.X[keep].copy(), y=view.y[keep].copy()),
-        TrainView(X=view.X[held_idx].copy(), y=view.y[held_idx].copy()),
+        TrainView(X=view.X[keep], y=view.y[keep]),
+        TrainView(X=view.X[held_idx], y=view.y[held_idx]),
     )
 
 
@@ -375,6 +375,6 @@ def class_balanced_batches(train: TrainView, batch_size: int, min_ratio: float, 
                     f"cannot satisfy min_ratio {min_ratio} with batch_size {batch_size} "
                     f"and {num_classes} classes"
                 )
-            yield train.X[idx].copy(), train.y[idx].copy()
+            yield train.X[idx], train.y[idx]
 
     return stream()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
 from .models import Model
-from .saliency import SaliencyMap, SmoothGradConfig, smoothgrad
+from .saliency import SmoothGradConfig, smoothgrad
 
 # Order-statistic interpolation used for thresholds; part of the documented
 # masking contract, do not change silently.
@@ -89,14 +89,14 @@ def mask_rows_below_percentile(x, scores, qs, rng) -> np.ndarray:
     return out
 
 
-def mask_below_percentile(x, sal, q: float, rng) -> np.ndarray:
+def mask_below_percentile(x, scores, q: float, rng) -> np.ndarray:
     """Shuffle the values at positions scoring strictly below the q-th percentile.
 
     The one-row case of :func:`mask_rows_below_percentile`. Positions at or
     above the threshold are bit-identical to the input, and the returned
     sample always holds the same value multiset as x.
     """
-    scores = sal.scores if isinstance(sal, SaliencyMap) else np.asarray(sal, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
     values = np.asarray(getattr(x, "values", x), dtype=np.float64)
     if scores.shape != values.shape:
         raise DimensionError(f"saliency shape {scores.shape} does not match sample shape {values.shape}")
@@ -128,8 +128,8 @@ def augment_batch(batch, model: Model, cfg: MaskConfig, sg_cfg: SmoothGradConfig
         return out, labels
     chosen = rng.choice(x_values.shape[0], size=count, replace=False)
     rows = x_values[chosen]
-    sal = smoothgrad(model, rows, labels[chosen], sg_cfg)
+    scores = smoothgrad(model, rows, labels[chosen], sg_cfg)
     qs = sample_threshold(cfg.q_max, rng, size=count)
-    masked = mask_rows_below_percentile(rows.reshape(count, -1), sal.scores.reshape(count, -1), qs, rng)
+    masked = mask_rows_below_percentile(rows.reshape(count, -1), scores.reshape(count, -1), qs, rng)
     out[chosen] = masked.reshape(rows.shape)
     return out, labels

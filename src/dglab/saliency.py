@@ -4,7 +4,8 @@ SmoothGrad averages the squared gradient of one class logit with respect
 to the input over Gaussian-perturbed copies of the input; its noise scale
 is a fraction of the sample's value range, so a constant sample gets no
 noise. The vanilla map is its one-replicate, noise-free case. Both take
-one sample or a stack of samples and compute every map in one pass.
+one sample or a stack of samples, compute every map in one pass, and
+return the score array itself.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .models import Model, class_logit_input_gradients
-
-VANILLA = "vanilla"
-SMOOTHGRAD = "smoothgrad"
 
 
 @dataclass
@@ -35,40 +33,12 @@ class SmoothGradConfig:
             raise ConfigError(f"smoothgrad sigma must be >= 0, got {self.sigma}")
 
 
-@dataclass
-class SaliencyMap:
-    """Nonnegative relevance scores, one per input observation.
-
-    For a stack of samples, ``scores`` carries a leading sample axis and
-    ``class_used`` holds one class per sample.
-    """
-
-    scores: np.ndarray
-    class_used: int | np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        if self.scores.size and self.scores.min() < 0:
-            raise ValueError("saliency scores must be nonnegative")
-
-
-def _check_sample_shape(model: Model, shape: tuple) -> None:
-    expected = model.input_shape
-    if len(shape) != len(expected) or any(
-        want is not None and got != want for got, want in zip(shape, expected)
-    ):
-        raise DimensionError(f"sample shape {shape} does not match model input shape {expected}")
-
-
-def vanilla_saliency(model: Model, x, c: int) -> SaliencyMap:
+def vanilla_saliency(model: Model, x, c: int) -> np.ndarray:
     """Squared gradient of the class-c logit: SmoothGrad with one noise-free replicate."""
-    sal = smoothgrad(model, x, c, SmoothGradConfig(n=1, sigma=0.0))
-    sal.kind = VANILLA
-    return sal
+    return smoothgrad(model, x, c, SmoothGradConfig(n=1, sigma=0.0))
 
 
-def smoothgrad(model: Model, x, c, cfg: SmoothGradConfig) -> SaliencyMap:
+def smoothgrad(model: Model, x, c, cfg: SmoothGradConfig) -> np.ndarray:
     """Average the squared-gradient map over n Gaussian-perturbed copies.
 
     ``x`` is one sample with class ``c``, or a stack (k, *input_shape) with
@@ -83,17 +53,12 @@ def smoothgrad(model: Model, x, c, cfg: SmoothGradConfig) -> SaliencyMap:
     average is anchored at the first replicate, which keeps it exact when
     every replicate map is identical, e.g. for linear models or zero noise.
     """
-    if cfg.n < 1:
-        raise ConfigError(f"smoothgrad replicate count must be >= 1, got {cfg.n}")
     values = np.asarray(getattr(x, "values", x), dtype=np.float64)
     stacked = values.ndim == len(model.input_shape) + 1
     samples = values if stacked else values[None]
-    _check_sample_shape(model, samples.shape[1:])
     classes = np.asarray(c, dtype=np.intp).reshape(-1)
     if classes.shape != samples.shape[:1]:
         raise DimensionError(f"need one class per sample: {classes.shape} for {samples.shape[0]} samples")
-    if classes.min() < 0 or classes.max() >= model.num_classes:
-        raise IndexError(f"class index {c} out of range for {model.num_classes} classes")
 
     k, shape = samples.shape[0], samples.shape[1:]
     flat = samples.reshape(k, -1)
@@ -108,6 +73,4 @@ def smoothgrad(model: Model, x, c, cfg: SmoothGradConfig) -> SaliencyMap:
     )
     squared = (grads * grads).reshape(k, n, *shape)
     scores = np.maximum(squared[:, 0] + (squared - squared[:, :1]).mean(axis=1), 0.0)
-    if stacked:
-        return SaliencyMap(scores, classes, SMOOTHGRAD)
-    return SaliencyMap(scores[0], int(classes[0]), SMOOTHGRAD)
+    return scores if stacked else scores[0]

@@ -14,6 +14,7 @@ import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
@@ -41,19 +42,6 @@ STRATEGY_MODES = (
 )
 
 ARCHITECTURES = ("mlp", "cnn1d")
-
-INTEGER_FIELDS = ("sg_n", "batch_size", "iterations", "seed", "kernel")
-REAL_FIELDS = (
-    "alpha",
-    "m_percent",
-    "q_max",
-    "sg_sigma",
-    "base_lr",
-    "lr_decay_factor",
-    "lr_decay_at_fraction",
-    "min_class_ratio",
-    "momentum",
-)
 
 
 def _is_integer(v) -> bool:
@@ -84,15 +72,16 @@ class TrainConfig:
     kernel: int = 5
 
     def __post_init__(self):
-        # types first: JSON configs can carry strings, fractions and NaN
-        for name in INTEGER_FIELDS:
+        # types first, as annotated: JSON configs can carry strings, fractions and NaN
+        types = get_type_hints(type(self))
+        for name in (n for n, t in types.items() if t is int):
             if not _is_integer(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in REAL_FIELDS:
+        for name in (n for n, t in types.items() if t is float):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
                 raise ConfigError(f"{name} must be a finite number, got {v!r}")
-        for name in ("hidden", "channels"):
+        for name in (n for n, t in types.items() if t is tuple):
             v = getattr(self, name)
             if not isinstance(v, (list, tuple)) or not all(_is_integer(h) for h in v):
                 raise ConfigError(f"{name} must be a list of integers, got {v!r}")

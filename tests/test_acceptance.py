@@ -133,10 +133,10 @@ def test_criterion_3_linear_saliency_identity():
     ok = True
     for c in range(4):
         vanilla = vanilla_saliency(model, x, c)
-        ok = ok and np.array_equal(vanilla.scores, w[:, c] ** 2)
+        ok = ok and np.array_equal(vanilla, w[:, c] ** 2)
         for n, sigma, seed in [(1, 0.0, 0), (5, 0.15, 3), (25, 0.15, 7), (13, 1.5, 9)]:
             smooth = smoothgrad(model, x, c, SmoothGradConfig(n=n, sigma=sigma, seed=seed))
-            ok = ok and np.array_equal(smooth.scores, vanilla.scores)
+            ok = ok and np.array_equal(smooth, vanilla)
     _verdict(3, ok, "vanilla == (W_c)^2 elementwise and smoothgrad == vanilla exactly for all (n, sigma, seed)")
 
 

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from dglab.data import generate_shifted_waveforms, generate_spurious_gaussian, save_dataset
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
@@ -50,6 +52,31 @@ def test_generate_is_byte_deterministic(tmp_path):
         assert result.returncode == 0, result.stderr
     assert (a / "data.csv").read_bytes() == (b / "data.csv").read_bytes()
     assert (a / "meta.json").read_bytes() == (b / "meta.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kind, generator",
+    [("spurious-gaussian", generate_spurious_gaussian), ("waveforms", generate_shifted_waveforms)],
+)
+def test_generate_defaults_are_the_generators(kind, generator, tmp_path):
+    result = run_cli("generate", "--kind", kind, "--out", str(tmp_path / "cli"), "--seed", "7")
+    assert result.returncode == 0, result.stderr
+    save_dataset(generator(seed=7), tmp_path / "direct")
+    for name in ("data.csv", "meta.json"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kind, flag",
+    [("spurious-gaussian", "--length"), ("waveforms", "--signal-dims")],
+)
+def test_generate_flag_the_kind_does_not_take_exits_one(kind, flag, tmp_path):
+    out = tmp_path / "ds"
+    result = run_cli("generate", "--kind", kind, "--out", str(out), flag, "3")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and flag in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
 
 
 def test_train_writes_checkpoint_and_history(dataset_dir, config_path, tmp_path):
@@ -240,3 +267,15 @@ def test_unknown_layer_kind_exits_one(checkpoint_doc, dataset_dir, tmp_path):
         assert result.returncode == 1, result.stderr
         assert "bogus" in result.stderr and "Traceback" not in result.stderr
     assert not (tmp_path / "features.csv").exists()
+
+
+def test_negative_saliency_sample_count_exits_one(checkpoint_doc, dataset_dir, tmp_path):
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(checkpoint_doc))
+    result = run_cli(
+        "saliency-export", "--checkpoint", str(checkpoint), "--data", str(dataset_dir),
+        "--samples", "-3", "--out", str(tmp_path / "sal.csv"),
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and "--samples" in result.stderr
+    assert "wrote" not in result.stdout

@@ -235,7 +235,7 @@ def test_waveform_motif_attracts_saliency():
     sg = SmoothGradConfig(n=8, sigma=0.15, seed=0)
     totals = np.zeros(32)
     for i in range(0, len(view.X), 4):
-        totals += smoothgrad(model, view.X[i], int(view.y[i]), sg).scores[0]
+        totals += smoothgrad(model, view.X[i], int(view.y[i]), sg)[0]
     assert totals[motif].mean() > 1.1 * totals[~motif].mean()
 
 

@@ -11,11 +11,7 @@ from dglab.masking import (
     sample_threshold,
 )
 from dglab.models import build_cnn1d, build_mlp
-from dglab.saliency import SaliencyMap, SmoothGradConfig, smoothgrad
-
-
-def _map(scores):
-    return SaliencyMap(np.asarray(scores, dtype=np.float64), 0, "vanilla")
+from dglab.saliency import SmoothGradConfig, smoothgrad
 
 
 def test_threshold_qmax_zero_always_zero():
@@ -45,14 +41,14 @@ def test_q_zero_is_identity():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(12)
     scores = rng.uniform(0, 1, 12)
-    out = mask_below_percentile(x, _map(scores), 0.0, rng)
+    out = mask_below_percentile(x, scores, 0.0, rng)
     assert np.array_equal(out, x)
 
 
 def test_constant_scores_is_identity():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(10)
-    out = mask_below_percentile(x, _map(np.full(10, 0.5)), 80.0, rng)
+    out = mask_below_percentile(x, np.full(10, 0.5), 80.0, rng)
     assert np.array_equal(out, x)
 
 
@@ -60,7 +56,7 @@ def test_q100_all_but_max_eligible_multiset_preserved():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(20)
     scores = rng.permutation(20).astype(float)  # all distinct
-    out = mask_below_percentile(x, _map(scores), 100.0, rng)
+    out = mask_below_percentile(x, scores, 100.0, rng)
     top = int(np.argmax(scores))
     assert out[top] == x[top]
     assert np.array_equal(np.sort(out), np.sort(x))
@@ -73,7 +69,7 @@ def test_positions_at_or_above_threshold_untouched():
         scores = rng.uniform(0, 1, 15)
         q = float(rng.uniform(0, 100))
         t = np.percentile(scores, q, method="linear")
-        out = mask_below_percentile(x, _map(scores), q, rng)
+        out = mask_below_percentile(x, scores, q, rng)
         keep = scores >= t
         assert np.array_equal(out[keep], x[keep])
         assert np.array_equal(np.sort(out), np.sort(x))
@@ -93,7 +89,7 @@ def test_mask_respects_2d_samples():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((1, 16))
     scores = rng.uniform(0, 1, (1, 16))
-    out = mask_below_percentile(x, _map(scores), 90.0, rng)
+    out = mask_below_percentile(x, scores, 90.0, rng)
     assert out.shape == x.shape
     assert np.array_equal(np.sort(out.ravel()), np.sort(x.ravel()))
 
@@ -206,7 +202,7 @@ def test_augment_batch_row_invariants_against_replayed_draws(arch):
     replay = np.random.default_rng(36)
     chosen = replay.choice(40, size=24, replace=False)
     qs = replay.uniform(0.0, 90.0, size=24)
-    scores = smoothgrad(model, X[chosen], y[chosen], sg).scores
+    scores = smoothgrad(model, X[chosen], y[chosen], sg)
     unchosen = np.setdiff1d(np.arange(40), chosen)
     assert np.array_equal(out[unchosen], X[unchosen])
     shuffled = 0

@@ -14,8 +14,7 @@ def test_linear_model_vanilla_is_squared_weight_column():
         for x_seed in range(3):
             x = np.random.default_rng(x_seed).standard_normal(5)
             sal = vanilla_saliency(model, x, c)
-            assert np.array_equal(sal.scores, w[:, c] ** 2)
-            assert sal.kind == "vanilla" and sal.class_used == c
+            assert np.array_equal(sal, w[:, c] ** 2)
 
 
 def test_zero_weights_give_zero_map():
@@ -23,7 +22,7 @@ def test_zero_weights_give_zero_map():
     model.params["head_w"].values = np.zeros((6, 3))
     model.params["head_b"].values = np.zeros(3)
     sal = vanilla_saliency(model, np.ones(4), 1)
-    assert np.array_equal(sal.scores, np.zeros(4))
+    assert np.array_equal(sal, np.zeros(4))
 
 
 def test_vanilla_matches_squared_finite_differences():
@@ -44,7 +43,7 @@ def test_vanilla_matches_squared_finite_differences():
             fm = forward(model, minus[None]).values[0, c]
         fd[i] = (fp - fm) / (2 * eps)
     sal = vanilla_saliency(model, x, c)
-    np.testing.assert_allclose(sal.scores, fd**2, rtol=1e-3, atol=1e-12)
+    np.testing.assert_allclose(sal, fd**2, rtol=1e-3, atol=1e-12)
 
 
 def test_linear_model_smoothgrad_equals_vanilla_exactly():
@@ -54,7 +53,7 @@ def test_linear_model_smoothgrad_equals_vanilla_exactly():
         vanilla = vanilla_saliency(model, x, c)
         for n, sigma, seed in [(1, 0.0, 0), (25, 0.15, 0), (25, 0.15, 99), (7, 2.0, 5)]:
             smooth = smoothgrad(model, x, c, SmoothGradConfig(n=n, sigma=sigma, seed=seed))
-            assert np.array_equal(smooth.scores, vanilla.scores)
+            assert np.array_equal(smooth, vanilla)
 
 
 def test_degenerate_config_is_vanilla_bitwise():
@@ -62,7 +61,7 @@ def test_degenerate_config_is_vanilla_bitwise():
     x = np.random.default_rng(6).standard_normal(4)
     smooth = smoothgrad(model, x, 1, SmoothGradConfig(n=1, sigma=0.0, seed=0))
     vanilla = vanilla_saliency(model, x, 1)
-    assert np.array_equal(smooth.scores, vanilla.scores)
+    assert np.array_equal(smooth, vanilla)
 
 
 def test_constant_sample_degenerates_to_vanilla():
@@ -71,7 +70,7 @@ def test_constant_sample_degenerates_to_vanilla():
     x = np.full(4, 0.7)
     smooth = smoothgrad(model, x, 0, SmoothGradConfig(n=10, sigma=0.15, seed=0))
     vanilla = vanilla_saliency(model, x, 0)
-    assert np.array_equal(smooth.scores, vanilla.scores)
+    assert np.array_equal(smooth, vanilla)
 
 
 def test_smoothgrad_seed_determinism_and_seed_sensitivity():
@@ -80,8 +79,8 @@ def test_smoothgrad_seed_determinism_and_seed_sensitivity():
     a = smoothgrad(model, x, 0, SmoothGradConfig(n=5, sigma=0.15, seed=11))
     b = smoothgrad(model, x, 0, SmoothGradConfig(n=5, sigma=0.15, seed=11))
     c = smoothgrad(model, x, 0, SmoothGradConfig(n=5, sigma=0.15, seed=12))
-    assert np.array_equal(a.scores, b.scores)
-    assert not np.array_equal(a.scores, c.scores)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_maps_are_nonnegative():
@@ -89,8 +88,8 @@ def test_maps_are_nonnegative():
     rng = np.random.default_rng(10)
     for _ in range(20):
         x = rng.standard_normal(4)
-        assert vanilla_saliency(model, x, 0).scores.min() >= 0.0
-        assert smoothgrad(model, x, 0, SmoothGradConfig(n=5, sigma=0.2, seed=0)).scores.min() >= 0.0
+        assert vanilla_saliency(model, x, 0).min() >= 0.0
+        assert smoothgrad(model, x, 0, SmoothGradConfig(n=5, sigma=0.2, seed=0)).min() >= 0.0
 
 
 def test_saliency_mutates_nothing():
@@ -110,10 +109,10 @@ def test_replicate_averaging_shrinks_seed_variance():
     model = build_mlp([4, 6], 3, seed=13)
     x = np.random.default_rng(14).standard_normal(4)
     maps_n1 = np.stack(
-        [smoothgrad(model, x, 0, SmoothGradConfig(n=1, sigma=0.3, seed=s)).scores for s in range(20)]
+        [smoothgrad(model, x, 0, SmoothGradConfig(n=1, sigma=0.3, seed=s)) for s in range(20)]
     )
     maps_n25 = np.stack(
-        [smoothgrad(model, x, 0, SmoothGradConfig(n=25, sigma=0.3, seed=s)).scores for s in range(20)]
+        [smoothgrad(model, x, 0, SmoothGradConfig(n=25, sigma=0.3, seed=s)) for s in range(20)]
     )
     assert maps_n25.std(axis=0).mean() < maps_n1.std(axis=0).mean()
 
@@ -148,12 +147,11 @@ def test_vanilla_agrees_with_logit_input_gradient():
     for model, x in ((mlp, rng.standard_normal(4)), (cnn, rng.standard_normal((2, 13)))):
         grad = class_logit_input_gradients(model, x[None], [2])[0]
         sal = vanilla_saliency(model, x, 2)
-        assert np.array_equal(sal.scores, grad**2)
-        assert sal.kind == "vanilla" and sal.class_used == 2
+        assert np.array_equal(sal, grad**2)
         # vanilla is SmoothGrad with one noise-free replicate, whatever the seed
         for seed in (0, 1, 7, 123):
             cfg = SmoothGradConfig(n=1, sigma=0.0, seed=seed)
-            assert np.array_equal(sal.scores, smoothgrad(model, x, 2, cfg).scores)
+            assert np.array_equal(sal, smoothgrad(model, x, 2, cfg))
 
 
 def _stack_with_constant_row(shape, rng):
@@ -172,9 +170,9 @@ def test_stacked_smoothgrad_rows_equal_single_calls_cnn1d(sigma, monkeypatch):
     )
     cfg = SmoothGradConfig(n=5, sigma=sigma, seed=24)
     stacked = smoothgrad(model, X, y, cfg)
-    assert stacked.scores.shape == X.shape and np.array_equal(stacked.class_used, y)
+    assert stacked.shape == X.shape
     for i in range(len(X)):
-        assert np.array_equal(stacked.scores[i], smoothgrad(model, X[i], int(y[i]), cfg).scores)
+        assert np.array_equal(stacked[i], smoothgrad(model, X[i], int(y[i]), cfg))
 
 
 @pytest.mark.parametrize("sigma", [0.15, 0.0])
@@ -186,11 +184,11 @@ def test_stacked_smoothgrad_rows_match_single_calls_mlp(sigma):
     X, y = _stack_with_constant_row((6,), np.random.default_rng(25))
     cfg = SmoothGradConfig(n=5, sigma=sigma, seed=26)
     linear, hidden = build_mlp([6], 3, seed=27), build_mlp([6, 8], 3, seed=28)
-    stacked_linear = smoothgrad(linear, X, y, cfg).scores
-    stacked_hidden = smoothgrad(hidden, X, y, cfg).scores
+    stacked_linear = smoothgrad(linear, X, y, cfg)
+    stacked_hidden = smoothgrad(hidden, X, y, cfg)
     for i in range(len(X)):
-        assert np.array_equal(stacked_linear[i], smoothgrad(linear, X[i], int(y[i]), cfg).scores)
-        single = smoothgrad(hidden, X[i], int(y[i]), cfg).scores
+        assert np.array_equal(stacked_linear[i], smoothgrad(linear, X[i], int(y[i]), cfg))
+        single = smoothgrad(hidden, X[i], int(y[i]), cfg)
         np.testing.assert_allclose(stacked_hidden[i], single, rtol=0, atol=1e-12 * single.max())
 
 
@@ -198,3 +196,12 @@ def test_stacked_smoothgrad_rejects_class_count_mismatch():
     model = build_mlp([4, 6], 3, seed=0)
     with pytest.raises(DimensionError):
         smoothgrad(model, np.zeros((3, 4)), [0, 1], SmoothGradConfig(n=2))
+
+
+def test_sample_shape_mismatch_raises_dimension_error():
+    mlp, cnn = build_mlp([4, 6], 3, seed=0), build_cnn1d([2, 4], 3, 3, seed=1)
+    for model, x in ((mlp, np.zeros(5)), (mlp, np.zeros((2, 3, 4))), (cnn, np.zeros((3, 13)))):
+        with pytest.raises(DimensionError):
+            vanilla_saliency(model, x, 0)
+        with pytest.raises(DimensionError):
+            smoothgrad(model, x, 0, SmoothGradConfig(n=3))
