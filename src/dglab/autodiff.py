@@ -15,7 +15,8 @@ way). ``backward(root, wrt=...)`` sets the flags so only parents on a path
 to the requested tensors are differentiated.
 
 Conventions: all values are float64; the ReLU derivative at exactly 0 is 0;
-broadcasting is limited to bias-style row/column vectors.
+broadcasting is limited to bias-style row/column vectors; conv1d returns a
+C-contiguous output, so the ops after it walk memory in order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from itertools import compress
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DimensionError, NumericError
 
@@ -162,7 +162,13 @@ def relu(x) -> Tensor:
     out = np.maximum(x.values, 0.0)
 
     def vjp(g: Array, need=ALL_PARENTS):
-        return (np.where(x.values > 0.0, g, 0.0),)
+        # np.where(x > 0, g, 0.0) bit for bit, without its per-element branch
+        # (which mispredicts on a random sign pattern): AND g's bits with
+        # all-ones where x > 0 and zero elsewhere, in one buffer
+        bits = np.array(x.values > 0.0, dtype=np.uint64)
+        np.negative(bits, out=bits)
+        bits &= g.view(np.uint64)
+        return (bits.view(np.float64),)
 
     return _record(out, "relu", (x,), vjp)
 
@@ -333,7 +339,9 @@ def conv1d(x, w, b) -> Tensor:
     """1-d convolution, stride 1, zero same-padding (odd kernel only).
 
     x is (batch, c_in, length), w is (c_out, c_in, kernel), b is (c_out,);
-    output is (batch, c_out, length).
+    output is a C-contiguous (batch, c_out, length) array. The forward pass
+    copies the padded input into (batch, c_in, kernel, length) columns, one
+    contiguous slice per tap, and multiplies them by the flattened kernel.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.values.ndim != 3 or w.values.ndim != 3 or b.values.ndim != 1:
@@ -342,27 +350,31 @@ def conv1d(x, w, b) -> Tensor:
         )
     if x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]:
         raise DimensionError(f"conv1d channel mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
-    k = w.shape[2]
+    batch, c_in, length = x.shape
+    c_out, _, k = w.shape
     if k % 2 == 0:
         raise ContractError(f"conv1d same-padding requires an odd kernel, got {k}")
-    length = x.shape[2]
     pad = (k - 1) // 2
     xp = np.pad(x.values, ((0, 0), (0, 0), (pad, pad)))
-    windows = sliding_window_view(xp, k, axis=2)  # (batch, c_in, length, k)
-    out = np.einsum("bclk,ock->bol", windows, w.values, optimize=True) + b.values[None, :, None]
+    cols = np.empty((batch, c_in, k, length))
+    for j in range(k):
+        cols[:, :, j] = xp[:, :, j : j + length]
+    cols = cols.reshape(batch, c_in * k, length)
+    out = np.matmul(w.values.reshape(c_out, c_in * k), cols)
+    out += b.values[:, None]
 
     def vjp(g: Array, need=ALL_PARENTS):
         dx = dw = db = None
         if need[1]:
-            dw = np.einsum("bol,bclk->ock", g, windows, optimize=True)
+            dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         if need[2]:
             db = g.sum(axis=(0, 2))
         if need[0]:
-            dwin = np.einsum("bol,ock->bclk", g, w.values, optimize=True)
-            dxp = np.zeros_like(xp)
-            for j in range(k):
-                dxp[:, :, j : j + length] += dwin[:, :, :, j]
-            dx = dxp[:, :, pad : pad + length].copy()
+            # dx[:, :, l] = sum_j w[:, :, j].T @ g[:, :, l + pad - j], one product per tap
+            gp = np.pad(g, ((0, 0), (0, 0), (pad, pad)))
+            dx = np.matmul(w.values[:, :, 0].T, gp[:, :, 2 * pad : 2 * pad + length])
+            for j in range(1, k):
+                dx += np.matmul(w.values[:, :, j].T, gp[:, :, 2 * pad - j : 2 * pad - j + length])
         return dx, dw, db
 
     return _record(out, "conv1d", (x, w, b), vjp)

@@ -46,6 +46,15 @@ def _int_list(text: str) -> list[int]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _check_out_dir(path: str) -> None:
+    """Fail before any work when the directory an output file goes into is missing or read-only."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"--out {path}: directory {directory} does not exist")
+    if not os.access(directory, os.W_OK):
+        raise ConfigError(f"--out {path}: directory {directory} is not writable")
+
+
 GENERATORS = {
     "spurious-gaussian": generate_spurious_gaussian,
     "waveforms": generate_shifted_waveforms,
@@ -80,6 +89,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_lodo(args) -> int:
+    _check_out_dir(args.out)
     cfg = _load_config(args.config)
     ds = load_dataset(args.data)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -90,6 +100,7 @@ def cmd_lodo(args) -> int:
 
 
 def cmd_ablation(args) -> int:
+    _check_out_dir(args.out)
     cfg = _load_config(args.config)
     ds = load_dataset(args.data)
     with open(args.grid, "r", encoding="utf-8") as fh:
@@ -108,6 +119,7 @@ def cmd_ablation(args) -> int:
 def cmd_saliency_export(args) -> int:
     if args.samples < 0:
         raise ConfigError(f"--samples must be >= 0, got {args.samples}")
+    _check_out_dir(args.out)
     model = load_model(args.checkpoint)
     ds = load_dataset(args.data)
     count = min(args.samples, ds.n)

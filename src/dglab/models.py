@@ -173,7 +173,8 @@ def model_batch(model: Model, X: np.ndarray) -> np.ndarray:
 def _largest_row_intermediate(model: Model, row_shape: tuple) -> int:
     """Float64 elements per row of the widest array an input-gradient pass builds.
 
-    conv1d counts its output and its (c_in, length, kernel) window gradient.
+    conv1d counts its output and the (c_in, kernel, length) columns its
+    forward pass builds and keeps for the weight gradient.
     """
     largest = math.prod(row_shape)
     for layer in model.layers:
@@ -182,7 +183,7 @@ def _largest_row_intermediate(model: Model, row_shape: tuple) -> int:
         elif layer["kind"] == "conv1d":
             c_out, c_in, kernel = model.params[f"{layer['name']}_w"].shape
             length = row_shape[-1]
-            largest = max(largest, c_out * length, c_in * length * kernel)
+            largest = max(largest, c_out * length, c_in * kernel * length)
     return largest
 
 

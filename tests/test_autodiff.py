@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from dglab import autodiff as ad
 from dglab.autodiff import Tensor, backward, grad_check, no_grad
@@ -56,6 +57,24 @@ def test_relu_backward_zero_gradient_at_kink():
     x0 = Tensor([0.0, 3.0])
     gm0 = backward(ad.sum_all(ad.relu(x0)))
     assert np.array_equal(gm0[x0], [0.0, 1.0])
+
+
+def test_relu_vjp_is_bitwise_np_where():
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((6, 3, 8))
+    x[0, 0, :4] = 0.0  # the kink passes no gradient
+    x[1, 1, :4] = -0.0
+    g = rng.standard_normal(x.shape)
+    g[2, :, :2] = 0.0
+    g[3, :, :2] = -0.0
+    g[4, :, :2] = np.inf
+    g[4, :, 2:4] = -np.inf
+    (vjp_x,) = ad.relu(x)._vjp(g)
+    expected = np.where(x > 0.0, g, 0.0)
+    assert np.array_equal(vjp_x.view(np.uint64), expected.view(np.uint64))
+    # a masked negative gradient becomes +0.0, never -0.0
+    masked_negative = (x <= 0.0) & (g < 0.0)
+    assert masked_negative.any() and not np.signbit(vjp_x[masked_negative]).any()
 
 
 def test_softmax_symmetry():
@@ -212,6 +231,44 @@ def test_conv1d_matches_sliding_window_oracle():
                         acc += xp[bi, c, l + k] * w[o, c, k]
                 expected[bi, o, l] = acc
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+
+def _conv1d_einsum_oracle(x, w, b, g):
+    """Output, dx, dw and db of a same-padded conv1d through windows and einsums."""
+    k, length = w.shape[2], x.shape[2]
+    pad = (k - 1) // 2
+    windows = sliding_window_view(np.pad(x, ((0, 0), (0, 0), (pad, pad))), k, axis=2)
+    out = np.einsum("bclk,ock->bol", windows, w) + b[None, :, None]
+    dwin = np.einsum("bol,ock->bclk", g, w)
+    dxp = np.zeros((x.shape[0], x.shape[1], length + 2 * pad))
+    for j in range(k):
+        dxp[:, :, j : j + length] += dwin[:, :, :, j]
+    dw = np.einsum("bol,bclk->ock", g, windows)
+    return out, dxp[:, :, pad : pad + length], dw, g.sum(axis=(0, 2))
+
+
+@pytest.mark.parametrize("batch", [1, 7, 102])
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("c_in", [1, 2, 8])
+@pytest.mark.parametrize("length", [9, 2], ids=["length-9", "length-2"])
+def test_conv1d_value_and_gradients_match_einsum_oracle(length, c_in, kernel, batch):
+    rng = np.random.default_rng(1000 * c_in + 10 * kernel + batch)
+    x = rng.standard_normal((batch, c_in, length))
+    w = rng.standard_normal((4, c_in, kernel))
+    b = rng.standard_normal(4)
+    g = rng.standard_normal((batch, 4, length))
+    out = ad.conv1d(x, w, b)
+    got = (out.values, *out._vjp(g))
+    for name, value, expected in zip(("out", "dx", "dw", "db"), got, _conv1d_einsum_oracle(x, w, b, g)):
+        assert value.shape == expected.shape, name
+        np.testing.assert_allclose(value, expected, rtol=0, atol=1e-12 * np.abs(expected).max(), err_msg=name)
+
+
+def test_conv1d_output_is_c_contiguous():
+    rng = np.random.default_rng(42)
+    for c_in, kernel in [(1, 5), (8, 3)]:
+        out = ad.conv1d(rng.standard_normal((7, c_in, 16)), rng.standard_normal((4, c_in, kernel)), np.zeros(4))
+        assert out.values.flags.c_contiguous and out.shape == (7, 4, 16)
 
 
 def test_conv1d_rejects_even_kernel():

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from dglab import cli
 from dglab.data import generate_shifted_waveforms, generate_spurious_gaussian, save_dataset
 
 
@@ -211,6 +212,34 @@ def test_bad_config_value_exits_one_before_training(bad, dataset_dir, tmp_path):
     assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
     assert next(iter(bad)) in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["lodo", "ablation", "saliency-export"])
+def test_missing_out_directory_exits_one_before_loading_data(command, checkpoint_doc, tmp_path):
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(checkpoint_doc))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([[0.0, 0.0, 0.0]]))
+    missing_data, missing_dir = tmp_path / "no-data", tmp_path / "no-such-dir"
+    extra = {
+        "lodo": ["--methods", "ce_only", "--seeds", "0"],
+        "ablation": ["--grid", str(grid), "--seeds", "0"],
+        "saliency-export": ["--checkpoint", str(checkpoint), "--samples", "2"],
+    }[command]
+    result = run_cli(command, "--data", str(missing_data), *extra, "--out", str(missing_dir / "out.json"))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+    assert f"directory {missing_dir} does not exist" in result.stderr
+    assert str(missing_data) not in result.stderr
+    assert not missing_dir.exists()
+
+
+def test_read_only_out_directory_exits_one(monkeypatch, tmp_path, capsys):
+    # tests may run as root, which may write anywhere, so the permission test is stubbed
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    out = tmp_path / "report.json"
+    assert cli.main(["lodo", "--data", str(tmp_path / "no-data"), "--out", str(out)]) == 1
+    assert f"directory {tmp_path} is not writable" in capsys.readouterr().err
 
 
 def test_unknown_method_rejected_before_any_training(dataset_dir, tmp_path):
