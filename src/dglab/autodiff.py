@@ -14,6 +14,12 @@ its gradient (affine and conv1d skip their weight and bias products this
 way). ``backward(root, wrt=...)`` sets the flags so only parents on a path
 to the requested tensors are differentiated.
 
+Cross-entropy and the class-centroid alignment term are one node each,
+``mean_nll`` and ``centroid_spread``. Their values and gradients are bit
+for bit those of the graphs of small ops they replace (``log_sum_exp_rows``
+and ``take_per_row``; ``select_rows`` and ``mean_rows``), which stay as ops
+and serve the tests as the reference.
+
 Conventions: all values are float64; the ReLU derivative at exactly 0 is 0;
 broadcasting is limited to bias-style row/column vectors; conv1d returns a
 C-contiguous output, so the ops after it walk memory in order.
@@ -392,6 +398,86 @@ def global_avg_pool(x) -> Tensor:
         return (np.broadcast_to(g[:, :, None] / length, x.values.shape).copy(),)
 
     return _record(out, "global_avg_pool", (x,), vjp)
+
+
+# ---------------------------------------------------------------------------
+# fused losses: one node each, bit for bit the composed graphs they replace
+
+
+def _check_row_labels(a: Tensor, labels, name: str) -> Array:
+    idx = np.asarray(labels, dtype=np.intp)
+    if a.values.ndim != 2 or idx.shape != (a.shape[0],):
+        raise DimensionError(
+            f"{name} expects a (batch,C) tensor and one label per row; got {a.shape} and {idx.shape}"
+        )
+    if idx.size < 1:
+        raise ContractError(f"{name}: empty batch")
+    if idx.min() < 0 or idx.max() >= a.shape[1]:
+        raise IndexError(f"label out of range for {a.shape[1]} columns")
+    return idx
+
+
+def mean_nll(logits, labels) -> Tensor:
+    """Mean negative log-likelihood of the labelled columns, from raw logits.
+
+    Bit for bit ``scale(sum_all(sub(log_sum_exp_rows(z), take_per_row(z,
+    labels))), 1/n)``, value and gradient, as one node.
+    """
+    z = as_tensor(logits)
+    idx = _check_row_labels(z, labels, "mean_nll")
+    n = z.shape[0]
+    rows = np.arange(n)
+    m = z.values.max(axis=1, keepdims=True)
+    e = np.exp(z.values - m)
+    s = e.sum(axis=1, keepdims=True)
+    out = ((m + np.log(s)).ravel() - z.values[rows, idx]).sum() * (1.0 / n)
+
+    def vjp(g: Array, need=ALL_PARENTS):
+        gn = g * (1.0 / n)
+        d = e / s * gn
+        d[rows, idx] -= gn
+        # the composed graph added the softmax term into take_per_row's
+        # zeros, which turns every -0.0 into +0.0
+        d += 0.0
+        return (d,)
+
+    return _record(out, "mean_nll", (z,), vjp)
+
+
+def centroid_spread(probs, labels) -> Tensor:
+    """Sum over the classes present of the mean squared distance to the class centroid.
+
+    Class c with rows P_c contributes (1/n_c) * sum ||P_c - mu_c||^2, with
+    mu_c the anchored row mean (as ``mean_rows``), in ``np.unique`` order.
+    The centroid is differentiated too: each row's gradient is
+    h + (-sum_rows h) / n_c with h = 2 g (P_c - mu_c) / n_c. Value and
+    gradient are bit for bit those of the composed graph of ``select_rows``,
+    ``mean_rows``, ``sub_rowvec``, ``mul``, ``sum_all``, ``scale`` and
+    ``add``, as one node.
+    """
+    p = as_tensor(probs)
+    idx = _check_row_labels(p, labels, "centroid_spread")
+    groups = []
+    out = None
+    for c in np.unique(idx):
+        members = np.flatnonzero(idx == c)
+        rows = p.values[members]
+        diff = rows - (rows[0] + (rows - rows[0]).mean(axis=0))
+        term = (diff * diff).sum() * (1.0 / members.size)
+        out = term if out is None else out + term
+        groups.append((members, diff))
+
+    def vjp(g: Array, need=ALL_PARENTS):
+        d = np.empty_like(p.values)
+        for members, diff in groups:
+            h = g * (1.0 / members.size) * diff
+            h = h + h
+            d[members] = h + -h.sum(axis=0) / members.size
+        # select_rows scattered into zeros, which turns every -0.0 into +0.0
+        d += 0.0
+        return (d,)
+
+    return _record(out, "centroid_spread", (p,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,7 @@ def cmd_saliency_export(args) -> int:
 
 
 def cmd_export_features(args) -> int:
+    _check_out_dir(args.out)
     model = load_model(args.checkpoint)
     ds = load_dataset(args.data)
     export_features(model, ds, args.out)

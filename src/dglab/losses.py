@@ -3,8 +3,9 @@
 Cross-entropy is computed from logits through log-sum-exp, never through
 materialised probabilities, so log(0) cannot occur. The alignment term
 pulls each sample's soft label toward the mean soft label of its class
-within the batch; the centroid is itself part of the graph, so gradients
-flow through it (no stop-gradient).
+within the batch; gradients flow through the centroid too (no
+stop-gradient). Each of the two terms is one autodiff node
+(``autodiff.mean_nll`` and ``autodiff.centroid_spread``).
 """
 
 from __future__ import annotations
@@ -63,10 +64,7 @@ def _check_labels(logits: Tensor, labels: np.ndarray) -> np.ndarray:
 def cross_entropy(logits, labels) -> Tensor:
     """Mean negative log-likelihood of the true classes, from raw logits."""
     z = ad.as_tensor(logits)
-    labels = _check_labels(z, labels)
-    lse = ad.log_sum_exp_rows(z)
-    picked = ad.take_per_row(z, labels)
-    return ad.scale(ad.sum_all(ad.sub(lse, picked)), 1.0 / z.shape[0])
+    return ad.mean_nll(z, _check_labels(z, labels))
 
 
 def class_centroids(soft: SoftLabelBatch) -> dict[int, Tensor]:
@@ -93,15 +91,7 @@ def alignment_loss(soft: SoftLabelBatch) -> Tensor:
     """
     if soft.labels.size < 1:
         raise ContractError("alignment_loss: empty batch")
-    total: Tensor | None = None
-    for c, mu in class_centroids(soft).items():
-        idx = np.flatnonzero(soft.labels == c)
-        rows = ad.select_rows(soft.probs, idx)
-        diff = ad.sub_rowvec(rows, mu)
-        term = ad.scale(ad.sum_all(ad.mul(diff, diff)), 1.0 / idx.size)
-        total = term if total is None else ad.add(total, term)
-    assert total is not None
-    return total
+    return ad.centroid_spread(soft.probs, soft.labels)
 
 
 def objective_parts(logits, labels, alpha: float) -> tuple[Tensor, Tensor, Tensor | None]:

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -345,3 +349,16 @@ def test_backward_wrt_input_is_bitwise_full_pass_without_parameter_vjps():
     assert counts["parameter_grads"] == 0
     assert np.array_equal(pruned[x], full[x])
     assert len(pruned) == 1 and cw not in pruned
+
+
+def test_every_op_the_benchmark_times_exists(monkeypatch):
+    # the benchmark's per-op table looks each name up on dglab.autodiff; a
+    # removed op would otherwise surface only in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "opbench.py"
+    spec = importlib.util.spec_from_file_location("opbench", path)
+    opbench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, opbench)  # its dataclass looks itself up there
+    spec.loader.exec_module(opbench)
+    assert opbench.OPS
+    for name in opbench.OPS:
+        assert callable(getattr(ad, name, None)), name

@@ -214,7 +214,7 @@ def test_bad_config_value_exits_one_before_training(bad, dataset_dir, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["lodo", "ablation", "saliency-export"])
+@pytest.mark.parametrize("command", ["lodo", "ablation", "saliency-export", "export-features"])
 def test_missing_out_directory_exits_one_before_loading_data(command, checkpoint_doc, tmp_path):
     checkpoint = tmp_path / "checkpoint.json"
     checkpoint.write_text(json.dumps(checkpoint_doc))
@@ -225,6 +225,7 @@ def test_missing_out_directory_exits_one_before_loading_data(command, checkpoint
         "lodo": ["--methods", "ce_only", "--seeds", "0"],
         "ablation": ["--grid", str(grid), "--seeds", "0"],
         "saliency-export": ["--checkpoint", str(checkpoint), "--samples", "2"],
+        "export-features": ["--checkpoint", str(checkpoint)],
     }[command]
     result = run_cli(command, "--data", str(missing_data), *extra, "--out", str(missing_dir / "out.json"))
     assert result.returncode == 1

@@ -167,3 +167,144 @@ def test_soft_label_batch_validation():
         _soft([[0.7, 0.7]], [0])  # row does not sum to 1
     with pytest.raises(ContractError):
         _soft([[0.5, 0.5]], [2])  # label out of range
+
+
+# ---------------------------------------------------------------------------
+# the fused loss nodes against the composed graphs they replaced
+#
+# cross_entropy and alignment_loss each build one autodiff node. The oracles
+# below are the graphs of small ops those losses used to build; value and
+# gradient must agree bit for bit, signed zeros included.
+
+
+def _ce_oracle(z, labels):
+    lse = ad.log_sum_exp_rows(z)
+    picked = ad.take_per_row(z, labels)
+    return ad.scale(ad.sum_all(ad.sub(lse, picked)), 1.0 / z.shape[0])
+
+
+def _alignment_oracle(probs, labels):
+    centroids = {}
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
+        centroids[int(c)] = ad.mean_rows(ad.select_rows(probs, idx))
+    total = None
+    for c, mu in centroids.items():
+        idx = np.flatnonzero(labels == c)
+        diff = ad.sub_rowvec(ad.select_rows(probs, idx), mu)
+        term = ad.scale(ad.sum_all(ad.mul(diff, diff)), 1.0 / idx.size)
+        total = term if total is None else ad.add(total, term)
+    return total
+
+
+def _objective_oracle(z, labels, alpha):
+    align = _alignment_oracle(ad.softmax_rows(z), labels)
+    return ad.add(_ce_oracle(z, labels), ad.scale(align, alpha))
+
+
+def _bits(a):
+    a = np.asarray(a, dtype=np.float64)
+    return a.shape, a.tobytes()
+
+
+def _value_and_grad(loss_fn, x, upstream):
+    leaf = Tensor(x)
+    loss = loss_fn(leaf)
+    return loss.values, backward(ad.scale(loss, upstream))[leaf]
+
+
+# (logits, labels): one row, one class present, a class absent, one sample
+# per class, and rows whose softmax is exactly 0/1
+_FUSED_CASES = {
+    "one-row": (np.array([[0.3, -1.2, 2.0]]), [2]),
+    "one-class": (np.random.default_rng(11).normal(0, 2, (7, 3)), [1] * 7),
+    "class-absent": (np.random.default_rng(12).normal(0, 2, (9, 4)), [0, 2, 3, 0, 2, 3, 3, 0, 0]),
+    "one-per-class": (np.random.default_rng(13).normal(0, 2, (4, 4)), [2, 0, 3, 1]),
+    "saturated": (
+        np.array(
+            [[900.0, 0.0, -5.0], [0.0, 800.0, 1.0], [0.5, 0.2, 0.1], [-700.0, 0.0, 700.0], [0.0, 0.1, 0.0]]
+        ),
+        [0, 0, 1, 2, 2],
+    ),
+}
+# -1 and -0.0 flip the sign of every product, so the composed graph's
+# +0.0-normalising adds show up as sign bits
+_UPSTREAM = (1.0, -1.0, 0.0, -0.0, 0.37)
+
+
+@pytest.mark.parametrize("case", sorted(_FUSED_CASES))
+@pytest.mark.parametrize("upstream", _UPSTREAM)
+def test_cross_entropy_is_bitwise_composed_graph(case, upstream):
+    z, labels = _FUSED_CASES[case]
+    labels = np.asarray(labels)
+    got = _value_and_grad(lambda t: cross_entropy(t, labels), z, upstream)
+    want = _value_and_grad(lambda t: _ce_oracle(t, labels), z, upstream)
+    assert [_bits(a) for a in got] == [_bits(a) for a in want]
+
+
+@pytest.mark.parametrize("case", sorted(_FUSED_CASES))
+@pytest.mark.parametrize("upstream", _UPSTREAM)
+def test_alignment_loss_is_bitwise_composed_graph(case, upstream):
+    z, labels = _FUSED_CASES[case]
+    labels = np.asarray(labels)
+    with ad.no_grad():
+        probs = ad.softmax_rows(z).values
+    got = _value_and_grad(lambda t: alignment_loss(SoftLabelBatch(t, labels)), probs, upstream)
+    want = _value_and_grad(lambda t: _alignment_oracle(t, labels), probs, upstream)
+    assert [_bits(a) for a in got] == [_bits(a) for a in want]
+
+
+@pytest.mark.parametrize("case", sorted(_FUSED_CASES))
+@pytest.mark.parametrize("alpha", [0.1, 0.37, 1.0])
+@pytest.mark.parametrize("upstream", [1.0, -1.0, -0.0])
+def test_objective_parts_is_bitwise_composed_graph(case, alpha, upstream):
+    z, labels = _FUSED_CASES[case]
+    labels = np.asarray(labels)
+    got = _value_and_grad(lambda t: objective_parts(t, labels, alpha)[0], z, upstream)
+    want = _value_and_grad(lambda t: _objective_oracle(t, labels, alpha), z, upstream)
+    assert [_bits(a) for a in got] == [_bits(a) for a in want]
+
+
+def test_fused_cases_reach_signed_zero_gradients():
+    # the saturated case must put exact zeros into the oracle gradients, or
+    # the sign-bit comparison above tests nothing
+    z, labels = _FUSED_CASES["saturated"]
+    labels = np.asarray(labels)
+    _, g_ce = _value_and_grad(lambda t: _ce_oracle(t, labels), z, -1.0)
+    probs = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.2, 0.0, 0.8]])
+    _, g_align = _value_and_grad(lambda t: _alignment_oracle(t, np.array([0, 0, 2, 2])), probs, -1.0)
+    for g in (g_ce, g_align):
+        assert np.any(g == 0.0) and not np.any(np.signbit(g[g == 0.0]))
+
+
+def test_fused_losses_are_bitwise_composed_graphs_on_random_batches():
+    rng = np.random.default_rng(14)
+    for trial in range(150):
+        n, c = int(rng.integers(1, 60)), int(rng.integers(2, 6))
+        z = rng.normal(0, 3, (n, c)) * (300.0 if trial % 7 == 0 else 1.0)
+        labels = rng.integers(0, c, n)
+        alpha = (0.1, 0.37, 1.0)[trial % 3]
+        got = _value_and_grad(lambda t: objective_parts(t, labels, alpha)[0], z, 1.0)
+        want = _value_and_grad(lambda t: _objective_oracle(t, labels, alpha), z, 1.0)
+        assert [_bits(a) for a in got] == [_bits(a) for a in want], (trial, n, c)
+
+
+def test_fused_loss_nodes_grad_check():
+    rng = np.random.default_rng(15)
+    labels = np.array([0, 2, 1, 1, 2, 2])
+    z = rng.uniform(-2, 2, (6, 3))
+    assert grad_check(lambda t: ad.mean_nll(t, labels), z) < 1e-6
+    probs = rng.uniform(0.0, 1.0, (6, 3))
+    assert grad_check(lambda t: ad.centroid_spread(t, labels), probs) < 1e-6
+
+
+def test_each_loss_is_one_node_on_logits_or_probs():
+    z = Tensor(np.random.default_rng(16).normal(0, 1, (5, 3)))
+    labels = np.array([0, 1, 1, 2, 0])
+    assert cross_entropy(z, labels).lineage == ("mean_nll", (z,))
+    soft = SoftLabelBatch(ad.softmax_rows(z), labels)
+    assert alignment_loss(soft).lineage == ("centroid_spread", (soft.probs,))
+    _, ce, align = objective_parts(z, labels, 0.1)
+    assert ce.lineage == ("mean_nll", (z,))
+    assert align.lineage[0] == "centroid_spread"
+    assert align.lineage[1][0].lineage == ("softmax_rows", (z,))
