@@ -8,6 +8,7 @@ export-features. Exit codes: 0 success, 1 configuration or contract error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import inspect
 import json
 import os
@@ -53,6 +54,40 @@ def _check_out_dir(path: str) -> None:
         raise ConfigError(f"--out {path}: directory {directory} does not exist")
     if not os.access(directory, os.W_OK):
         raise ConfigError(f"--out {path}: directory {directory} is not writable")
+
+
+# mallopt parameter numbers from glibc's malloc.h
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+# glibc's own ceiling for its dynamic mmap threshold on 64-bit hosts, and
+# twice that for trimming, the ratio glibc keeps between the two
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 2 * MMAP_THRESHOLD_BYTES
+
+
+def _libc():
+    """The C library of this process, or None where ctypes cannot open it."""
+    try:
+        return ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+
+
+def _pin_heap_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds for the rest of the process.
+
+    Left floating, they follow allocation history: the megabytes of
+    temporaries a saliency pass frees are handed back to the OS after
+    every mask step and faulted in again on the next. Values computed are
+    unaffected. A C library without ``mallopt`` (macOS, Windows) is left as is.
+    """
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
 GENERATORS = {
@@ -219,6 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the CLI owns its process, so it alone sets the allocator policy;
+    # importing dglab as a library leaves the host's allocator alone
+    _pin_heap_thresholds()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -139,6 +139,17 @@ def _fingerprint(cfg: TrainConfig, ds: DomainDataset, extra: dict | None = None)
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+def _check_source_classes(
+    view: TrainView, num_classes: int, target: str, holdout_fraction: float | None
+) -> None:
+    """A class the source split lacks would break batching or shrink the head."""
+    missing = np.flatnonzero(np.bincount(view.y, minlength=num_classes) == 0)
+    if missing.size:
+        where = " after the holdout split" if holdout_fraction is not None else ""
+        classes = ", ".join(str(c) for c in missing)
+        raise ConfigError(f"target={target}: the source split has no rows of class {classes}{where}")
+
+
 def lodo_experiment(
     ds: DomainDataset,
     cfg: TrainConfig,
@@ -161,18 +172,27 @@ def lodo_experiment(
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; choose from {STRATEGY_MODES}")
 
-    rows: list[ReportRow] = []
+    # every source split is built and checked before the first run trains
+    splits = []
     for target in ds.domain_names:
         train_view, test = leave_one_domain_out(ds, target)
+        views: dict[int, tuple[TrainView, TrainView | None]] = {}
+        for seed in seeds:
+            if holdout_fraction is None:
+                views[seed] = (train_view, None)
+            else:
+                views[seed] = split_holdout(train_view, holdout_fraction, seed=int(seed))
+            _check_source_classes(views[seed][0], ds.num_classes, target, holdout_fraction)
+        splits.append((target, test, views))
+
+    rows: list[ReportRow] = []
+    for target, test, views in splits:
         for method in methods:
             accuracies: list[float] = []
             vals: list[float] = []
             for seed in seeds:
                 run_cfg = replace(cfg, strategy_mode=method, seed=int(seed))
-                view = train_view
-                val_view: TrainView | None = None
-                if holdout_fraction is not None:
-                    view, val_view = split_holdout(train_view, holdout_fraction, seed=int(seed))
+                view, val_view = views[seed]
                 try:
                     model, _history = train(view, run_cfg)
                 except NumericError as e:

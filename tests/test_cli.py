@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import types
 
+import numpy as np
 import pytest
 
 from dglab import cli
-from dglab.data import generate_shifted_waveforms, generate_spurious_gaussian, save_dataset
+from dglab.data import DomainDataset, generate_shifted_waveforms, generate_spurious_gaussian, save_dataset
 
 
 def run_cli(*args, cwd=None):
@@ -309,3 +311,79 @@ def test_negative_saliency_sample_count_exits_one(checkpoint_doc, dataset_dir, t
     assert result.returncode == 1
     assert result.stderr.startswith("error: ") and "--samples" in result.stderr
     assert "wrote" not in result.stdout
+
+
+class _RecordingMallopt:
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_main_pins_glibc_heap_thresholds(monkeypatch, tmp_path, capsys):
+    mallopt = _RecordingMallopt()
+    monkeypatch.setattr(cli, "_libc", lambda: types.SimpleNamespace(mallopt=mallopt))
+    out = tmp_path / "ds"
+    assert cli.main(["generate", "--kind", "waveforms", "--out", str(out), "--length", "16"]) == 0
+    # M_MMAP_THRESHOLD = -3 and M_TRIM_THRESHOLD = -1 in glibc's malloc.h
+    assert mallopt.calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+
+
+def test_libc_without_mallopt_gives_the_same_lodo_report(monkeypatch, dataset_dir, config_path, tmp_path, capsys):
+    args = ["lodo", "--data", str(dataset_dir), "--config", str(config_path),
+            "--methods", "ce_only,mask_only", "--seeds", "0"]
+    pinned = run_cli(*args, "--out", str(tmp_path / "pinned.json"))
+    assert pinned.returncode == 0, pinned.stderr
+    monkeypatch.setattr(cli, "_libc", lambda: types.SimpleNamespace())
+    assert cli.main([*args, "--out", str(tmp_path / "unpinned.json")]) == 0
+    assert capsys.readouterr().out == pinned.stdout
+    assert (tmp_path / "unpinned.json").read_bytes() == (tmp_path / "pinned.json").read_bytes()
+
+
+def _dataset_missing_a_class(path, missing, rows_outside_target):
+    """Three domains a, b, c and three classes; class ``missing`` has 6 rows
+    in target c and ``rows_outside_target`` in domain a."""
+    rng = np.random.default_rng(0)
+    X, y, domain = [], [], []
+    for d in "abc":
+        for c in range(3):
+            n = 6 if c != missing or d == "c" else rows_outside_target if d == "a" else 0
+            X.append(rng.standard_normal((n, 4)) + c)
+            y += [c] * n
+            domain += [d] * n
+    save_dataset(
+        DomainDataset(X=np.concatenate(X), y=np.array(y), domain=np.array(domain),
+                      num_classes=3, domain_names=["a", "b", "c"]),
+        path,
+    )
+
+
+MISSING_CLASS_CASES = {
+    # id: (command, missing class, its rows in domain a, extra flags, message)
+    "lodo-lowest-class": ("lodo", 0, 0, [], "class 0"),
+    "lodo-top-class": ("lodo", 2, 0, [], "class 2"),
+    "lodo-held-out": ("lodo", 2, 1, ["--holdout", "0.1"], "class 2 after the holdout split"),
+    "ablation-lowest-class": ("ablation", 0, 0, [], "class 0"),
+    "ablation-top-class": ("ablation", 2, 0, [], "class 2"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:classes missing")
+@pytest.mark.parametrize("case", MISSING_CLASS_CASES.values(), ids=MISSING_CLASS_CASES.keys())
+def test_class_missing_from_a_source_split_exits_one(case, config_path, tmp_path, capsys):
+    command, missing, rows_outside_target, extra, message = case
+    data = tmp_path / "ds"
+    _dataset_missing_a_class(data, missing, rows_outside_target)
+    args = [command, "--data", str(data), "--config", str(config_path), "--seeds", "0",
+            "--out", str(tmp_path / "report.json"), *extra]
+    if command == "lodo":
+        args += ["--methods", "ce_only"]
+    else:
+        grid = tmp_path / "grid.json"
+        grid.write_text("[[0, 0, 0]]")
+        args += ["--grid", str(grid)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == f"error: target=c: the source split has no rows of {message}\n"
+    assert not (tmp_path / "report.json").exists()
