@@ -313,22 +313,18 @@ def test_negative_saliency_sample_count_exits_one(checkpoint_doc, dataset_dir, t
     assert "wrote" not in result.stdout
 
 
-class _RecordingMallopt:
-    def __init__(self):
-        self.calls = []
+def test_main_pins_glibc_heap_thresholds(monkeypatch, tmp_path, capsys):
+    calls = []
 
-    def __call__(self, param, value):
-        self.calls.append((param, value))
+    def mallopt(param, value):
+        calls.append((param, value))
         return 1
 
-
-def test_main_pins_glibc_heap_thresholds(monkeypatch, tmp_path, capsys):
-    mallopt = _RecordingMallopt()
     monkeypatch.setattr(cli, "_libc", lambda: types.SimpleNamespace(mallopt=mallopt))
     out = tmp_path / "ds"
     assert cli.main(["generate", "--kind", "waveforms", "--out", str(out), "--length", "16"]) == 0
     # M_MMAP_THRESHOLD = -3 and M_TRIM_THRESHOLD = -1 in glibc's malloc.h
-    assert mallopt.calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+    assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
 
 
 def test_libc_without_mallopt_gives_the_same_lodo_report(monkeypatch, dataset_dir, config_path, tmp_path, capsys):
@@ -349,7 +345,10 @@ def _dataset_missing_a_class(path, missing, rows_outside_target):
     X, y, domain = [], [], []
     for d in "abc":
         for c in range(3):
-            n = 6 if c != missing or d == "c" else rows_outside_target if d == "a" else 0
+            if c != missing or d == "c":
+                n = 6
+            else:
+                n = rows_outside_target if d == "a" else 0
             X.append(rng.standard_normal((n, 4)) + c)
             y += [c] * n
             domain += [d] * n
