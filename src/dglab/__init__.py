@@ -36,7 +36,6 @@ from .evaluation import (
 from .losses import (
     SoftLabelBatch,
     alignment_loss,
-    class_centroids,
     cross_entropy,
     objective_parts,
 )

@@ -25,7 +25,7 @@ from .errors import ConfigError, ContractError, DataFormatError, NumericError
 from .evaluation import ablation_grid, ablation_text, export_features, lodo_experiment
 from .models import load_model, model_batch, save_model
 from .saliency import SmoothGradConfig, smoothgrad, vanilla_saliency
-from .trainer import TrainConfig, train
+from .trainer import STRATEGY_MODES, TrainConfig, train
 
 USER_ERRORS = (ConfigError, ContractError, DataFormatError, IndexError, KeyError, FileNotFoundError)
 
@@ -45,6 +45,10 @@ def _int_list(text: str) -> list[int]:
         return [int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _check_out_dir(path: str) -> None:
@@ -143,8 +147,10 @@ def cmd_ablation(args) -> int:
             grid = json.load(fh)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{args.grid}: invalid JSON: {e}") from e
-    if not isinstance(grid, list) or not all(isinstance(p, list) and len(p) == 3 for p in grid):
-        raise ConfigError(f"{args.grid}: expected a list of [alpha, m, q_max] triples")
+    if not isinstance(grid, list) or not all(
+        isinstance(p, list) and len(p) == 3 and all(_is_number(v) for v in p) for p in grid
+    ):
+        raise ConfigError(f"{args.grid}: expected a list of [alpha, m, q_max] number triples")
     report = ablation_grid(ds, cfg, grid, _int_list(args.seeds))
     report.save_json(args.out)
     print(ablation_text(report))
@@ -220,7 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lodo", help="leave-one-domain-out experiment over methods and seeds")
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--methods", default="ce_only,alternate")
+    p.add_argument(
+        "--methods",
+        default="ce_only,alternate",
+        help=f"comma-separated strategy modes, each one of {', '.join(STRATEGY_MODES)}",
+    )
     p.add_argument("--seeds", default="0,1,2")
     p.add_argument("--holdout", type=float, default=None, help="in-source validation fraction")
     p.add_argument("--out", required=True, help="report JSON path")

@@ -21,7 +21,7 @@ from .autodiff import Tensor, no_grad
 from .data import DomainDataset, TrainView, leave_one_domain_out, split_holdout
 from .errors import ConfigError, ContractError, NumericError
 from .models import Model, features, forward, model_batch
-from .trainer import STRATEGY_MODES, TrainConfig, train
+from .trainer import STRATEGY_MODES, TrainConfig, _is_integer, train
 
 REPORT_FORMAT = "dglab-report-v1"
 
@@ -171,6 +171,9 @@ def lodo_experiment(
     unknown = [m for m in methods if m not in STRATEGY_MODES]
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; choose from {STRATEGY_MODES}")
+    bad_seeds = [s for s in seeds if not (_is_integer(s) and s >= 0)]
+    if bad_seeds:
+        raise ConfigError(f"seeds must be non-negative integers, got {bad_seeds}")
 
     # every source split is built and checked before the first run trains
     splits = []

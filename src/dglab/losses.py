@@ -46,40 +46,9 @@ class SoftLabelBatch:
             raise ContractError(f"labels must lie in [0, {p.shape[1]})")
 
 
-def _check_labels(logits: Tensor, labels: np.ndarray) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.intp)
-    if logits.values.ndim != 2:
-        raise DimensionError(f"logits must be (batch, C), got {logits.shape}")
-    if logits.shape[0] < 1:
-        raise ContractError("cross_entropy: empty batch")
-    if labels.shape != (logits.shape[0],):
-        raise DimensionError(
-            f"labels shape {labels.shape} does not match batch size {logits.shape[0]}"
-        )
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise ContractError(f"labels must lie in [0, {logits.shape[1]})")
-    return labels
-
-
 def cross_entropy(logits, labels) -> Tensor:
     """Mean negative log-likelihood of the true classes, from raw logits."""
-    z = ad.as_tensor(logits)
-    return ad.mean_nll(z, _check_labels(z, labels))
-
-
-def class_centroids(soft: SoftLabelBatch) -> dict[int, Tensor]:
-    """Mean soft-label vector per class present in the batch.
-
-    Classes absent from the batch have no entry. The returned tensors stay
-    in the graph, so downstream losses differentiate through them.
-    """
-    if soft.labels.size < 1:
-        raise ContractError("class_centroids: empty batch")
-    centroids: dict[int, Tensor] = {}
-    for c in np.unique(soft.labels):
-        idx = np.flatnonzero(soft.labels == c)
-        centroids[int(c)] = ad.mean_rows(ad.select_rows(soft.probs, idx))
-    return centroids
+    return ad.mean_nll(ad.as_tensor(logits), labels)
 
 
 def alignment_loss(soft: SoftLabelBatch) -> Tensor:

@@ -30,16 +30,8 @@ from .saliency import SmoothGradConfig
 STRATEGY_ALIGN = "align"
 STRATEGY_MASK = "mask"
 STRATEGY_CE = "ce"
-STRATEGY_COMBINED = "combined"
 
-STRATEGY_MODES = (
-    "alternate",
-    "align_only",
-    "mask_only",
-    "ce_only",
-    "alternate_even_odd",
-    "combined",
-)
+STRATEGY_MODES = ("alternate", "align_only", "mask_only", "ce_only")
 
 ARCHITECTURES = ("mlp", "cnn1d")
 
@@ -185,7 +177,7 @@ def lr_schedule(base_lr: float, iteration: int, total: int, factor: float, at_fr
     return base_lr if iteration < cutoff else base_lr * factor
 
 
-def choose_strategy(mode: str, rng, iteration: int | None = None) -> str:
+def choose_strategy(mode: str, rng) -> str:
     """Pick the strategy for one batch; ``alternate`` flips a fair coin."""
     if mode == "align_only":
         return STRATEGY_ALIGN
@@ -193,32 +185,25 @@ def choose_strategy(mode: str, rng, iteration: int | None = None) -> str:
         return STRATEGY_MASK
     if mode == "ce_only":
         return STRATEGY_CE
-    if mode == "combined":
-        return STRATEGY_COMBINED
     if mode == "alternate":
         return STRATEGY_ALIGN if rng.random() < 0.5 else STRATEGY_MASK
-    if mode == "alternate_even_odd":
-        if iteration is None:
-            raise ContractError("alternate_even_odd needs the iteration index")
-        return STRATEGY_ALIGN if iteration % 2 == 0 else STRATEGY_MASK
     raise ConfigError(f"unknown strategy_mode {mode!r}")
 
 
 def train_step(model: Model, batch, strategy: str, cfg: TrainConfig, lr: float, rng, momentum_state) -> dict:
     """One forward/backward/update; returns the per-batch loss components.
 
-    Masking strategies augment the batch with saliency from the current
-    (pre-update) parameters; the alignment term applies on masked batches
-    only under the ``combined`` strategy.
+    A mask step augments the batch with saliency from the current
+    (pre-update) parameters; only an align step adds the alignment term.
     """
     x_batch, labels = batch
-    if strategy in (STRATEGY_MASK, STRATEGY_COMBINED):
+    if strategy == STRATEGY_MASK:
         sg_cfg = SmoothGradConfig(cfg.sg_n, cfg.sg_sigma, seed=int(rng.integers(2**63)))
         mask_cfg = MaskConfig(cfg.m_percent, cfg.q_max)
         x_batch, labels = augment_batch((x_batch, labels), model, mask_cfg, sg_cfg, rng)
 
     logits = forward(model, Tensor(x_batch))
-    if strategy == STRATEGY_ALIGN or strategy == STRATEGY_COMBINED:
+    if strategy == STRATEGY_ALIGN:
         loss, ce, align = objective_parts(logits, labels, cfg.alpha)
     else:
         ce = cross_entropy(logits, labels)
@@ -286,7 +271,7 @@ def train(dataset: TrainView, cfg: TrainConfig):
     history = TrainHistory()
     for i in range(cfg.iterations):
         lr = lr_schedule(cfg.base_lr, i, cfg.iterations, cfg.lr_decay_factor, cfg.lr_decay_at_fraction)
-        strategy = choose_strategy(cfg.strategy_mode, rng_strategy, iteration=i)
+        strategy = choose_strategy(cfg.strategy_mode, rng_strategy)
         batch = next(batches)
         started = time.perf_counter()
         try:

@@ -245,16 +245,54 @@ def test_read_only_out_directory_exits_one(monkeypatch, tmp_path, capsys):
     assert f"directory {tmp_path} is not writable" in capsys.readouterr().err
 
 
-def test_unknown_method_rejected_before_any_training(dataset_dir, tmp_path):
+@pytest.fixture
+def explode_config(tmp_path):
     # ce_only fails numerically at this learning rate (exit 2) once it trains
     cfg = tmp_path / "explode.json"
     cfg.write_text(json.dumps({"iterations": 40, "batch_size": 12, "base_lr": 1e12, "hidden": [8], "sg_n": 1}))
+    return cfg
+
+
+def test_unknown_method_rejected_before_any_training(dataset_dir, explode_config, tmp_path):
+    for method in ("bogus", "combined", "alternate_even_odd"):
+        result = run_cli(
+            "lodo", "--data", str(dataset_dir), "--config", str(explode_config),
+            "--methods", f"ce_only,{method}", "--seeds", "0", "--out", str(tmp_path / "x.json"),
+        )
+        assert result.returncode == 1, method
+        assert method in result.stderr and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "seeds, holdout",
+    [("-1", ["--holdout", "0.1"]), ("0,-1", [])],
+    ids=["negative-with-holdout", "negative-after-a-valid-seed"],
+)
+def test_negative_seed_rejected_before_any_training(seeds, holdout, dataset_dir, explode_config, tmp_path):
     result = run_cli(
-        "lodo", "--data", str(dataset_dir), "--config", str(cfg),
-        "--methods", "ce_only,bogus", "--seeds", "0", "--out", str(tmp_path / "x.json"),
+        "lodo", "--data", str(dataset_dir), "--config", str(explode_config),
+        "--methods", "ce_only", "--seeds", seeds, *holdout, "--out", str(tmp_path / "x.json"),
     )
     assert result.returncode == 1
-    assert "bogus" in result.stderr and "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+    assert "-1" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "point",
+    [["x", 0, 0], [None, 0, 0], [True, 50, 70]],
+    ids=["string", "null", "bool"],
+)
+def test_ablation_grid_entry_that_is_not_a_number_exits_one(point, dataset_dir, explode_config, tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([point]))
+    result = run_cli(
+        "ablation", "--data", str(dataset_dir), "--config", str(explode_config),
+        "--grid", str(grid), "--seeds", "0", "--out", str(tmp_path / "x.json"),
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+    assert str(grid) in result.stderr
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,6 @@ from dglab.errors import ConfigError, ContractError
 from dglab.losses import (
     SoftLabelBatch,
     alignment_loss,
-    class_centroids,
     cross_entropy,
     objective_parts,
 )
@@ -55,33 +54,11 @@ def test_cross_entropy_empty_batch():
         cross_entropy(np.zeros((0, 3)), [])
 
 
-def test_centroid_single_sample_is_itself():
-    soft = _soft([[0.2, 0.8]], [1])
-    mu = class_centroids(soft)
-    assert list(mu) == [1]
-    assert np.array_equal(mu[1].values, [0.2, 0.8])
-
-
-def test_centroid_is_mean():
-    soft = _soft([[1.0, 0.0], [0.0, 1.0]], [0, 0])
-    assert np.array_equal(class_centroids(soft)[0].values, [0.5, 0.5])
-
-
-def test_centroids_match_loop_oracle():
-    rng = np.random.default_rng(2)
-    raw = rng.uniform(0.01, 1, (20, 4))
-    probs = raw / raw.sum(axis=1, keepdims=True)
-    labels = rng.integers(0, 4, 20)
-    mu = class_centroids(_soft(probs, labels))
-    for c in np.unique(labels):
-        rows = [probs[i] for i in range(20) if labels[i] == c]
-        expected = sum(rows) / len(rows)
-        np.testing.assert_allclose(mu[int(c)].values, expected, rtol=0, atol=1e-12)
-
-
-def test_centroids_skip_absent_classes():
-    soft = _soft([[0.5, 0.3, 0.2]], [2])
-    assert set(class_centroids(soft)) == {2}
+def test_cross_entropy_rejects_out_of_range_label():
+    with pytest.raises(IndexError):
+        cross_entropy(np.zeros((2, 3)), [0, 3])
+    with pytest.raises(IndexError):
+        cross_entropy(np.zeros((2, 3)), [-1, 0])
 
 
 def test_alignment_zero_when_identical_soft_labels():

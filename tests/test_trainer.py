@@ -70,10 +70,14 @@ def test_choose_strategy_seeded_reproducibility():
     assert a == b
 
 
-def test_choose_strategy_even_odd():
-    rng = np.random.default_rng(0)
-    assert choose_strategy("alternate_even_odd", rng, iteration=0) == STRATEGY_ALIGN
-    assert choose_strategy("alternate_even_odd", rng, iteration=1) == STRATEGY_MASK
+def test_choose_strategy_rng_consumption():
+    # alternate draws one coin per batch; the fixed modes leave the stream alone
+    rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+    for mode in ("align_only", "mask_only", "ce_only"):
+        choose_strategy(mode, rng)
+    choose_strategy("alternate", rng)
+    twin.random()
+    assert rng.random() == twin.random()
 
 
 def test_config_defaults_match_protocol():
@@ -95,8 +99,9 @@ def test_config_defaults_match_protocol():
 def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(alpha=-0.1)
-    with pytest.raises(ConfigError):
-        TrainConfig(strategy_mode="bogus")
+    for mode in ("bogus", "combined", "alternate_even_odd"):
+        with pytest.raises(ConfigError):
+            TrainConfig(strategy_mode=mode)
     with pytest.raises(ConfigError):
         TrainConfig(iterations=0)
 
