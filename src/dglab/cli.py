@@ -19,6 +19,7 @@ from .data import (
     generate_shifted_waveforms,
     generate_spurious_gaussian,
     load_dataset,
+    open_for_rewrite,
     save_dataset,
 )
 from .errors import ConfigError, ContractError, DataFormatError, NumericError
@@ -173,7 +174,7 @@ def cmd_saliency_export(args) -> int:
         vanilla = vanilla_saliency(model, sample, label)
         smooth = smoothgrad(model, sample, label, sg_cfg)
         path = f"{stem}_{k:03d}{ext}"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open_for_rewrite(path, newline="") as fh:
             fh.write("index,value,vanilla,smoothgrad\n")
             # tolist() gives Python floats, whose repr is the shortest
             # round-tripping decimal (numpy 2 scalars repr as np.float64(...))

@@ -7,10 +7,12 @@ at all, so nothing downstream can condition on domains even by accident.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import os
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -208,6 +210,31 @@ def generate_shifted_waveforms(
 # file round-trip
 
 
+@contextlib.contextmanager
+def open_for_rewrite(path, newline=None):
+    """Open ``path`` as UTF-8 text for writing, overwriting it in place.
+
+    Acts like ``open(path, "w", encoding="utf-8", newline=newline)``:
+    symlinks are followed, a new file gets the umask mode, and after an
+    error part-way through the file holds what was written so far. Only
+    the moment the old bytes go differs. ``open`` truncates on opening,
+    and on ext4 (``auto_da_alloc``, the default) truncating a file whose
+    last write is still being written back waits for that writeback,
+    tens of milliseconds. Here the file is written over from offset 0
+    and cut to the written length on exit, on the same inode, so hard
+    links and the file mode are kept as well.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+        # a device or pipe (--out /dev/null) has no length to cut
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            yield fh
+        finally:
+            if regular:
+                fh.truncate()  # flushes, then cuts the file at the current offset
+
+
 def save_dataset(ds: DomainDataset, path) -> None:
     """Write data.csv plus a meta.json sidecar into the directory ``path``."""
     os.makedirs(path, exist_ok=True)
@@ -216,12 +243,12 @@ def save_dataset(ds: DomainDataset, path) -> None:
         "num_classes": int(ds.num_classes),
         "domain_names": list(ds.domain_names),
     }
-    with open(os.path.join(path, META_FILE), "w", encoding="utf-8") as fh:
+    with open_for_rewrite(os.path.join(path, META_FILE)) as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
     width = int(np.prod(ds.input_shape, dtype=np.int64)) if ds.input_shape else 1
     flat = ds.X.reshape(ds.n, width)
-    with open(os.path.join(path, DATA_FILE), "w", encoding="utf-8", newline="") as fh:
+    with open_for_rewrite(os.path.join(path, DATA_FILE), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["domain", "label"] + [f"x{i}" for i in range(width)])
         for i in range(ds.n):

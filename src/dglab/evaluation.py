@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .data import DomainDataset, TrainView, leave_one_domain_out, split_holdout
+from .data import DomainDataset, TrainView, leave_one_domain_out, open_for_rewrite, split_holdout
 from .errors import ConfigError, ContractError, NumericError
 from .models import Model, features, forward, model_batch
 from .trainer import STRATEGY_MODES, TrainConfig, _is_integer, train
@@ -86,7 +86,7 @@ class RunReport:
         return doc
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_for_rewrite(path) as fh:
             json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
 
@@ -174,6 +174,10 @@ def lodo_experiment(
     bad_seeds = [s for s in seeds if not (_is_integer(s) and s >= 0)]
     if bad_seeds:
         raise ConfigError(f"seeds must be non-negative integers, got {bad_seeds}")
+    # a repeated method would count twice in the footer, a repeated seed twice in a mean
+    for name, values in (("methods", list(methods)), ("seeds", [int(s) for s in seeds])):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"duplicate {name} in {values}")
 
     # every source split is built and checked before the first run trains
     splits = []
@@ -252,16 +256,21 @@ def ablation_grid(
     """One LODO experiment per (alpha, m, q_max) point, merged into one report."""
     if not grid:
         raise ConfigError("ablation_grid: empty grid")
-    rows: list[ReportRow] = []
-    footer: dict[str, float] = {}
+    # every point's config and label is checked before the first cell trains
+    points: dict[str, TrainConfig] = {}
     for point in grid:
         alpha, m_percent, q_max = (float(v) for v in point)
-        mode = _grid_mode(alpha, m_percent)
-        cfg = replace(base_cfg, alpha=alpha, m_percent=m_percent, q_max=q_max, strategy_mode=mode)
-        report = lodo_experiment(ds, cfg, [mode], seeds)
         label = grid_label(alpha, m_percent, q_max)
+        if label in points:
+            raise ConfigError(f"ablation_grid: two grid points share the label {label!r}")
+        mode = _grid_mode(alpha, m_percent)
+        points[label] = replace(base_cfg, alpha=alpha, m_percent=m_percent, q_max=q_max, strategy_mode=mode)
+    rows: list[ReportRow] = []
+    footer: dict[str, float] = {}
+    for label, cfg in points.items():
+        report = lodo_experiment(ds, cfg, [cfg.strategy_mode], seeds)
         rows.extend(replace(r, method=label) for r in report.rows)
-        footer[label] = report.footer[mode]
+        footer[label] = report.footer[cfg.strategy_mode]
     fingerprint = _fingerprint(
         base_cfg, ds, {"grid": [[float(v) for v in p] for p in grid], "seeds": [int(s) for s in seeds]}
     )
@@ -292,7 +301,7 @@ def export_features(model: Model, held: DomainDataset, path) -> None:
     """Write penultimate-layer activations with domain and label columns."""
     with no_grad():
         feats = features(model, Tensor(model_batch(model, held.X))).values
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_for_rewrite(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["domain", "label"] + [f"f{i}" for i in range(feats.shape[1])])
         for i in range(held.n):

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import open_for_rewrite
 from .errors import ConfigError, DimensionError
 
 CHECKPOINT_FORMAT = "dglab-checkpoint-v1"
@@ -232,7 +233,7 @@ def save_model(model: Model, path) -> None:
             for name, p in model.params.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_for_rewrite(path) as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 

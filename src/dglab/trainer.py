@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import TrainView, class_balanced_batches
+from .data import TrainView, class_balanced_batches, open_for_rewrite
 from .errors import ConfigError, ContractError, NumericError
 from .losses import cross_entropy, objective_parts
 from .masking import MaskConfig, augment_batch
@@ -129,7 +129,7 @@ class TrainConfig:
         return cls(**doc)
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_for_rewrite(path) as fh:
             json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
 
@@ -161,7 +161,7 @@ class TrainHistory:
         return len(self.records)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open_for_rewrite(path, newline="") as fh:
             fh.write("iteration,strategy,loss_ce,loss_align,lr,seconds\n")
             for r in self.records:
                 align = "" if r.loss_align is None else repr(r.loss_align)

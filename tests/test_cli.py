@@ -102,6 +102,7 @@ def test_train_checkpoint_byte_deterministic(dataset_dir, config_path, tmp_path)
 
 def test_lodo_report_and_determinism(dataset_dir, config_path, tmp_path):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    r2.write_text("{}" + " " * 100_000)  # rewritten in place: no stale tail may remain
     for out in (r1, r2):
         result = run_cli(
             "lodo", "--data", str(dataset_dir), "--config", str(config_path),
@@ -263,6 +264,16 @@ def test_unknown_method_rejected_before_any_training(dataset_dir, explode_config
         assert method in result.stderr and "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("methods, seeds", [("ce_only,ce_only", "0"), ("ce_only", "0,0")], ids=["methods", "seeds"])
+def test_duplicate_method_or_seed_exits_one_before_any_training(methods, seeds, dataset_dir, explode_config, tmp_path):
+    result = run_cli(
+        "lodo", "--data", str(dataset_dir), "--config", str(explode_config),
+        "--methods", methods, "--seeds", seeds, "--out", str(tmp_path / "x.json"),
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: duplicate") and "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize(
     "seeds, holdout",
     [("-1", ["--holdout", "0.1"]), ("0,-1", [])],
@@ -293,6 +304,22 @@ def test_ablation_grid_entry_that_is_not_a_number_exits_one(point, dataset_dir, 
     assert result.returncode == 1
     assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
     assert str(grid) in result.stderr
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [([[0, 0, 0], [0.1, 150, 70]], "m_percent"), ([[0.1, 10, 70], [0.1, 10.0, 70]], "share the label")],
+    ids=["bad-second-point", "duplicate-label"],
+)
+def test_ablation_grid_checked_whole_before_any_training(grid, message, dataset_dir, explode_config, tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    result = run_cli(
+        "ablation", "--data", str(dataset_dir), "--config", str(explode_config),
+        "--grid", str(path), "--seeds", "0", "--out", str(tmp_path / "x.json"),
+    )
+    assert result.returncode == 1
+    assert message in result.stderr and "Traceback" not in result.stderr
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,14 @@
+import ast
 import json
 import math
 import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dglab
 from dglab.data import (
     DomainDataset,
     TrainView,
@@ -13,6 +17,7 @@ from dglab.data import (
     generate_spurious_gaussian,
     leave_one_domain_out,
     load_dataset,
+    open_for_rewrite,
     save_dataset,
     split_holdout,
 )
@@ -90,6 +95,138 @@ def test_save_load_round_trip_bit_exact(tmp_path):
         assert list(back.domain) == list(ds.domain)
         assert back.num_classes == ds.num_classes
         assert back.domain_names == ds.domain_names
+
+
+def _rewrite(path, text):
+    with open_for_rewrite(path) as fh:
+        fh.write(text)
+
+
+@pytest.mark.parametrize("old, new", [("0123456789\n" * 50, "short\n"), ("short\n", "0123456789\n" * 50)],
+                         ids=["shorter", "longer"])
+def test_rewrite_leaves_exactly_the_new_bytes(old, new, tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text(old)
+    inode = path.stat().st_ino
+    _rewrite(path, new)
+    assert path.read_text() == new
+    assert path.stat().st_ino == inode
+
+
+def test_rewrite_through_a_symlink_writes_its_target(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old contents, longer than the new\n")
+    link.symlink_to(target)
+    _rewrite(link, "new\n")
+    assert link.is_symlink()
+    assert target.read_text() == "new\n"
+
+
+def test_rewrite_is_seen_through_a_hard_link(tmp_path):
+    path, other = tmp_path / "a.csv", tmp_path / "b.csv"
+    path.write_text("old,old,old\n")
+    os.link(path, other)
+    _rewrite(path, "new\n")
+    assert other.read_text() == "new\n"
+
+
+def test_rewrite_keeps_the_file_mode(tmp_path):
+    path = tmp_path / "private.json"
+    path.write_text("old\n")
+    path.chmod(0o600)
+    _rewrite(path, "new\n")
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+def test_rewrite_creates_a_missing_file_like_open(tmp_path):
+    path, reference = tmp_path / "new.txt", tmp_path / "reference.txt"
+    _rewrite(path, "x\n")
+    with open(reference, "w", encoding="utf-8") as fh:
+        fh.write("x\n")
+    assert path.read_bytes() == reference.read_bytes()
+    assert path.stat().st_mode == reference.stat().st_mode  # umask applied alike
+
+
+def test_rewrite_interrupted_leaves_what_was_written(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("a much longer report from an earlier run\n")
+    with pytest.raises(RuntimeError):
+        with open_for_rewrite(path) as fh:
+            fh.write("half")
+            raise RuntimeError("interrupted")
+    assert path.read_text() == "half"
+
+
+def test_rewrite_to_the_null_device():
+    _rewrite(os.devnull, "discarded\n")  # a device has no length to cut
+
+
+def test_rewrite_newline_mode_matches_open(tmp_path):
+    path = tmp_path / "rows.csv"
+    with open_for_rewrite(path, newline="") as fh:
+        fh.write("a\r\nb\n")
+    assert path.read_bytes() == b"a\r\nb\n"
+
+
+WRITE_MODE_CHARS = set("wax+")
+
+
+def truncating_writes(source: str) -> list[int]:
+    """Lines of ``source`` that open a file for writing other than through open_for_rewrite."""
+    tree = ast.parse(source)
+    exempt = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "open_for_rewrite"
+        for node in ast.walk(fn)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+            lines.append(node.lineno)  # pathlib opens with "w"
+            continue
+        is_open = (isinstance(func, ast.Name) and func.id == "open") or (
+            isinstance(func, ast.Attribute) and func.attr == "open"
+            and isinstance(func.value, ast.Name) and func.value.id == "io"
+        )
+        if not is_open:
+            continue
+        mode = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "mode"), None)
+        if mode is None:
+            continue  # "r"
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or WRITE_MODE_CHARS & set(mode.value):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_write_scan_flags_every_write_mode():
+    source = "\n".join([
+        "open(p)",
+        "open(p, 'r', encoding='utf-8')",
+        "open(p, 'w')",
+        "open(p, mode='wb')",
+        "io.open(p, 'a')",
+        "open(p, 'x')",
+        "open(p, m)",
+        "Path(p).write_text(s)",
+        "def open_for_rewrite(path):",
+        "    return open(fd, 'w')",
+    ])
+    assert truncating_writes(source) == [3, 4, 5, 6, 7, 8]
+
+
+def test_every_writer_goes_through_open_for_rewrite():
+    # open(path, "w") truncates on opening, which can wait for ext4 writeback
+    src = Path(dglab.__file__).parent
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(src.glob("*.py"))
+        for line in truncating_writes(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
 
 
 def test_load_rejects_label_out_of_range(tmp_path):
