@@ -161,17 +161,10 @@ def test_rewrite_to_the_null_device():
     _rewrite(os.devnull, "discarded\n")  # a device has no length to cut
 
 
-def test_rewrite_newline_mode_matches_open(tmp_path):
-    path = tmp_path / "rows.csv"
-    with open_for_rewrite(path, newline="") as fh:
-        fh.write("a\r\nb\n")
-    assert path.read_bytes() == b"a\r\nb\n"
-
-
 WRITE_MODE_CHARS = set("wax+")
 
 
-def truncating_writes(source: str) -> list[int]:
+def direct_writes(source: str) -> list[int]:
     """Lines of ``source`` that open a file for writing other than through open_for_rewrite."""
     tree = ast.parse(source)
     exempt = {
@@ -215,7 +208,7 @@ def test_write_scan_flags_every_write_mode():
         "def open_for_rewrite(path):",
         "    return open(fd, 'w')",
     ])
-    assert truncating_writes(source) == [3, 4, 5, 6, 7, 8]
+    assert direct_writes(source) == [3, 4, 5, 6, 7, 8]
 
 
 def test_every_writer_goes_through_open_for_rewrite():
@@ -224,7 +217,7 @@ def test_every_writer_goes_through_open_for_rewrite():
     offenders = [
         f"{path.name}:{line}"
         for path in sorted(src.glob("*.py"))
-        for line in truncating_writes(path.read_text(encoding="utf-8"))
+        for line in direct_writes(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
 
