@@ -53,7 +53,11 @@ def _is_number(v) -> bool:
 
 
 def _check_out_dir(path: str) -> None:
-    """Fail before any work when the directory an output file goes into is missing or read-only."""
+    """Fail before any work when an output file's path names a directory
+    (an existing one, or any path ending in a separator), or when the
+    directory it goes into is missing or read-only."""
+    if os.path.isdir(path) or not os.path.basename(path):
+        raise ConfigError(f"--out {path!r} names a directory, not a file")
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise ConfigError(f"--out {path}: directory {directory} does not exist")

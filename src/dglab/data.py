@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -235,6 +236,33 @@ def open_for_rewrite(path, newline=None):
                 fh.truncate()  # flushes, then cuts the file at the current offset
 
 
+def _csv_field(text: str) -> str:
+    """``text`` quoted as csv.writer quotes a field that shares its row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue().rpartition(",")[0]  # drop the empty second field and the line end
+
+
+def write_rows(path, column_prefix: str, domain, labels, values) -> None:
+    """Write a CSV of domain, label and float columns ``column_prefix``0, 1, ...
+
+    ``values`` holds one row per domain tag. Floats are written with
+    FLOAT_FORMAT, so they read back bit for bit. The bytes are those of
+    ``csv.writer`` over the same fields, but each domain name is quoted
+    once and each row is formatted in one ``%`` operation.
+    """
+    width = values.shape[1]
+    with open_for_rewrite(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["domain", "label"] + [f"{column_prefix}{i}" for i in range(width)])
+        domain = domain.tolist()
+        quoted = {name: _csv_field(name) for name in set(domain)}
+        row = ",".join(["%s", "%d"] + [FLOAT_FORMAT] * width) + writer.dialect.lineterminator
+        fh.writelines(
+            row % (quoted[d], c, *x) for d, c, x in zip(domain, labels.tolist(), values.tolist())
+        )
+
+
 def save_dataset(ds: DomainDataset, path) -> None:
     """Write data.csv plus a meta.json sidecar into the directory ``path``."""
     os.makedirs(path, exist_ok=True)
@@ -247,18 +275,59 @@ def save_dataset(ds: DomainDataset, path) -> None:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
     width = int(np.prod(ds.input_shape, dtype=np.int64)) if ds.input_shape else 1
-    flat = ds.X.reshape(ds.n, width)
-    with open_for_rewrite(os.path.join(path, DATA_FILE), newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["domain", "label"] + [f"x{i}" for i in range(width)])
-        for i in range(ds.n):
-            writer.writerow(
-                [str(ds.domain[i]), int(ds.y[i])] + [FLOAT_FORMAT % v for v in flat[i]]
-            )
+    write_rows(os.path.join(path, DATA_FILE), "x", ds.domain, ds.y, ds.X.reshape(ds.n, width))
+
+
+# Options of numpy's C text reader for data.csv floats. It gives the bits of
+# float() on every string both accept; for the few strings they disagree on,
+# see _first_bad_float.
+_FLOAT_TEXT = dict(dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+
+
+def _float_error(fields) -> str | None:
+    """float()'s reason for rejecting one of ``fields``, or None."""
+    for v in fields:
+        try:
+            float(v)
+        except ValueError as e:
+            return str(e)
+    return None
+
+
+def _first_bad_float(lines):
+    """(row number, reason) of the first of ``lines`` holding a float that
+    float() or numpy's reader rejects, or None.
+
+    Each line is a data.csv row whose first two fields are skipped. numpy's
+    reader also rejects digit underscores and non-ASCII digits, which
+    float() takes. It also takes the ASCII separators \\x1c-\\x1f as
+    whitespace, which float() rejects; load_dataset sends lines holding
+    them through float() first.
+    """
+    for lineno, line in enumerate(lines, start=2):
+        fields = line.split(",")[2:]
+        reason = _float_error(fields)
+        if reason is not None:
+            return lineno, f"bad float: {reason}"
+        try:
+            np.loadtxt(fields, **_FLOAT_TEXT)  # each field one row: float() took it, so it holds no comma
+        except ValueError:
+            for v in fields:
+                try:
+                    np.loadtxt([v], **_FLOAT_TEXT)
+                except ValueError:
+                    return lineno, f"bad float: could not convert string to float: {v!r}"
+    return None
 
 
 def load_dataset(path) -> DomainDataset:
-    """Read a dataset directory; validates invariants and names bad rows."""
+    """Read a dataset directory; validates invariants and names bad rows.
+
+    data.csv is read once. Each row's field count, domain and label are
+    checked in Python, with csv's quoting rules on rows holding a quote,
+    and all floats are parsed in one call to numpy's C reader. An error
+    names the first bad row, as a row-by-row read would.
+    """
     meta_path = os.path.join(path, META_FILE)
     data_path = os.path.join(path, DATA_FILE)
     try:
@@ -273,43 +342,67 @@ def load_dataset(path) -> DomainDataset:
     except (KeyError, TypeError, ValueError) as e:
         raise DataFormatError(f"{meta_path}: bad sidecar fields: {e}") from e
     width = int(np.prod(input_shape, dtype=np.int64)) if input_shape else 1
+    known = set(domain_names)
 
-    rows, labels, domains = [], [], []
+    # ``lines`` keeps each good row for numpy: as read, or for a row parsed
+    # by csv's rules, its float fields behind two empty ones
+    lines, labels, domains, bad_row = [], [], [], None
     with open(data_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        first = next(fh, None)
+        if first is None:
             raise DataFormatError(f"{data_path}: empty file")
+        header = next(csv.reader([first]))
         if len(header) != width + 2 or header[:2] != ["domain", "label"]:
             raise DataFormatError(
                 f"{data_path}: header has {len(header) - 2} feature columns, "
                 f"sidecar input_shape {list(input_shape)} implies {width}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width + 2:
-                raise DataFormatError(f"{data_path}: row {lineno}: expected {width + 2} fields, got {len(row)}")
-            domain = row[0]
-            if domain not in domain_names:
-                raise DataFormatError(f"{data_path}: row {lineno}: unknown domain {domain!r}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\r\n")
+            # a quote needs csv's rules; \x1c-\x1f need float()'s, as numpy's reader takes them
+            careful = '"' in line or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line
+            if careful:
+                fields = next(csv.reader([line]))
+                count = len(fields)
+            else:
+                fields = line.split(",", 2)
+                count = line.count(",") + 1 if line else 0
+            if count != width + 2:
+                bad_row = (lineno, f"expected {width + 2} fields, got {count}")
+                break
+            domain = fields[0]
+            if domain not in known:
+                bad_row = (lineno, f"unknown domain {domain!r}")
+                break
             try:
-                label = int(row[1])
+                label = int(fields[1])
             except ValueError:
-                raise DataFormatError(f"{data_path}: row {lineno}: label {row[1]!r} is not an integer") from None
+                bad_row = (lineno, f"label {fields[1]!r} is not an integer")
+                break
             if not 0 <= label < num_classes:
-                raise DataFormatError(
-                    f"{data_path}: row {lineno}: label {label} outside [0, {num_classes})"
-                )
-            try:
-                values = [float(v) for v in row[2:]]
-            except ValueError as e:
-                raise DataFormatError(f"{data_path}: row {lineno}: bad float: {e}") from None
-            domains.append(domain)
+                bad_row = (lineno, f"label {label} outside [0, {num_classes})")
+                break
+            if careful:
+                reason = _float_error(fields[2:])
+                if reason is not None:
+                    bad_row = (lineno, f"bad float: {reason}")
+                    break
+                line = ",," + ",".join(fields[2:])
+            lines.append(line)
             labels.append(label)
-            rows.append(values)
+            domains.append(domain)
 
-    X = np.asarray(rows, dtype=np.float64).reshape(len(rows), *input_shape)
+    # the rows before ``bad_row`` are parsed too: a bad float there comes first
+    try:
+        X = np.loadtxt(lines, usecols=range(2, width + 2), **_FLOAT_TEXT) if lines else np.empty((0, width))
+    except ValueError:
+        bad_row = _first_bad_float(lines)
+        if bad_row is None:
+            raise
+    if bad_row is not None:
+        raise DataFormatError(f"{data_path}: row {bad_row[0]}: {bad_row[1]}")
     return DomainDataset(
-        X=X,
+        X=X.reshape(len(lines), *input_shape),
         y=np.asarray(labels, dtype=np.int64),
         domain=np.asarray(domains),
         num_classes=num_classes,

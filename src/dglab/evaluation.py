@@ -9,7 +9,6 @@ metadata. Reports are pure functions of (dataset, config, seeds).
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -18,7 +17,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .data import DomainDataset, TrainView, leave_one_domain_out, open_for_rewrite, split_holdout
+from .data import (
+    DomainDataset,
+    TrainView,
+    leave_one_domain_out,
+    open_for_rewrite,
+    split_holdout,
+    write_rows,
+)
 from .errors import ConfigError, ContractError, NumericError
 from .models import Model, features, forward, model_batch
 from .trainer import STRATEGY_MODES, TrainConfig, _is_integer, train
@@ -301,10 +307,4 @@ def export_features(model: Model, held: DomainDataset, path) -> None:
     """Write penultimate-layer activations with domain and label columns."""
     with no_grad():
         feats = features(model, Tensor(model_batch(model, held.X))).values
-    with open_for_rewrite(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["domain", "label"] + [f"f{i}" for i in range(feats.shape[1])])
-        for i in range(held.n):
-            writer.writerow(
-                [str(held.domain[i]), int(held.y[i])] + ["%.17g" % v for v in feats[i]]
-            )
+    write_rows(path, "f", held.domain, held.y, feats)

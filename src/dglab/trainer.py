@@ -9,6 +9,7 @@ are not representable on its input type.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -40,6 +41,12 @@ def _is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+@functools.cache
+def _field_types(cls) -> tuple:
+    """(name, type) of each annotated field of ``cls``, resolved once per class."""
+    return tuple(get_type_hints(cls).items())
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters; defaults follow the reference protocol."""
@@ -65,15 +72,15 @@ class TrainConfig:
 
     def __post_init__(self):
         # types first, as annotated: JSON configs can carry strings, fractions and NaN
-        types = get_type_hints(type(self))
-        for name in (n for n, t in types.items() if t is int):
+        types = _field_types(type(self))
+        for name in (n for n, t in types if t is int):
             if not _is_integer(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in (n for n, t in types.items() if t is float):
+        for name in (n for n, t in types if t is float):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
                 raise ConfigError(f"{name} must be a finite number, got {v!r}")
-        for name in (n for n, t in types.items() if t is tuple):
+        for name in (n for n, t in types if t is tuple):
             v = getattr(self, name)
             if not isinstance(v, (list, tuple)) or not all(_is_integer(h) for h in v):
                 raise ConfigError(f"{name} must be a list of integers, got {v!r}")

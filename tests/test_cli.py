@@ -238,6 +238,35 @@ def test_missing_out_directory_exits_one_before_loading_data(command, checkpoint
     assert not missing_dir.exists()
 
 
+
+@pytest.mark.parametrize("command", ["lodo", "ablation", "saliency-export", "export-features"])
+def test_out_that_is_a_directory_exits_one_before_loading_data(command, checkpoint_doc, tmp_path):
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(checkpoint_doc))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([[0.0, 0.0, 0.0]]))
+    missing_data, out_dir = tmp_path / "no-data", tmp_path / "results"
+    out_dir.mkdir()
+    extra = {
+        "lodo": ["--methods", "ce_only", "--seeds", "0"],
+        "ablation": ["--grid", str(grid), "--seeds", "0"],
+        "saliency-export": ["--checkpoint", str(checkpoint), "--samples", "2"],
+        "export-features": ["--checkpoint", str(checkpoint)],
+    }[command]
+    result = run_cli(command, "--data", str(missing_data), *extra, "--out", str(out_dir))
+    assert result.returncode == 1
+    assert result.stderr == f"error: --out {str(out_dir)!r} names a directory, not a file\n"
+    assert list(out_dir.iterdir()) == []
+    assert list(tmp_path.glob("results_*")) == []
+
+
+@pytest.mark.parametrize("out", ["new-dir/", ""], ids=["trailing-separator", "empty"])
+def test_out_that_cannot_be_a_file_exits_one_before_loading_data(out, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["lodo", "--data", "no-data", "--methods", "ce_only", "--seeds", "0", "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: --out {out!r} names a directory, not a file\n"
+    assert list(tmp_path.iterdir()) == []
+
 def test_read_only_out_directory_exits_one(monkeypatch, tmp_path, capsys):
     # tests may run as root, which may write anywhere, so the permission test is stubbed
     monkeypatch.setattr(cli.os, "access", lambda path, mode: False)

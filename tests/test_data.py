@@ -1,8 +1,11 @@
 import ast
+import csv
+import io
 import json
 import math
 import os
 import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from dglab.data import (
     open_for_rewrite,
     save_dataset,
     split_holdout,
+    write_rows,
 )
 from dglab.errors import ConfigError, DataFormatError
 
@@ -259,6 +263,271 @@ def test_load_rejects_unknown_domain(tmp_path):
     with pytest.raises(DataFormatError) as exc:
         load_dataset(tmp_path)
     assert "row 4" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# data.csv against the row-by-row csv reader and writer it replaced
+
+
+def reference_load(path):
+    """csv.reader plus float() on every value, row by row: the oracle for load_dataset."""
+    meta = json.loads((Path(path) / "meta.json").read_text(encoding="utf-8"))
+    input_shape = tuple(int(d) for d in meta["input_shape"])
+    num_classes, domain_names = int(meta["num_classes"]), [str(d) for d in meta["domain_names"]]
+    width = int(np.prod(input_shape, dtype=np.int64)) if input_shape else 1
+    data_path = os.path.join(path, "data.csv")
+    rows, labels, domains = [], [], []
+    with open(data_path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != width + 2:
+                raise DataFormatError(f"{data_path}: row {lineno}: expected {width + 2} fields, got {len(row)}")
+            if row[0] not in domain_names:
+                raise DataFormatError(f"{data_path}: row {lineno}: unknown domain {row[0]!r}")
+            try:
+                label = int(row[1])
+            except ValueError:
+                raise DataFormatError(f"{data_path}: row {lineno}: label {row[1]!r} is not an integer") from None
+            if not 0 <= label < num_classes:
+                raise DataFormatError(f"{data_path}: row {lineno}: label {label} outside [0, {num_classes})")
+            try:
+                values = [float(v) for v in row[2:]]
+            except ValueError as e:
+                raise DataFormatError(f"{data_path}: row {lineno}: bad float: {e}") from None
+            domains.append(row[0])
+            labels.append(label)
+            rows.append(values)
+    X = np.asarray(rows, dtype=np.float64).reshape(len(rows), *input_shape)
+    return X, np.asarray(labels, dtype=np.int64), np.asarray(domains)
+
+
+def reference_save_bytes(ds: DomainDataset) -> bytes:
+    """csv.writer over per-value lists: the byte oracle for save_dataset."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    width = int(np.prod(ds.input_shape, dtype=np.int64)) if ds.input_shape else 1
+    flat = ds.X.reshape(ds.n, width)
+    writer.writerow(["domain", "label"] + [f"x{i}" for i in range(width)])
+    for i in range(ds.n):
+        writer.writerow([str(ds.domain[i]), int(ds.y[i])] + ["%.17g" % v for v in flat[i]])
+    return buf.getvalue().encode("utf-8")
+
+
+def assert_loads_like_reference(path):
+    X, y, domain = reference_load(path)
+    ds = load_dataset(path)
+    assert ds.X.shape == X.shape and ds.X.dtype == X.dtype
+    assert ds.X.tobytes() == X.tobytes()  # bitwise, so NaN payloads and -0.0 count
+    assert ds.y.tobytes() == y.tobytes()
+    assert ds.domain.dtype == domain.dtype and ds.domain.tolist() == domain.tolist()
+
+
+def odd_names_dataset():
+    """Domain names csv must quote, or that a comment-skipping reader would drop."""
+    base = small_gaussian(n_per_domain_class=4)
+    names = ['north, "east"', "#hash", "", " lead"]
+    return DomainDataset(
+        X=np.concatenate([base.X, base.X[:12] * -1e-300]),
+        y=np.concatenate([base.y, base.y[:12]]),
+        domain=np.asarray([names[int(d[1])] for d in base.domain] + [names[3]] * 12),
+        num_classes=3,
+        domain_names=names,
+    )
+
+
+GENERATED = {
+    "gaussian": lambda: generate_spurious_gaussian(seed=1),
+    "waveforms": lambda: generate_shifted_waveforms(seed=2),
+    "odd-names": odd_names_dataset,
+}
+
+
+@pytest.mark.parametrize("make", GENERATED.values(), ids=GENERATED.keys())
+def test_save_writes_the_csv_writer_bytes_and_load_reads_them_back(make, tmp_path):
+    ds = make()
+    save_dataset(ds, tmp_path)
+    assert (tmp_path / "data.csv").read_bytes() == reference_save_bytes(ds)
+    assert_loads_like_reference(tmp_path)
+    back = load_dataset(tmp_path)
+    assert back.X.tobytes() == ds.X.tobytes()
+    assert back.domain.tolist() == ds.domain.tolist()
+
+
+def test_write_rows_takes_any_column_prefix(tmp_path):
+    ds = odd_names_dataset()
+    write_rows(tmp_path / "f.csv", "f", ds.domain, ds.y, ds.X)
+    expected = reference_save_bytes(ds).replace(b",x", b",f", ds.X.shape[1])
+    assert (tmp_path / "f.csv").read_bytes() == expected
+
+
+def small_saved(tmp_path, **kwargs):
+    ds = small_gaussian(n_per_domain_class=3, signal_dims=1, nuisance_dims=2, **kwargs)
+    save_dataset(ds, tmp_path)
+    return tmp_path / "data.csv"
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\n", "\r"], ids=["crlf", "lf", "cr"])
+@pytest.mark.parametrize("trailing", [True, False], ids=["trailing-eol", "no-trailing-eol"])
+def test_load_reads_any_line_ending_with_or_without_a_last_one(eol, trailing, tmp_path):
+    data_file = small_saved(tmp_path)
+    lines = data_file.read_text(encoding="utf-8").splitlines()
+    data_file.write_bytes((eol.join(lines) + (eol if trailing else "")).encode("utf-8"))
+    assert_loads_like_reference(tmp_path)
+    assert load_dataset(tmp_path).n == len(lines) - 1
+
+
+def edit_row(data_file, row, edit):
+    """Apply ``edit`` to the fields of 1-based ``row`` (the header is row 1)."""
+    lines = data_file.read_bytes().decode("utf-8").split("\r\n")
+    lines[row - 1] = edit(lines[row - 1].split(","))
+    data_file.write_bytes("\r\n".join(lines).encode("utf-8"))
+
+
+def set_field(i, value):
+    return lambda fields: ",".join(fields[:i] + [value] + fields[i + 1:])
+
+
+# each edit is rejected by both readers with one message naming row 5
+REJECTED = {
+    "blank-line": lambda fields: "",
+    "extra-column": lambda fields: ",".join(fields + ["1.0"]),
+    "short-row": lambda fields: ",".join(fields[:-1]),
+    "hash-row": lambda fields: "#" + ",".join(fields),
+    "unknown-domain": set_field(0, "mystery"),
+    "quoted-unknown-domain": set_field(0, '"d0,d1"'),
+    "label-not-integer": set_field(1, "1.0"),
+    "label-out-of-range": set_field(1, "3"),
+    "label-negative": set_field(1, "-1"),
+    "bad-float": set_field(3, "abc"),
+    "empty-float": set_field(4, ""),
+    "blank-float": set_field(4, " "),
+    "hex-float": set_field(2, "0x10"),
+    "nan-payload": set_field(2, "nan(1)"),
+    "comment-in-float": set_field(2, "1.5 # note"),
+    "quoted-comma-float": set_field(3, '"1,5"'),
+    "separator-before-float": set_field(2, "\x1c1.5"),
+    "separator-after-float": set_field(4, "1.5\x1f"),
+    "separator-in-quoted-row": lambda fields: ",".join(['"d0"', fields[1], "1.5\x1d"] + fields[3:]),
+    "float-nul": set_field(3, "1.5\x00"),
+}
+
+
+@pytest.mark.parametrize("edit", REJECTED.values(), ids=REJECTED.keys())
+def test_load_rejects_a_bad_row_like_the_row_by_row_reader(edit, tmp_path):
+    data_file = small_saved(tmp_path)
+    edit_row(data_file, 5, edit)
+    with pytest.raises(DataFormatError) as expected:
+        reference_load(tmp_path)
+    with pytest.raises(DataFormatError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == str(expected.value)
+    assert f"{data_file}: row 5: " in str(exc.value)
+
+
+def test_blank_line_reports_zero_fields(tmp_path):
+    data_file = small_saved(tmp_path)
+    edit_row(data_file, 4, REJECTED["blank-line"])
+    with pytest.raises(DataFormatError, match="row 4: expected 5 fields, got 0"):
+        load_dataset(tmp_path)
+
+
+# each edit is taken by both readers, with the same values
+ACCEPTED = {
+    "quoted-float": set_field(2, '"1.5"'),
+    "quoted-label": set_field(1, '"2"'),
+    "quoted-domain": set_field(0, '"d1"'),
+    "spaces": set_field(2, " 1.5 "),
+    "tab": set_field(2, "\t-2"),
+    "no-break-space": set_field(3, "\xa07"),
+    "signs-and-exponents": lambda fields: ",".join(fields[:2] + ["+1E5", "-.5e-3", "5."]),
+    "inf-and-nan": lambda fields: ",".join(fields[:2] + ["-Infinity", "inf", "NaN"]),
+    "label-with-spaces": set_field(1, " 1 "),
+    "tiny-and-huge": lambda fields: ",".join(fields[:2] + ["1e-400", "1e400", "-0"]),
+}
+
+
+@pytest.mark.parametrize("edit", ACCEPTED.values(), ids=ACCEPTED.keys())
+def test_load_accepts_what_the_row_by_row_reader_accepts(edit, tmp_path):
+    data_file = small_saved(tmp_path)
+    edit_row(data_file, 5, edit)
+    assert_loads_like_reference(tmp_path)
+
+
+@pytest.mark.parametrize("value", ["1_5", "١", "1٥"], ids=["underscore", "arabic-digit", "mixed-digits"])
+@pytest.mark.parametrize("domain", ["d0", '"d0"'], ids=["plain-row", "quoted-row"])
+def test_load_rejects_floats_only_python_reads(value, domain, tmp_path):
+    # float() takes digit underscores and non-ASCII digits, numpy's reader does not;
+    # data.csv is written with FLOAT_FORMAT, which never produces either
+    data_file = small_saved(tmp_path)
+    edit_row(data_file, 6, lambda fields: ",".join([domain, fields[1], value] + fields[3:]))
+    reference_load(tmp_path)  # the old reader took it
+    with pytest.raises(DataFormatError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == f"{data_file}: row 6: bad float: could not convert string to float: {value!r}"
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (("bad-float", 3), ("label-not-integer", 5)),
+        (("label-not-integer", 3), ("bad-float", 5)),
+        (("separator-after-float", 3), ("short-row", 5)),
+        (("empty-float", 3), ("quoted-unknown-domain", 5)),
+        (("quoted-comma-float", 3), ("bad-float", 5)),
+    ],
+    ids=lambda case: case[0],
+)
+def test_load_names_the_first_of_two_bad_rows(first, second, tmp_path):
+    data_file = small_saved(tmp_path)
+    for name, row in (first, second):
+        edit_row(data_file, row, REJECTED[name])
+    with pytest.raises(DataFormatError) as expected:
+        reference_load(tmp_path)
+    with pytest.raises(DataFormatError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == str(expected.value)
+    assert ": row 3: " in str(exc.value)
+
+
+def test_numpy_only_bad_float_before_a_bad_label_is_named_first(tmp_path):
+    data_file = small_saved(tmp_path)
+    edit_row(data_file, 3, set_field(2, "1_0"))
+    edit_row(data_file, 5, REJECTED["label-out-of-range"])
+    with pytest.raises(DataFormatError, match=r"row 3: bad float: could not convert string to float: '1_0'"):
+        load_dataset(tmp_path)
+
+
+def test_domain_name_with_a_line_break_is_rejected_on_load(tmp_path):
+    # csv quotes it across two lines; load_dataset reads data.csv one line per row
+    ds = small_gaussian(num_domains=2, n_per_domain_class=2)
+    ds = DomainDataset(X=ds.X, y=ds.y, domain=np.where(ds.domain == "d1", "d\n1", ds.domain),
+                       num_classes=3, domain_names=["d0", "d\n1"])
+    save_dataset(ds, tmp_path)
+    first_d1 = 2 + int(np.argmax(ds.domain == "d\n1"))
+    with pytest.raises(DataFormatError, match=f"row {first_d1}: expected 12 fields, got 1"):
+        load_dataset(tmp_path)
+
+
+def test_load_header_only_gives_an_empty_dataset(tmp_path):
+    data_file = small_saved(tmp_path)
+    header = data_file.read_text(encoding="utf-8").splitlines()[0]
+    data_file.write_text(header + "\r\n", encoding="utf-8")
+    ds = load_dataset(tmp_path)
+    assert ds.X.shape == (0, 3) and ds.y.shape == (0,) and ds.domain.shape == (0,)
+
+
+def test_load_peak_memory_stays_below_the_old_reader(tmp_path):
+    save_dataset(generate_shifted_waveforms(n_per_domain_class=50), tmp_path)
+    peaks = []
+    for load in (reference_load, load_dataset):
+        tracemalloc.start()
+        try:
+            load(tmp_path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
 
 
 def test_lodo_sizes_and_partition():
