@@ -421,6 +421,8 @@ def leave_one_domain_out(ds: DomainDataset, target: str):
     if target not in ds.domain_names:
         raise ConfigError(f"unknown target domain {target!r}; have {ds.domain_names}")
     test_mask = ds.domain == target
+    if not test_mask.any():
+        raise ConfigError(f"target domain {target!r} has no rows")
     train = TrainView(X=ds.X[~test_mask], y=ds.y[~test_mask])
     test = DomainDataset(
         X=ds.X[test_mask],

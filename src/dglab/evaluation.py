@@ -2,9 +2,10 @@
 
 Every cell of a report is one full training run: pick a target domain,
 train on the remaining domains through the domain-free view, evaluate on
-the target. Reports carry per-seed accuracies, per-cell means, a per-method
-average over targets, and a fingerprint of the configuration plus dataset
-metadata. Reports are pure functions of (dataset, config, seeds).
+the target. Reports carry per-seed accuracies and a fingerprint of the
+configuration plus dataset metadata; per-cell means and the per-method
+average over targets are computed from the accuracies. Reports are pure
+functions of (dataset, config, seeds).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .data import (
 )
 from .errors import ConfigError, ContractError, NumericError
 from .models import Model, features, forward, model_batch
-from .trainer import STRATEGY_MODES, TrainConfig, _is_integer, train
+from .trainer import TrainConfig, train
 
 REPORT_FORMAT = "dglab-report-v1"
 
@@ -39,8 +40,11 @@ class ReportRow:
     target: str
     method: str
     accuracies: list[float]
-    mean: float
     source_val: list[float] | None = None
+
+    @property
+    def mean(self) -> float:
+        return math.fsum(self.accuracies) / len(self.accuracies)
 
 
 @dataclass
@@ -48,7 +52,6 @@ class RunReport:
     """Rows per (target, method), per-method averages, and a config fingerprint."""
 
     rows: list[ReportRow]
-    footer: dict[str, float]
     fingerprint: str
     seeds: list[int]
     grid: list | None = None
@@ -57,12 +60,13 @@ class RunReport:
         counts = {len(r.accuracies) for r in self.rows}
         if len(counts) > 1:
             raise ContractError(f"uneven seed counts across cells: {sorted(counts)}")
-        for r in self.rows:
-            recomputed = math.fsum(r.accuracies) / len(r.accuracies)
-            if abs(recomputed - r.mean) > 1e-12:
-                raise ContractError(
-                    f"row ({r.target}, {r.method}): mean {r.mean} != recomputed {recomputed}"
-                )
+
+    @property
+    def footer(self) -> dict[str, float]:
+        """Each method's cell means averaged over its targets."""
+        methods = dict.fromkeys(r.method for r in self.rows)
+        cells = {m: [r.mean for r in self.rows if r.method == m] for m in methods}
+        return {m: math.fsum(means) / len(means) for m, means in cells.items()}
 
     def cell(self, target: str, method: str) -> ReportRow:
         for r in self.rows:
@@ -156,6 +160,50 @@ def _check_source_classes(
         raise ConfigError(f"target={target}: the source split has no rows of class {classes}{where}")
 
 
+def _lodo_rows(
+    ds: DomainDataset,
+    configs: dict[str, TrainConfig],
+    seeds: list[int],
+    holdout_fraction: float | None = None,
+) -> list[ReportRow]:
+    """Train and evaluate every (target domain, labelled config, seed) cell,
+    target by target. Every run's config and every source split is built
+    and checked before the first run trains."""
+    if not seeds:
+        raise ConfigError("a leave-one-domain-out experiment needs at least one seed")
+    runs = {label: [replace(cfg, seed=s) for s in seeds] for label, cfg in configs.items()}
+    # a repeated seed would count twice in a mean
+    seeds = [int(s) for s in seeds]
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"duplicate seeds in {seeds}")
+
+    splits = []
+    for target in ds.domain_names:
+        train_view, test = leave_one_domain_out(ds, target)
+        views = [
+            (train_view, None) if holdout_fraction is None else split_holdout(train_view, holdout_fraction, seed=s)
+            for s in seeds
+        ]
+        for view, _val_view in views:
+            _check_source_classes(view, ds.num_classes, target, holdout_fraction)
+        splits.append((target, test, views))
+
+    rows: list[ReportRow] = []
+    for target, test, views in splits:
+        for label, run_cfgs in runs.items():
+            accuracies, vals = [], []
+            for seed, run_cfg, (view, val_view) in zip(seeds, run_cfgs, views):
+                try:
+                    model, _history = train(view, run_cfg)
+                except NumericError as e:
+                    raise NumericError(f"target={target} method={label} seed={seed}: {e}") from e
+                accuracies.append(evaluate(model, test))
+                if val_view is not None:
+                    vals.append(_accuracy(model, val_view.X, val_view.y))
+            rows.append(ReportRow(target, label, accuracies, source_val=vals or None))
+    return rows
+
+
 def lodo_experiment(
     ds: DomainDataset,
     cfg: TrainConfig,
@@ -168,70 +216,15 @@ def lodo_experiment(
     With ``holdout_fraction`` set, each run also reports accuracy on a
     stratified in-source validation split (trained on the remainder).
     """
-    if len(ds.domain_names) < 2:
-        raise ConfigError("lodo_experiment needs at least 2 domains")
-    if not seeds:
-        raise ConfigError("lodo_experiment needs at least one seed")
     if not methods:
         raise ConfigError("lodo_experiment needs at least one method")
-    unknown = [m for m in methods if m not in STRATEGY_MODES]
-    if unknown:
-        raise ConfigError(f"unknown methods {unknown}; choose from {STRATEGY_MODES}")
-    bad_seeds = [s for s in seeds if not (_is_integer(s) and s >= 0)]
-    if bad_seeds:
-        raise ConfigError(f"seeds must be non-negative integers, got {bad_seeds}")
-    # a repeated method would count twice in the footer, a repeated seed twice in a mean
-    for name, values in (("methods", list(methods)), ("seeds", [int(s) for s in seeds])):
-        if len(set(values)) < len(values):
-            raise ConfigError(f"duplicate {name} in {values}")
-
-    # every source split is built and checked before the first run trains
-    splits = []
-    for target in ds.domain_names:
-        train_view, test = leave_one_domain_out(ds, target)
-        views: dict[int, tuple[TrainView, TrainView | None]] = {}
-        for seed in seeds:
-            if holdout_fraction is None:
-                views[seed] = (train_view, None)
-            else:
-                views[seed] = split_holdout(train_view, holdout_fraction, seed=int(seed))
-            _check_source_classes(views[seed][0], ds.num_classes, target, holdout_fraction)
-        splits.append((target, test, views))
-
-    rows: list[ReportRow] = []
-    for target, test, views in splits:
-        for method in methods:
-            accuracies: list[float] = []
-            vals: list[float] = []
-            for seed in seeds:
-                run_cfg = replace(cfg, strategy_mode=method, seed=int(seed))
-                view, val_view = views[seed]
-                try:
-                    model, _history = train(view, run_cfg)
-                except NumericError as e:
-                    raise NumericError(f"target={target} method={method} seed={seed}: {e}") from e
-                accuracies.append(evaluate(model, test))
-                if val_view is not None:
-                    vals.append(_accuracy(model, val_view.X, val_view.y))
-            rows.append(
-                ReportRow(
-                    target=target,
-                    method=method,
-                    accuracies=accuracies,
-                    mean=math.fsum(accuracies) / len(accuracies),
-                    source_val=vals or None,
-                )
-            )
-
-    footer = {
-        m: math.fsum(r.mean for r in rows if r.method == m) / len(ds.domain_names) for m in methods
-    }
-    return RunReport(
-        rows=rows,
-        footer=footer,
-        fingerprint=_fingerprint(cfg, ds, {"methods": methods, "seeds": [int(s) for s in seeds]}),
-        seeds=[int(s) for s in seeds],
-    )
+    # a repeated method would count twice in the footer
+    if len(set(methods)) < len(methods):
+        raise ConfigError(f"duplicate methods in {list(methods)}")
+    configs = {m: replace(cfg, strategy_mode=m) for m in methods}
+    rows = _lodo_rows(ds, configs, seeds, holdout_fraction)
+    seeds = [int(s) for s in seeds]
+    return RunReport(rows, _fingerprint(cfg, ds, {"methods": methods, "seeds": seeds}), seeds)
 
 
 def _grid_mode(alpha: float, m_percent: float) -> str:
@@ -259,7 +252,7 @@ def grid_label(alpha: float, m_percent: float, q_max: float) -> str:
 def ablation_grid(
     ds: DomainDataset, base_cfg: TrainConfig, grid: list, seeds: list[int]
 ) -> RunReport:
-    """One LODO experiment per (alpha, m, q_max) point, merged into one report."""
+    """One LODO cell per (target, (alpha, m, q_max) point, seed), rows listed point by point."""
     if not grid:
         raise ConfigError("ablation_grid: empty grid")
     # every point's config and label is checked before the first cell trains
@@ -271,22 +264,10 @@ def ablation_grid(
             raise ConfigError(f"ablation_grid: two grid points share the label {label!r}")
         mode = _grid_mode(alpha, m_percent)
         points[label] = replace(base_cfg, alpha=alpha, m_percent=m_percent, q_max=q_max, strategy_mode=mode)
-    rows: list[ReportRow] = []
-    footer: dict[str, float] = {}
-    for label, cfg in points.items():
-        report = lodo_experiment(ds, cfg, [cfg.strategy_mode], seeds)
-        rows.extend(replace(r, method=label) for r in report.rows)
-        footer[label] = report.footer[cfg.strategy_mode]
-    fingerprint = _fingerprint(
-        base_cfg, ds, {"grid": [[float(v) for v in p] for p in grid], "seeds": [int(s) for s in seeds]}
-    )
-    return RunReport(
-        rows=rows,
-        footer=footer,
-        fingerprint=fingerprint,
-        seeds=[int(s) for s in seeds],
-        grid=[[float(v) for v in p] for p in grid],
-    )
+    rows = sorted(_lodo_rows(ds, points, seeds), key=lambda r: list(points).index(r.method))
+    seeds = [int(s) for s in seeds]
+    grid = [[float(v) for v in p] for p in grid]
+    return RunReport(rows, _fingerprint(base_cfg, ds, {"grid": grid, "seeds": seeds}), seeds, grid)
 
 
 def ablation_text(report: RunReport) -> str:

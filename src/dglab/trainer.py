@@ -106,10 +106,10 @@ class TrainConfig:
             raise ConfigError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        for name in ("lr_decay_at_fraction", "min_class_ratio"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v}")
+        if not 0.0 <= self.lr_decay_at_fraction <= 1.0:
+            raise ConfigError(f"lr_decay_at_fraction must be in [0, 1], got {self.lr_decay_at_fraction}")
+        if not 0.0 < self.min_class_ratio <= 1.0:
+            raise ConfigError(f"min_class_ratio must be in (0, 1], got {self.min_class_ratio}")
         if self.strategy_mode not in STRATEGY_MODES:
             raise ConfigError(
                 f"unknown strategy_mode {self.strategy_mode!r}; choose from {STRATEGY_MODES}"

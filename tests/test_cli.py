@@ -293,29 +293,62 @@ def test_unknown_method_rejected_before_any_training(dataset_dir, explode_config
         assert method in result.stderr and "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("methods, seeds", [("ce_only,ce_only", "0"), ("ce_only", "0,0")], ids=["methods", "seeds"])
-def test_duplicate_method_or_seed_exits_one_before_any_training(methods, seeds, dataset_dir, explode_config, tmp_path):
+def _grid_or_methods(command, methods, tmp_path):
+    if command == "lodo":
+        return ["--methods", methods]
+    grid = tmp_path / "grid.json"
+    grid.write_text("[[0, 0, 0]]")
+    return ["--grid", str(grid)]
+
+
+@pytest.mark.parametrize(
+    "command, methods, seeds",
+    [("lodo", "ce_only,ce_only", "0"), ("lodo", "ce_only", "0,0"), ("ablation", None, "0,0")],
+    ids=["methods", "seeds", "ablation-seeds"],
+)
+def test_duplicate_method_or_seed_exits_one_before_any_training(command, methods, seeds, dataset_dir, explode_config, tmp_path):
     result = run_cli(
-        "lodo", "--data", str(dataset_dir), "--config", str(explode_config),
-        "--methods", methods, "--seeds", seeds, "--out", str(tmp_path / "x.json"),
+        command, "--data", str(dataset_dir), "--config", str(explode_config),
+        *_grid_or_methods(command, methods, tmp_path), "--seeds", seeds, "--out", str(tmp_path / "x.json"),
     )
     assert result.returncode == 1
     assert result.stderr.startswith("error: duplicate") and "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize(
-    "seeds, holdout",
-    [("-1", ["--holdout", "0.1"]), ("0,-1", [])],
-    ids=["negative-with-holdout", "negative-after-a-valid-seed"],
+    "command, seeds, holdout",
+    [("lodo", "-1", ["--holdout", "0.1"]), ("lodo", "0,-1", []), ("ablation", "0,-1", [])],
+    ids=["negative-with-holdout", "negative-after-a-valid-seed", "ablation-negative-after-a-valid-seed"],
 )
-def test_negative_seed_rejected_before_any_training(seeds, holdout, dataset_dir, explode_config, tmp_path):
+def test_negative_seed_rejected_before_any_training(command, seeds, holdout, dataset_dir, explode_config, tmp_path):
     result = run_cli(
-        "lodo", "--data", str(dataset_dir), "--config", str(explode_config),
-        "--methods", "ce_only", "--seeds", seeds, *holdout, "--out", str(tmp_path / "x.json"),
+        command, "--data", str(dataset_dir), "--config", str(explode_config),
+        *_grid_or_methods(command, "ce_only", tmp_path), "--seeds", seeds, *holdout,
+        "--out", str(tmp_path / "x.json"),
     )
     assert result.returncode == 1
     assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
     assert "-1" in result.stderr
+
+
+def test_empty_ablation_seed_list_does_not_name_lodo(dataset_dir, explode_config, tmp_path):
+    result = run_cli(
+        "ablation", "--data", str(dataset_dir), "--config", str(explode_config),
+        *_grid_or_methods("ablation", None, tmp_path), "--seeds", "", "--out", str(tmp_path / "x.json"),
+    )
+    assert result.returncode == 1
+    assert result.stderr == "error: a leave-one-domain-out experiment needs at least one seed\n"
+
+
+def test_exploding_ablation_names_the_grid_label(dataset_dir, explode_config, tmp_path):
+    result = run_cli(
+        "ablation", "--data", str(dataset_dir), "--config", str(explode_config),
+        *_grid_or_methods("ablation", None, tmp_path), "--seeds", "0", "--out", str(tmp_path / "x.json"),
+    )
+    assert result.returncode == 2
+    assert "\nnumeric failure: target=d0 method=alpha=- m=- qMax=- seed=0: " in result.stderr
+    assert "ce_only" not in result.stderr
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -470,13 +503,25 @@ def test_class_missing_from_a_source_split_exits_one(case, config_path, tmp_path
     data = tmp_path / "ds"
     _dataset_missing_a_class(data, missing, rows_outside_target)
     args = [command, "--data", str(data), "--config", str(config_path), "--seeds", "0",
-            "--out", str(tmp_path / "report.json"), *extra]
-    if command == "lodo":
-        args += ["--methods", "ce_only"]
-    else:
-        grid = tmp_path / "grid.json"
-        grid.write_text("[[0, 0, 0]]")
-        args += ["--grid", str(grid)]
+            "--out", str(tmp_path / "report.json"), *extra, *_grid_or_methods(command, "ce_only", tmp_path)]
     assert cli.main(args) == 1
     assert capsys.readouterr().err == f"error: target=c: the source split has no rows of {message}\n"
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["lodo", "ablation"])
+def test_target_domain_without_rows_exits_one_before_any_training(command, explode_config, tmp_path, capsys):
+    # meta.json lists domain c, but data.csv has no row of it
+    rng = np.random.default_rng(0)
+    y = np.tile(np.arange(3), 8)
+    save_dataset(
+        DomainDataset(X=rng.standard_normal((24, 4)), y=y, domain=np.repeat(["a", "b"], 12),
+                      num_classes=3, domain_names=["a", "b", "c"]),
+        tmp_path / "ds",
+    )
+    out = tmp_path / "report.json"
+    args = [command, "--data", str(tmp_path / "ds"), "--config", str(explode_config), "--seeds", "0",
+            *_grid_or_methods(command, "ce_only", tmp_path), "--out", str(out)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == "error: target domain 'c' has no rows\n"
+    assert not out.exists()

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,14 +136,26 @@ def test_lodo_holdout_records_source_validation():
         assert row.source_val is not None and len(row.source_val) == 1
 
 
-def test_ablation_zero_point_equals_ce_only_row():
+@pytest.mark.parametrize(
+    "point, mode",
+    [((0.0, 0.0, 0.0), "ce_only"), ((0.1, 0.0, 0.0), "align_only"),
+     ((0.0, 50.0, 70.0), "mask_only"), ((0.1, 50.0, 70.0), "alternate")],
+    ids=["ce_only", "align_only", "mask_only", "alternate"],
+)
+def test_ablation_point_equals_lodo_of_its_mode(point, mode):
+    # each grid point trains exactly as lodo_experiment does its strategy mode
     ds = tiny_dataset()
     base = tiny_cfg()
-    ab = ablation_grid(ds, base, [(0.0, 0.0, 0.0)], [0, 1])
-    direct = lodo_experiment(ds, base, ["ce_only"], [0, 1])
-    label = grid_label(0.0, 0.0, 0.0)
+    other = (0.2, 25.0, 60.0)
+    ab = ablation_grid(ds, base, [point, other], [0, 1])
+    alpha, m_percent, q_max = point
+    direct = lodo_experiment(ds, replace(base, alpha=alpha, m_percent=m_percent, q_max=q_max), [mode], [0, 1])
+    label = grid_label(*point)
     for target in ds.domain_names:
-        assert ab.cell(target, label).accuracies == direct.cell(target, "ce_only").accuracies
+        assert ab.cell(target, label).accuracies == direct.cell(target, mode).accuracies
+    # rows are listed point by point, targets in dataset order within a point
+    expected = [(label, t) for t in ds.domain_names] + [(grid_label(*other), t) for t in ds.domain_names]
+    assert [(r.method, r.target) for r in ab.rows] == expected
 
 
 def test_ablation_duplicate_labels_rejected_before_training():
@@ -169,24 +182,36 @@ def test_ablation_empty_grid():
         ablation_grid(tiny_dataset(), tiny_cfg(), [], [0])
 
 
-def test_report_validates_mean_consistency():
-    with pytest.raises(ContractError):
-        RunReport(
-            rows=[ReportRow("t", "m", [0.5, 0.7], mean=0.9)],
-            footer={"m": 0.9},
-            fingerprint="x",
-            seeds=[0, 1],
-        )
+def test_report_mean_and_footer_come_from_accuracies():
+    report = RunReport(
+        rows=[
+            ReportRow("a", "m", [0.5, 0.7]),
+            ReportRow("b", "m", [0.25, 0.75]),
+            ReportRow("a", "n", [0.1, 0.2]),
+            ReportRow("b", "n", [0.3, 0.4]),
+        ],
+        fingerprint="x",
+        seeds=[0, 1],
+    )
+    assert [r.mean for r in report.rows] == [math.fsum([0.5, 0.7]) / 2, 0.5, math.fsum([0.1, 0.2]) / 2, 0.35]
+    assert report.footer == {
+        "m": math.fsum([report.rows[0].mean, 0.5]) / 2,
+        "n": math.fsum([report.rows[2].mean, 0.35]) / 2,
+    }
+    report.rows[0].accuracies = [1.0, 1.0]
+    assert report.rows[0].mean == 1.0 and report.footer["m"] == 0.75
+    doc = report.to_json_dict()
+    assert doc["footer"] == report.footer
+    assert [row["mean"] for row in doc["rows"]] == [r.mean for r in report.rows]
 
 
 def test_report_validates_equal_seed_counts():
     with pytest.raises(ContractError):
         RunReport(
             rows=[
-                ReportRow("a", "m", [0.5, 0.7], mean=0.6),
-                ReportRow("b", "m", [0.5], mean=0.5),
+                ReportRow("a", "m", [0.5, 0.7]),
+                ReportRow("b", "m", [0.5]),
             ],
-            footer={"m": 0.55},
             fingerprint="x",
             seeds=[0, 1],
         )

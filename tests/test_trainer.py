@@ -106,6 +106,14 @@ def test_config_validation():
         TrainConfig(iterations=0)
 
 
+@pytest.mark.parametrize("ratio", [0, 0.0, -0.5, 1.5])
+def test_min_class_ratio_outside_zero_one_rejected_by_the_config(ratio):
+    # class_balanced_batches rejects 0 too, but only once training starts
+    with pytest.raises(ConfigError, match=r"min_class_ratio must be in \(0, 1\]"):
+        TrainConfig(min_class_ratio=ratio)
+    assert TrainConfig(min_class_ratio=1.0).min_class_ratio == 1.0
+
+
 def test_config_json_round_trip(tmp_path):
     cfg = TrainConfig(alpha=0.2, hidden=(16, 8), iterations=77)
     path = tmp_path / "cfg.json"
