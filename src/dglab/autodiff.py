@@ -346,8 +346,10 @@ def conv1d(x, w, b) -> Tensor:
 
     x is (batch, c_in, length), w is (c_out, c_in, kernel), b is (c_out,);
     output is a C-contiguous (batch, c_out, length) array. The forward pass
-    copies the padded input into (batch, c_in, kernel, length) columns, one
-    contiguous slice per tap, and multiplies them by the flattened kernel.
+    fills (batch, c_in, kernel, length) columns in place, one tap at a time:
+    tap j's valid span is a contiguous slice of x shifted by j - pad, and
+    the border positions that fall into the padding are set to 0.0. One
+    matmul by the flattened kernel gives the output.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.values.ndim != 3 or w.values.ndim != 3 or b.values.ndim != 1:
@@ -361,10 +363,14 @@ def conv1d(x, w, b) -> Tensor:
     if k % 2 == 0:
         raise ContractError(f"conv1d same-padding requires an odd kernel, got {k}")
     pad = (k - 1) // 2
-    xp = np.pad(x.values, ((0, 0), (0, 0), (pad, pad)))
     cols = np.empty((batch, c_in, k, length))
     for j in range(k):
-        cols[:, :, j] = xp[:, :, j : j + length]
+        # columns lo..hi-1 read x[lo+j-pad : hi+j-pad]; the rest is padding
+        lo = max(0, pad - j)
+        hi = max(lo, min(length, length + pad - j))
+        cols[:, :, j, :lo] = 0.0
+        cols[:, :, j, lo:hi] = x.values[:, :, lo + j - pad : hi + j - pad]
+        cols[:, :, j, hi:] = 0.0
     cols = cols.reshape(batch, c_in * k, length)
     out = np.matmul(w.values.reshape(c_out, c_in * k), cols)
     out += b.values[:, None]
@@ -376,8 +382,11 @@ def conv1d(x, w, b) -> Tensor:
         if need[2]:
             db = g.sum(axis=(0, 2))
         if need[0]:
-            # dx[:, :, l] = sum_j w[:, :, j].T @ g[:, :, l + pad - j], one product per tap
-            gp = np.pad(g, ((0, 0), (0, 0), (pad, pad)))
+            # dx[:, :, l] = sum_j w[:, :, j].T @ g[:, :, l + pad - j], one product per
+            # tap, each on a full-length slice of g inside a zero border (summing
+            # into sliced dx ranges instead could flip the sign of a zero)
+            gp = np.zeros((batch, c_out, length + 2 * pad))
+            gp[:, :, pad : pad + length] = g
             dx = np.matmul(w.values[:, :, 0].T, gp[:, :, 2 * pad : 2 * pad + length])
             for j in range(1, k):
                 dx += np.matmul(w.values[:, :, j].T, gp[:, :, 2 * pad - j : 2 * pad - j + length])

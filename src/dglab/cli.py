@@ -13,6 +13,7 @@ import inspect
 import json
 import os
 import sys
+import warnings
 
 from .data import (
     TrainView,
@@ -268,20 +269,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(argv) -> tuple[int, str | None]:
+    """Run one command: its exit status and, on failure, the one line that says why."""
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args), None
+    except USER_ERRORS as e:
+        return 1, f"error: {e}"
+    except NumericError as e:
+        return 2, f"numeric failure: {e}"
+
+
 def main(argv=None) -> int:
     # the CLI owns its process, so it alone sets the allocator policy;
     # importing dglab as a library leaves the host's allocator alone
     _pin_heap_thresholds()
-    parser = build_parser()
+    # warnings are held until the command ends: a numeric failure drops the
+    # RuntimeWarnings (numpy's floating-point ones) that led up to it and
+    # reports itself in one line; every other outcome, a traceback too,
+    # shows every warning as it came
+    status = message = None
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except USER_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except NumericError as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return 2
+        with warnings.catch_warnings(record=True) as held:
+            status, message = _run(argv)
+    finally:
+        for w in held:
+            if status != 2 or not issubclass(w.category, RuntimeWarning):
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+        if message is not None:
+            print(message, file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -268,6 +268,72 @@ def test_conv1d_value_and_gradients_match_einsum_oracle(length, c_in, kernel, ba
         np.testing.assert_allclose(value, expected, rtol=0, atol=1e-12 * np.abs(expected).max(), err_msg=name)
 
 
+def _conv1d_padded_reference(x, w, b, g):
+    """Output, dx, dw and db of conv1d's column GEMM and per-tap products,
+    with the columns and the gradient border built from np.pad copies."""
+    batch, c_in, length = x.shape
+    c_out, _, k = w.shape
+    pad = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    cols = np.empty((batch, c_in, k, length))
+    for j in range(k):
+        cols[:, :, j] = xp[:, :, j : j + length]
+    cols = cols.reshape(batch, c_in * k, length)
+    out = np.matmul(w.reshape(c_out, c_in * k), cols)
+    out += b[:, None]
+    dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    db = g.sum(axis=(0, 2))
+    gp = np.pad(g, ((0, 0), (0, 0), (pad, pad)))
+    dx = np.matmul(w[:, :, 0].T, gp[:, :, 2 * pad : 2 * pad + length])
+    for j in range(1, k):
+        dx += np.matmul(w[:, :, j].T, gp[:, :, 2 * pad - j : 2 * pad - j + length])
+    return out, dx, dw, db
+
+
+def _signed_zeros(rng, a):
+    """a with about a quarter of its entries +0.0, a quarter -0.0, and, when
+    there is more than one row, the whole last row -0.0."""
+    a = a.copy()
+    pick = rng.random(a.shape)
+    a[pick < 0.25] = 0.0
+    a[pick > 0.75] = -0.0
+    if a.shape[0] > 1:
+        a[-1] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("batch", [1, 102])
+@pytest.mark.parametrize("c_in", [1, 8])
+@pytest.mark.parametrize("kernel", [1, 3, 5, 7])
+@pytest.mark.parametrize("length", [64, 5, 2, 1])
+def test_conv1d_is_bitwise_padded_reference(length, kernel, c_in, batch):
+    rng = np.random.default_rng(10000 * length + 100 * kernel + 10 * c_in + batch)
+    x = _signed_zeros(rng, rng.standard_normal((batch, c_in, length)))
+    w = rng.standard_normal((6, c_in, kernel))
+    b = rng.standard_normal(6)
+    g = _signed_zeros(rng, rng.standard_normal((batch, 6, length)))
+    expected = _conv1d_padded_reference(x, w, b, g)
+    out = ad.conv1d(x, w, b)
+    for name, value, want in zip(("out", "dx", "dw", "db"), (out.values, *out._vjp(g)), expected):
+        assert value.shape == want.shape and value.tobytes() == want.tobytes(), name
+    # an input-only pass (a saliency pass) gives the same dx and skips dw and db
+    dx, dw, db = out._vjp(g, (True, False, False))
+    assert dx.tobytes() == expected[1].tobytes() and dw is None and db is None
+
+
+def test_conv1d_forward_and_backward_never_call_np_pad(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.pad called")
+
+    monkeypatch.setattr(np, "pad", refuse)
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.standard_normal((4, 2, 9)))
+    w = Tensor(rng.standard_normal((3, 2, 5)))
+    b = Tensor(rng.standard_normal(3))
+    grads = backward(ad.sum_all(ad.relu(ad.conv1d(x, w, b))))
+    assert grads[x].shape == x.shape and grads[w].shape == w.shape and grads[b].shape == b.shape
+
+
 def test_conv1d_output_is_c_contiguous():
     rng = np.random.default_rng(42)
     for c_in, kernel in [(1, 5), (8, 3)]:

@@ -2,12 +2,14 @@ import json
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
 
 from dglab import cli
 from dglab.data import DomainDataset, generate_shifted_waveforms, generate_spurious_gaussian, save_dataset
+from dglab.errors import NumericError
 
 
 def run_cli(*args, cwd=None):
@@ -346,9 +348,51 @@ def test_exploding_ablation_names_the_grid_label(dataset_dir, explode_config, tm
         *_grid_or_methods("ablation", None, tmp_path), "--seeds", "0", "--out", str(tmp_path / "x.json"),
     )
     assert result.returncode == 2
-    assert "\nnumeric failure: target=d0 method=alpha=- m=- qMax=- seed=0: " in result.stderr
+    assert result.stderr.startswith("numeric failure: target=d0 method=alpha=- m=- qMax=- seed=0: ")
     assert "ce_only" not in result.stderr
     assert not (tmp_path / "x.json").exists()
+
+
+def test_exploding_lodo_prints_one_stderr_line(dataset_dir, explode_config, tmp_path):
+    # numpy warns of overflow in the affine matmul and of an invalid value in
+    # the loss before the loss turns non-finite; none of that reaches stderr
+    result = run_cli(
+        "lodo", "--data", str(dataset_dir), "--config", str(explode_config),
+        "--methods", "ce_only", "--seeds", "0", "--out", str(tmp_path / "x.json"),
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("numeric failure: target=d0 method=ce_only seed=0: ")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+
+
+def _warn_then(outcome):
+    def command(args):
+        np.float64(1e308) * 10.0  # numpy warns: overflow encountered in scalar multiply
+        warnings.warn("not numpy's", UserWarning)
+        return outcome()
+
+    return command
+
+
+def _numeric_failure():
+    raise NumericError("loss is nan")
+
+
+@pytest.mark.parametrize(
+    "outcome, status, shown, err",
+    [
+        (lambda: 0, 0, ["overflow encountered in scalar multiply", "not numpy's"], ""),
+        (_numeric_failure, 2, ["not numpy's"], "numeric failure: loss is nan\n"),
+    ],
+    ids=["exit-0", "exit-2"],
+)
+def test_warnings_are_held_until_the_command_ends(outcome, status, shown, err, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "cmd_generate", _warn_then(outcome))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert cli.main(["generate", "--kind", "waveforms", "--out", str(tmp_path / "ds")]) == status
+    assert [str(w.message) for w in seen] == shown
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize(
