@@ -39,7 +39,7 @@ from .losses import (
     cross_entropy,
     objective_parts,
 )
-from .masking import MaskConfig, augment_batch, mask_below_percentile, sample_threshold
+from .masking import augment_batch, mask_below_percentile, sample_threshold
 from .models import (
     Model,
     build_cnn1d,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import inspect
-import json
 import os
 import sys
 import warnings
@@ -21,6 +20,7 @@ from .data import (
     generate_spurious_gaussian,
     load_dataset,
     open_for_rewrite,
+    read_json,
     save_dataset,
 )
 from .errors import ConfigError, ContractError, DataFormatError, NumericError
@@ -66,6 +66,21 @@ def _check_out_dir(path: str) -> None:
         raise ConfigError(f"--out {path}: directory {directory} is not writable")
 
 
+def _check_run_dir(path: str) -> None:
+    """Fail before any work when the directory ``--out`` names cannot be
+    made or written: the path is empty, or it or its nearest existing
+    ancestor is not a directory (an existing file, say) or is read-only."""
+    if not path:
+        raise ConfigError("--out '' names no directory")
+    existing = os.path.abspath(path)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"--out {path}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK):
+        raise ConfigError(f"--out {path}: directory {existing} is not writable")
+
+
 # mallopt parameter numbers from glibc's malloc.h
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
@@ -107,6 +122,7 @@ GENERATORS = {
 
 
 def cmd_generate(args) -> int:
+    _check_run_dir(args.out)
     # only the flags given reach the generator, so its signature holds every default
     generator = GENERATORS[args.kind]
     given = {k: v for k, v in vars(args).items() if k not in ("command", "func", "kind", "out")}
@@ -121,6 +137,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_run_dir(args.out)
     cfg = _load_config(args.config)
     ds = load_dataset(args.data)
     view = TrainView(X=ds.X, y=ds.y)  # whole-file training; domains dropped
@@ -147,16 +164,12 @@ def cmd_lodo(args) -> int:
 def cmd_ablation(args) -> int:
     _check_out_dir(args.out)
     cfg = _load_config(args.config)
-    ds = load_dataset(args.data)
-    with open(args.grid, "r", encoding="utf-8") as fh:
-        try:
-            grid = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{args.grid}: invalid JSON: {e}") from e
+    grid = read_json(args.grid)
     if not isinstance(grid, list) or not all(
         isinstance(p, list) and len(p) == 3 and all(_is_number(v) for v in p) for p in grid
     ):
         raise ConfigError(f"{args.grid}: expected a list of [alpha, m, q_max] number triples")
+    ds = load_dataset(args.data)
     report = ablation_grid(ds, cfg, grid, _int_list(args.seeds))
     report.save_json(args.out)
     print(ablation_text(report))
@@ -167,10 +180,10 @@ def cmd_saliency_export(args) -> int:
     if args.samples < 0:
         raise ConfigError(f"--samples must be >= 0, got {args.samples}")
     _check_out_dir(args.out)
+    sg_cfg = SmoothGradConfig(n=args.sg_n, sigma=args.sg_sigma, seed=args.sg_seed)
     model = load_model(args.checkpoint)
     ds = load_dataset(args.data)
     count = min(args.samples, ds.n)
-    sg_cfg = SmoothGradConfig(n=args.sg_n, sigma=args.sg_sigma, seed=args.sg_seed)
     stem, ext = os.path.splitext(args.out)
     ext = ext or ".csv"
     samples = model_batch(model, ds.X)

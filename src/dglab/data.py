@@ -236,6 +236,24 @@ def open_for_rewrite(path, newline=None):
                 fh.truncate()  # flushes, then cuts the file at the current offset
 
 
+def write_json(path, doc, **json_dump_kwargs) -> None:
+    """Write ``doc`` to ``path`` through :func:`open_for_rewrite`: keys
+    sorted, the layout set by ``json_dump_kwargs``, then a newline."""
+    with open_for_rewrite(path) as fh:
+        json.dump(doc, fh, sort_keys=True, **json_dump_kwargs)
+        fh.write("\n")
+
+
+def read_json(path, error=ConfigError):
+    """The JSON document at ``path``; invalid JSON, or bytes that are not
+    UTF-8 (which JSON text must be), raise ``error`` naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise error(f"{path}: invalid JSON: {e}") from e
+
+
 def _csv_field(text: str) -> str:
     """``text`` quoted as csv.writer quotes a field that shares its row."""
     buf = io.StringIO()
@@ -271,9 +289,7 @@ def save_dataset(ds: DomainDataset, path) -> None:
         "num_classes": int(ds.num_classes),
         "domain_names": list(ds.domain_names),
     }
-    with open_for_rewrite(os.path.join(path, META_FILE)) as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(path, META_FILE), meta, indent=2)
     width = int(np.prod(ds.input_shape, dtype=np.int64)) if ds.input_shape else 1
     write_rows(os.path.join(path, DATA_FILE), "x", ds.domain, ds.y, ds.X.reshape(ds.n, width))
 
@@ -330,11 +346,7 @@ def load_dataset(path) -> DomainDataset:
     """
     meta_path = os.path.join(path, META_FILE)
     data_path = os.path.join(path, DATA_FILE)
-    try:
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise DataFormatError(f"{meta_path}: invalid JSON sidecar: {e}") from e
+    meta = read_json(meta_path, DataFormatError)
     try:
         input_shape = tuple(int(d) for d in meta["input_shape"])
         num_classes = int(meta["num_classes"])

@@ -22,8 +22,8 @@ from .data import (
     DomainDataset,
     TrainView,
     leave_one_domain_out,
-    open_for_rewrite,
     split_holdout,
+    write_json,
     write_rows,
 )
 from .errors import ConfigError, ContractError, NumericError
@@ -96,9 +96,7 @@ class RunReport:
         return doc
 
     def save_json(self, path) -> None:
-        with open_for_rewrite(path) as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_json_dict(), indent=2)
 
     def to_text(self) -> str:
         """Aligned accuracy table, targets as rows and methods as columns."""

@@ -11,7 +11,7 @@ step; the single-sample function is the one-row case of the same code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,23 +19,12 @@ from .errors import ConfigError, ContractError, DimensionError
 from .models import Model
 from .saliency import SmoothGradConfig, smoothgrad
 
+if TYPE_CHECKING:  # trainer imports this module
+    from .trainer import TrainConfig
+
 # Order-statistic interpolation used for thresholds; part of the documented
 # masking contract, do not change silently.
 PERCENTILE_METHOD = "linear"
-
-
-@dataclass
-class MaskConfig:
-    """Share of batch samples to augment and the threshold percentile cap."""
-
-    m_percent: float = 50.0
-    q_max: float = 70.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.m_percent <= 100.0:
-            raise ConfigError(f"m_percent must be in [0, 100], got {self.m_percent}")
-        if not 0.0 <= self.q_max <= 100.0:
-            raise ConfigError(f"q_max must be in [0, 100], got {self.q_max}")
 
 
 def sample_threshold(q_max: float, rng, size: int | None = None):
@@ -108,13 +97,14 @@ def _round_half_away(v: float) -> int:
     return int(math.floor(v + 0.5))
 
 
-def augment_batch(batch, model: Model, cfg: MaskConfig, sg_cfg: SmoothGradConfig, rng):
-    """Mask a uniformly chosen m% of the batch; labels pass through untouched.
+def augment_batch(batch, model: Model, cfg: TrainConfig, sg_cfg: SmoothGradConfig, rng):
+    """Mask a uniformly chosen ``cfg.m_percent``% of the batch; labels pass through untouched.
 
-    Each chosen sample gets its own freshly sampled threshold; saliency is
-    conditioned on the sample's true label using the model's current
-    parameters, in one stacked SmoothGrad pass. Unchosen rows come back
-    bit-identical. ``rng`` is drawn in this order: the chosen rows, all
+    ``cfg`` is the run's TrainConfig, which has checked both ranges. Each
+    chosen sample gets its own threshold percentile in [0, ``cfg.q_max``];
+    saliency is conditioned on the sample's true label using the model's
+    current parameters, in one stacked SmoothGrad pass. Unchosen rows come
+    back bit-identical. ``rng`` is drawn in this order: the chosen rows, all
     thresholds, then the shuffle keys of every masked position.
     """
     x_batch, labels = batch

@@ -9,7 +9,6 @@ models.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import open_for_rewrite
+from .data import read_json, write_json
 from .errors import ConfigError, DimensionError
 
 CHECKPOINT_FORMAT = "dglab-checkpoint-v1"
@@ -233,18 +232,12 @@ def save_model(model: Model, path) -> None:
             for name, p in model.params.items()
         },
     }
-    with open_for_rewrite(path) as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, doc, separators=(",", ":"))
 
 
 def load_model(path) -> Model:
     """Read a JSON checkpoint; a malformed one raises ConfigError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON: {e}") from e
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: a checkpoint must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != CHECKPOINT_FORMAT:

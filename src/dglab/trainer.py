@@ -10,7 +10,6 @@ are not representable on its input type.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import numbers
 import time
@@ -21,10 +20,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import TrainView, class_balanced_batches, open_for_rewrite
+from .data import TrainView, class_balanced_batches, open_for_rewrite, read_json, write_json
 from .errors import ConfigError, ContractError, NumericError
 from .losses import cross_entropy, objective_parts
-from .masking import MaskConfig, augment_batch
+from .masking import augment_batch
 from .models import Model, build_cnn1d, build_mlp, forward, model_batch
 from .saliency import SmoothGradConfig
 
@@ -136,18 +135,11 @@ class TrainConfig:
         return cls(**doc)
 
     def save_json(self, path) -> None:
-        with open_for_rewrite(path) as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_json_dict(), indent=2)
 
     @classmethod
     def load_json(cls, path) -> "TrainConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path}: invalid JSON: {e}") from e
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(read_json(path))
 
 
 @dataclass
@@ -206,8 +198,7 @@ def train_step(model: Model, batch, strategy: str, cfg: TrainConfig, lr: float, 
     x_batch, labels = batch
     if strategy == STRATEGY_MASK:
         sg_cfg = SmoothGradConfig(cfg.sg_n, cfg.sg_sigma, seed=int(rng.integers(2**63)))
-        mask_cfg = MaskConfig(cfg.m_percent, cfg.q_max)
-        x_batch, labels = augment_batch((x_batch, labels), model, mask_cfg, sg_cfg, rng)
+        x_batch, labels = augment_batch((x_batch, labels), model, cfg, sg_cfg, rng)
 
     logits = forward(model, Tensor(x_batch))
     if strategy == STRATEGY_ALIGN:

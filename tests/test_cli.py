@@ -277,6 +277,67 @@ def test_read_only_out_directory_exits_one(monkeypatch, tmp_path, capsys):
     assert f"directory {tmp_path} is not writable" in capsys.readouterr().err
 
 
+def _taken_path(tmp_path, below):
+    """A file, and an --out that is that file or a directory below it."""
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    return taken, (taken / "run" if below else taken)
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["is-a-file", "under-a-file"])
+def test_train_out_that_cannot_be_a_directory_exits_one_before_loading_data(below, tmp_path, capsys):
+    taken, out = _taken_path(tmp_path, below)
+    assert cli.main(["train", "--data", str(tmp_path / "no-data"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: {taken} is not a directory\n"
+    assert taken.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["is-a-file", "under-a-file"])
+def test_generate_out_that_cannot_be_a_directory_exits_one_before_generating(below, monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(cli.GENERATORS, "waveforms", lambda: pytest.fail("generated before checking --out"))
+    taken, out = _taken_path(tmp_path, below)
+    assert cli.main(["generate", "--kind", "waveforms", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: {taken} is not a directory\n"
+    assert taken.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("command", ["train", "generate"])
+def test_run_directory_that_cannot_be_made_exits_one(command, monkeypatch, tmp_path, capsys):
+    argv = {"train": ["--data", str(tmp_path / "no-data")], "generate": ["--kind", "waveforms"]}[command]
+    assert cli.main([command, *argv, "--out", ""]) == 1
+    assert capsys.readouterr().err == "error: --out '' names no directory\n"
+    # tests may run as root, which may write anywhere, so the permission test is stubbed
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    assert cli.main([command, *argv, "--out", str(tmp_path / "new" / "run")]) == 1
+    assert capsys.readouterr().err == f"error: --out {tmp_path / 'new' / 'run'}: directory {tmp_path} is not writable\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[[0.1, 50]]", "expected a list of [alpha, m, q_max] number triples"), ("[[0.1,", "invalid JSON")],
+    ids=["not-triples", "invalid-json"],
+)
+def test_ablation_grid_checked_before_loading_data(text, message, tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(text)
+    argv = ["ablation", "--data", str(tmp_path / "no-data"), "--grid", str(grid), "--out", str(tmp_path / "a.json")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {grid}: {message}")
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--sg-n", "0", "replicate count must be >= 1"), ("--sg-sigma", "-0.5", "sigma must be >= 0")],
+    ids=["sg-n", "sg-sigma"],
+)
+def test_saliency_flags_checked_before_loading_anything(flag, value, message, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    argv = ["saliency-export", "--checkpoint", str(missing / "checkpoint.json"), "--data", str(missing)]
+    assert cli.main([*argv, flag, value, "--out", str(tmp_path / "sal.csv")]) == 1
+    assert capsys.readouterr().err == f"error: smoothgrad {message}, got {value}\n"
+
+
 @pytest.fixture
 def explode_config(tmp_path):
     # ce_only fails numerically at this learning rate (exit 2) once it trains

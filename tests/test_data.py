@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import tracemalloc
 from pathlib import Path
@@ -21,8 +22,10 @@ from dglab.data import (
     leave_one_domain_out,
     load_dataset,
     open_for_rewrite,
+    read_json,
     save_dataset,
     split_holdout,
+    write_json,
     write_rows,
 )
 from dglab.errors import ConfigError, DataFormatError
@@ -226,6 +229,62 @@ def test_every_writer_goes_through_open_for_rewrite():
     assert offenders == []
 
 
+JSON_HELPERS = ("write_json", "read_json")
+
+
+def direct_json_file_calls(source: str) -> list[int]:
+    """Lines of ``source`` that call json.dump or json.load, or import either,
+    other than inside write_json and read_json."""
+    tree = ast.parse(source)
+    exempt = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in JSON_HELPERS
+        for node in ast.walk(fn)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            if {alias.name for alias in node.names} & {"dump", "load"}:
+                lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dump", "load")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_json_scan_flags_every_file_call():
+    source = "\n".join([
+        "json.dumps(doc, sort_keys=True)",
+        "json.loads(text)",
+        "json.dump(doc, fh)",
+        "json.load(fh)",
+        "from json import load",
+        "pickle.load(fh)",
+        "def write_json(path, doc):",
+        "    json.dump(doc, fh)",
+        "def read_json(path):",
+        "    return json.load(fh)",
+    ])
+    assert direct_json_file_calls(source) == [3, 4, 5]
+
+
+def test_every_json_file_goes_through_write_json_and_read_json():
+    # one owner for the sorted keys, the trailing newline and the invalid-JSON error
+    src = Path(dglab.__file__).parent
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(src.glob("*.py"))
+        for line in direct_json_file_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
 def test_load_rejects_label_out_of_range(tmp_path):
     ds = small_gaussian()
     save_dataset(ds, tmp_path)
@@ -248,6 +307,27 @@ def test_load_rejects_header_sidecar_mismatch(tmp_path):
     meta["input_shape"] = [7]
     meta_file.write_text(json.dumps(meta))
     with pytest.raises(DataFormatError):
+        load_dataset(tmp_path)
+
+
+def test_json_round_trip_keeps_each_layout(tmp_path):
+    path = tmp_path / "doc.json"
+    doc = {"b": [1, 2.5], "a": {"y": None, "x": "s"}}
+    for layout in ({"indent": 2}, {"separators": (",", ":")}):
+        path.write_text("x" * 500)  # rewritten in place: no stale tail may remain
+        write_json(path, doc, **layout)
+        assert path.read_text() == json.dumps(doc, sort_keys=True, **layout) + "\n"
+        assert read_json(path) == doc
+
+
+@pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe{}"], ids=["invalid-json", "not-utf8"])
+def test_read_json_raises_the_given_error_naming_the_file(content, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: invalid JSON")):
+        read_json(path)
+    (tmp_path / "meta.json").write_bytes(content)
+    with pytest.raises(DataFormatError, match="meta.json: invalid JSON"):
         load_dataset(tmp_path)
 
 

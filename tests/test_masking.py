@@ -4,7 +4,6 @@ import pytest
 from dglab.errors import ConfigError
 from dglab.masking import (
     PERCENTILE_METHOD,
-    MaskConfig,
     augment_batch,
     mask_below_percentile,
     row_percentiles,
@@ -12,6 +11,7 @@ from dglab.masking import (
 )
 from dglab.models import build_cnn1d, build_mlp
 from dglab.saliency import SmoothGradConfig, smoothgrad
+from dglab.trainer import TrainConfig
 
 
 def test_threshold_qmax_zero_always_zero():
@@ -111,7 +111,7 @@ def test_augment_m_zero_is_identity():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((10, 6))
     y = rng.integers(0, 3, 10)
-    Xa, ya = augment_batch((X, y), model, MaskConfig(m_percent=0.0, q_max=70.0), SmoothGradConfig(n=2), rng)
+    Xa, ya = augment_batch((X, y), model, TrainConfig(m_percent=0.0, q_max=70.0), SmoothGradConfig(n=2), rng)
     assert np.array_equal(Xa, X)
     assert np.array_equal(ya, y)
 
@@ -121,7 +121,7 @@ def test_augment_full_batch_qmax_zero_is_identity():
     rng = np.random.default_rng(10)
     X = rng.standard_normal((8, 6))
     y = rng.integers(0, 3, 8)
-    Xa, _ = augment_batch((X, y), model, MaskConfig(m_percent=100.0, q_max=0.0), SmoothGradConfig(n=2), rng)
+    Xa, _ = augment_batch((X, y), model, TrainConfig(m_percent=100.0, q_max=0.0), SmoothGradConfig(n=2), rng)
     assert np.array_equal(Xa, X)
 
 
@@ -130,7 +130,7 @@ def test_augment_changes_at_most_m_percent_rows():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((128, 16))
     y = rng.integers(0, 3, 128)
-    Xa, ya = augment_batch((X, y), model, MaskConfig(m_percent=50.0, q_max=70.0), SmoothGradConfig(n=3), rng)
+    Xa, ya = augment_batch((X, y), model, TrainConfig(m_percent=50.0, q_max=70.0), SmoothGradConfig(n=3), rng)
     changed = [i for i in range(128) if not np.array_equal(Xa[i], X[i])]
     assert len(changed) <= 64
     for i in range(128):
@@ -144,7 +144,7 @@ def test_augment_row_count_rounding_half_away_from_zero():
     X = rng.standard_normal((3, 4))
     y = np.array([0, 1, 0])
     # 50% of 3 rows rounds to 2; verify via unchanged-row count >= 1
-    Xa, _ = augment_batch((X, y), model, MaskConfig(m_percent=50.0, q_max=100.0), SmoothGradConfig(n=2), rng)
+    Xa, _ = augment_batch((X, y), model, TrainConfig(m_percent=50.0, q_max=100.0), SmoothGradConfig(n=2), rng)
     unchanged = sum(np.array_equal(Xa[i], X[i]) for i in range(3))
     assert unchanged >= 1
 
@@ -153,18 +153,11 @@ def test_augment_deterministic_given_rng_seed():
     model = build_mlp([6, 4], 3, seed=3)
     X = np.random.default_rng(13).standard_normal((12, 6))
     y = np.random.default_rng(14).integers(0, 3, 12)
-    cfg = MaskConfig(m_percent=50.0, q_max=70.0)
+    cfg = TrainConfig(m_percent=50.0, q_max=70.0)
     sg = SmoothGradConfig(n=3, sigma=0.15, seed=5)
     a, _ = augment_batch((X, y), model, cfg, sg, np.random.default_rng(99))
     b, _ = augment_batch((X, y), model, cfg, sg, np.random.default_rng(99))
     assert np.array_equal(a, b)
-
-
-def test_mask_config_validation():
-    with pytest.raises(ConfigError):
-        MaskConfig(m_percent=-1)
-    with pytest.raises(ConfigError):
-        MaskConfig(q_max=120)
 
 
 def test_row_percentiles_bitwise_equal_numpy_with_ties_and_end_points():
@@ -194,7 +187,7 @@ def test_augment_batch_row_invariants_against_replayed_draws(arch):
     rng = np.random.default_rng(34)
     X = rng.standard_normal((40, *shape))
     y = rng.integers(0, 3, 40)
-    cfg, sg = MaskConfig(m_percent=60.0, q_max=90.0), SmoothGradConfig(n=4, sigma=0.2, seed=35)
+    cfg, sg = TrainConfig(m_percent=60.0, q_max=90.0), SmoothGradConfig(n=4, sigma=0.2, seed=35)
     out, labels = augment_batch((X, y), model, cfg, sg, np.random.default_rng(36))
     again, _ = augment_batch((X, y), model, cfg, sg, np.random.default_rng(36))
     assert np.array_equal(out, again) and np.array_equal(labels, y)

@@ -106,6 +106,17 @@ def test_config_validation():
         TrainConfig(iterations=0)
 
 
+def test_config_checks_the_mask_ranges():
+    # augment_batch reads m_percent and q_max from the run's config and trusts these checks
+    for bad in ({"m_percent": -1}, {"m_percent": 100.5}, {"q_max": 120}):
+        (name,) = bad
+        with pytest.raises(ConfigError, match=rf"{name} must be in \[0, 100\]"):
+            TrainConfig(**bad)
+    for edge in (0, 100):
+        cfg = TrainConfig(m_percent=edge, q_max=edge)
+        assert (cfg.m_percent, cfg.q_max) == (edge, edge)
+
+
 @pytest.mark.parametrize("ratio", [0, 0.0, -0.5, 1.5])
 def test_min_class_ratio_outside_zero_one_rejected_by_the_config(ratio):
     # class_balanced_batches rejects 0 too, but only once training starts
