@@ -15,10 +15,14 @@ way). ``backward(root, wrt=...)`` sets the flags so only parents on a path
 to the requested tensors are differentiated.
 
 Cross-entropy and the class-centroid alignment term are one node each,
-``mean_nll`` and ``centroid_spread``. Their values and gradients are bit
+``mean_nll`` and ``centroid_spread``, and cross-entropy plus alpha times
+the alignment of the softmax is one node too, ``soft_label_objective``,
+which shares its row exps between both terms. The three share one copy of
+the NLL and of the centroid arithmetic. Their values and gradients are bit
 for bit those of the graphs of small ops they replace (``log_sum_exp_rows``
-and ``take_per_row``; ``select_rows`` and ``mean_rows``), which stay as ops
-and serve the tests as the reference.
+and ``take_per_row``; ``select_rows`` and ``mean_rows``; ``softmax_rows``,
+``scale`` and ``add`` on the other two), which stay as ops and serve the
+tests as the reference.
 
 Conventions: all values are float64; the ReLU derivative at exactly 0 is 0;
 broadcasting is limited to bias-style row/column vectors; conv1d returns a
@@ -426,6 +430,52 @@ def _check_row_labels(a: Tensor, labels, name: str) -> Array:
     return idx
 
 
+def _exp_rows(z: Array) -> tuple[Array, Array, Array]:
+    """Row max m, e = exp(z - m) and the row sums s of e, m and s kept 2-d."""
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    return m, e, e.sum(axis=1, keepdims=True)
+
+
+def _nll_value(z: Array, m: Array, s: Array, rows: Array, idx: Array) -> float:
+    return ((m + np.log(s)).ravel() - z[rows, idx]).sum() * (1.0 / z.shape[0])
+
+
+def _nll_vjp(p: Array, rows: Array, idx: Array, g: Array) -> Array:
+    gn = g * (1.0 / p.shape[0])
+    d = p * gn
+    d[rows, idx] -= gn
+    # the composed graph added the softmax term into take_per_row's
+    # zeros, which turns every -0.0 into +0.0
+    d += 0.0
+    return d
+
+
+def _centroid_terms(p: Array, idx: Array):
+    """The spread value and each class's (member rows, row - centroid)."""
+    groups = []
+    out = None
+    for c in np.unique(idx):
+        members = np.flatnonzero(idx == c)
+        rows = p[members]
+        diff = rows - (rows[0] + (rows - rows[0]).mean(axis=0))
+        term = (diff * diff).sum() * (1.0 / members.size)
+        out = term if out is None else out + term
+        groups.append((members, diff))
+    return out, groups
+
+
+def _centroid_vjp(groups, g: Array, shape: tuple[int, ...]) -> Array:
+    d = np.empty(shape)
+    for members, diff in groups:
+        h = g * (1.0 / members.size) * diff
+        h = h + h
+        d[members] = h + -h.sum(axis=0) / members.size
+    # select_rows scattered into zeros, which turns every -0.0 into +0.0
+    d += 0.0
+    return d
+
+
 def mean_nll(logits, labels) -> Tensor:
     """Mean negative log-likelihood of the labelled columns, from raw logits.
 
@@ -434,21 +484,12 @@ def mean_nll(logits, labels) -> Tensor:
     """
     z = as_tensor(logits)
     idx = _check_row_labels(z, labels, "mean_nll")
-    n = z.shape[0]
-    rows = np.arange(n)
-    m = z.values.max(axis=1, keepdims=True)
-    e = np.exp(z.values - m)
-    s = e.sum(axis=1, keepdims=True)
-    out = ((m + np.log(s)).ravel() - z.values[rows, idx]).sum() * (1.0 / n)
+    rows = np.arange(z.shape[0])
+    m, e, s = _exp_rows(z.values)
+    out = _nll_value(z.values, m, s, rows, idx)
 
     def vjp(g: Array, need=ALL_PARENTS):
-        gn = g * (1.0 / n)
-        d = e / s * gn
-        d[rows, idx] -= gn
-        # the composed graph added the softmax term into take_per_row's
-        # zeros, which turns every -0.0 into +0.0
-        d += 0.0
-        return (d,)
+        return (_nll_vjp(e / s, rows, idx, g),)
 
     return _record(out, "mean_nll", (z,), vjp)
 
@@ -466,27 +507,46 @@ def centroid_spread(probs, labels) -> Tensor:
     """
     p = as_tensor(probs)
     idx = _check_row_labels(p, labels, "centroid_spread")
-    groups = []
-    out = None
-    for c in np.unique(idx):
-        members = np.flatnonzero(idx == c)
-        rows = p.values[members]
-        diff = rows - (rows[0] + (rows - rows[0]).mean(axis=0))
-        term = (diff * diff).sum() * (1.0 / members.size)
-        out = term if out is None else out + term
-        groups.append((members, diff))
+    out, groups = _centroid_terms(p.values, idx)
 
     def vjp(g: Array, need=ALL_PARENTS):
-        d = np.empty_like(p.values)
-        for members, diff in groups:
-            h = g * (1.0 / members.size) * diff
-            h = h + h
-            d[members] = h + -h.sum(axis=0) / members.size
-        # select_rows scattered into zeros, which turns every -0.0 into +0.0
-        d += 0.0
-        return (d,)
+        return (_centroid_vjp(groups, g, p.shape),)
 
     return _record(out, "centroid_spread", (p,), vjp)
+
+
+def soft_label_objective(logits, labels, alpha: float) -> tuple[Tensor, float, float]:
+    """Cross-entropy plus alpha times the centroid spread of the softmax, as one node.
+
+    Value and gradient are bit for bit ``add(mean_nll(z, labels),
+    scale(centroid_spread(softmax_rows(z), labels), alpha))``. The row max,
+    exp and row sums are formed once and serve the log-sum-exp and the
+    softmax ``p = e / s`` alike; the labels are checked once, and ``p`` is
+    not re-checked as a soft-label batch (it is a softmax of finite logits).
+    The VJP runs the composed graph's steps in its order: the centroid VJP
+    with ``g * alpha``, the softmax VJP, the NLL VJP, then the sum of the
+    two logit gradients. Returns (objective, cross-entropy value, spread
+    value).
+    """
+    z = as_tensor(logits)
+    idx = _check_row_labels(z, labels, "soft_label_objective")
+    if z.shape[1] < 2:
+        raise DimensionError(f"soft_label_objective expects (batch, C>=2) logits, got {z.shape}")
+    if not np.all(np.isfinite(z.values)):
+        raise NumericError("soft_label_objective: non-finite logits")
+    alpha = float(alpha)
+    rows = np.arange(z.shape[0])
+    m, e, s = _exp_rows(z.values)
+    p = e / s
+    ce = _nll_value(z.values, m, s, rows, idx)
+    align, groups = _centroid_terms(p, idx)
+
+    def vjp(g: Array, need=ALL_PARENTS):
+        dp = _centroid_vjp(groups, g * alpha, p.shape)
+        inner = (dp * p).sum(axis=1, keepdims=True)
+        return (_nll_vjp(p, rows, idx, g) + p * (dp - inner),)
+
+    return _record(ce + align * alpha, "soft_label_objective", (z,), vjp), ce, align
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,18 @@ from .models import load_model, model_batch, save_model
 from .saliency import SmoothGradConfig, smoothgrad, vanilla_saliency
 from .trainer import STRATEGY_MODES, TrainConfig, train
 
-USER_ERRORS = (ConfigError, ContractError, DataFormatError, IndexError, KeyError, FileNotFoundError)
+# a path that is missing, or a directory where a file is expected (or the
+# reverse), is the user's to fix
+USER_ERRORS = (
+    ConfigError,
+    ContractError,
+    DataFormatError,
+    IndexError,
+    KeyError,
+    FileNotFoundError,
+    IsADirectoryError,
+    NotADirectoryError,
+)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import warnings
 from dataclasses import dataclass
@@ -336,6 +337,21 @@ def _first_bad_float(lines):
     return None
 
 
+def _non_utf8_row(path) -> tuple[int, str] | None:
+    """(row number, reason) of the first line of ``path`` holding a byte
+    that is not UTF-8, or None.
+
+    Lines split as load_dataset's strict read splits them; each byte the
+    strict read rejects comes back as a lone surrogate.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            found = re.search("[\udc80-\udcff]", line)
+            if found:
+                return lineno, f"byte 0x{ord(found.group()) - 0xDC00:02x} is not UTF-8"
+    return None
+
+
 def load_dataset(path) -> DomainDataset:
     """Read a dataset directory; validates invariants and names bad rows.
 
@@ -359,50 +375,56 @@ def load_dataset(path) -> DomainDataset:
     # ``lines`` keeps each good row for numpy: as read, or for a row parsed
     # by csv's rules, its float fields behind two empty ones
     lines, labels, domains, bad_row = [], [], [], None
-    with open(data_path, "r", encoding="utf-8", newline="") as fh:
-        first = next(fh, None)
-        if first is None:
-            raise DataFormatError(f"{data_path}: empty file")
-        header = next(csv.reader([first]))
-        if len(header) != width + 2 or header[:2] != ["domain", "label"]:
-            raise DataFormatError(
-                f"{data_path}: header has {len(header) - 2} feature columns, "
-                f"sidecar input_shape {list(input_shape)} implies {width}"
-            )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\r\n")
-            # a quote needs csv's rules; \x1c-\x1f need float()'s, as numpy's reader takes them
-            careful = '"' in line or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line
-            if careful:
-                fields = next(csv.reader([line]))
-                count = len(fields)
-            else:
-                fields = line.split(",", 2)
-                count = line.count(",") + 1 if line else 0
-            if count != width + 2:
-                bad_row = (lineno, f"expected {width + 2} fields, got {count}")
-                break
-            domain = fields[0]
-            if domain not in known:
-                bad_row = (lineno, f"unknown domain {domain!r}")
-                break
-            try:
-                label = int(fields[1])
-            except ValueError:
-                bad_row = (lineno, f"label {fields[1]!r} is not an integer")
-                break
-            if not 0 <= label < num_classes:
-                bad_row = (lineno, f"label {label} outside [0, {num_classes})")
-                break
-            if careful:
-                reason = _float_error(fields[2:])
-                if reason is not None:
-                    bad_row = (lineno, f"bad float: {reason}")
+    try:
+        with open(data_path, "r", encoding="utf-8", newline="") as fh:
+            first = next(fh, None)
+            if first is None:
+                raise DataFormatError(f"{data_path}: empty file")
+            header = next(csv.reader([first]))
+            if len(header) != width + 2 or header[:2] != ["domain", "label"]:
+                raise DataFormatError(
+                    f"{data_path}: header has {len(header) - 2} feature columns, "
+                    f"sidecar input_shape {list(input_shape)} implies {width}"
+                )
+            for lineno, line in enumerate(fh, start=2):
+                line = line.rstrip("\r\n")
+                # a quote needs csv's rules; \x1c-\x1f need float()'s, as numpy's reader takes them
+                careful = '"' in line or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line
+                if careful:
+                    fields = next(csv.reader([line]))
+                    count = len(fields)
+                else:
+                    fields = line.split(",", 2)
+                    count = line.count(",") + 1 if line else 0
+                if count != width + 2:
+                    bad_row = (lineno, f"expected {width + 2} fields, got {count}")
                     break
-                line = ",," + ",".join(fields[2:])
-            lines.append(line)
-            labels.append(label)
-            domains.append(domain)
+                domain = fields[0]
+                if domain not in known:
+                    bad_row = (lineno, f"unknown domain {domain!r}")
+                    break
+                try:
+                    label = int(fields[1])
+                except ValueError:
+                    bad_row = (lineno, f"label {fields[1]!r} is not an integer")
+                    break
+                if not 0 <= label < num_classes:
+                    bad_row = (lineno, f"label {label} outside [0, {num_classes})")
+                    break
+                if careful:
+                    reason = _float_error(fields[2:])
+                    if reason is not None:
+                        bad_row = (lineno, f"bad float: {reason}")
+                        break
+                    line = ",," + ",".join(fields[2:])
+                lines.append(line)
+                labels.append(label)
+                domains.append(domain)
+    except UnicodeDecodeError:
+        bad_row = _non_utf8_row(data_path)
+        if bad_row is None:  # the file changed under us
+            raise
+        raise DataFormatError(f"{data_path}: row {bad_row[0]}: {bad_row[1]}") from None
 
     # the rows before ``bad_row`` are parsed too: a bad float there comes first
     try:

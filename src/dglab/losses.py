@@ -5,7 +5,10 @@ materialised probabilities, so log(0) cannot occur. The alignment term
 pulls each sample's soft label toward the mean soft label of its class
 within the batch; gradients flow through the centroid too (no
 stop-gradient). Each of the two terms is one autodiff node
-(``autodiff.mean_nll`` and ``autodiff.centroid_spread``).
+(``autodiff.mean_nll`` and ``autodiff.centroid_spread``), and a training
+objective with both is one node on the logits too
+(``autodiff.soft_label_objective``), which forms the softmax once for
+both terms.
 """
 
 from __future__ import annotations
@@ -66,15 +69,17 @@ def alignment_loss(soft: SoftLabelBatch) -> Tensor:
 def objective_parts(logits, labels, alpha: float) -> tuple[Tensor, Tensor, Tensor | None]:
     """(combined, cross-entropy, alignment or None) for one batch.
 
-    alpha == 0 skips the alignment subgraph entirely, so the combined loss
-    is the cross-entropy graph itself.
+    alpha == 0 skips the alignment term entirely, so the combined loss is
+    the cross-entropy node itself. alpha > 0 builds the one node
+    ``autodiff.soft_label_objective`` on the logits; the cross-entropy and
+    alignment it returns beside it are leaves that carry the two terms'
+    values only.
     """
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
     z = ad.as_tensor(logits)
-    ce = cross_entropy(z, labels)
     if alpha == 0.0:
+        ce = cross_entropy(z, labels)
         return ce, ce, None
-    soft = SoftLabelBatch(ad.softmax_rows(z), labels)
-    align = alignment_loss(soft)
-    return ad.add(ce, ad.scale(align, float(alpha))), ce, align
+    loss, ce, align = ad.soft_label_objective(z, labels, alpha)
+    return loss, Tensor(ce), Tensor(align)

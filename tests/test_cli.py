@@ -262,6 +262,30 @@ def test_out_that_is_a_directory_exits_one_before_loading_data(command, checkpoi
     assert list(tmp_path.glob("results_*")) == []
 
 
+@pytest.mark.parametrize("flag", ["--data", "--data-file", "--config", "--grid", "--checkpoint"])
+def test_directory_where_a_file_is_expected_exits_one_before_training(flag, dataset_dir, explode_config, tmp_path, capsys):
+    # explode_config fails with exit 2 once any cell trains
+    ds = tmp_path / "ds"  # a dataset directory whose data.csv is a directory
+    ds.mkdir()
+    (ds / "meta.json").write_bytes((dataset_dir / "meta.json").read_bytes())
+    (ds / "data.csv").mkdir()
+    report = tmp_path / "out.json"
+    out = ["--seeds", "0", "--out", str(report)]
+    data, config = ["--data", str(dataset_dir)], ["--config", str(explode_config)]
+    lodo = ["lodo", "--methods", "ce_only", *out]
+    argv, named = {
+        "--data": ([*lodo, "--data", str(ds), *config], ds / "data.csv"),
+        "--data-file": ([*lodo, "--data", str(dataset_dir / "data.csv"), *config], dataset_dir / "data.csv" / "meta.json"),
+        "--config": ([*lodo, *data, "--config", str(tmp_path)], tmp_path),
+        "--grid": (["ablation", *data, *config, "--grid", str(tmp_path), *out], tmp_path),
+        "--checkpoint": (["saliency-export", *data, "--checkpoint", str(tmp_path), "--out", str(tmp_path / "s.csv")], tmp_path),
+    }[flag]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(f": {str(named)!r}\n")
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("out", ["new-dir/", ""], ids=["trailing-separator", "empty"])
 def test_out_that_cannot_be_a_file_exits_one_before_loading_data(out, monkeypatch, tmp_path, capsys):
     monkeypatch.chdir(tmp_path)
@@ -424,6 +448,19 @@ def test_exploding_lodo_prints_one_stderr_line(dataset_dir, explode_config, tmp_
     assert result.returncode == 2
     assert result.stderr.startswith("numeric failure: target=d0 method=ce_only seed=0: ")
     assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+
+
+def test_exploding_align_only_lodo_prints_one_stderr_line(dataset_dir, explode_config, tmp_path):
+    # the align step's objective rejects non-finite logits before any exp
+    out = tmp_path / "x.json"
+    result = run_cli(
+        "lodo", "--data", str(dataset_dir), "--config", str(explode_config),
+        "--methods", "align_only", "--seeds", "0", "--out", str(out),
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("numeric failure: target=d0 method=align_only seed=0: ")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+    assert not out.exists()
 
 
 def _warn_then(outcome):

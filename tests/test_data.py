@@ -505,6 +505,21 @@ def test_load_rejects_a_bad_row_like_the_row_by_row_reader(edit, tmp_path):
     assert f"{data_file}: row 5: " in str(exc.value)
 
 
+@pytest.mark.parametrize("eol", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("appended", [False, True], ids=["early-row", "appended-row"])
+def test_byte_that_is_not_utf8_names_its_row(appended, eol, tmp_path):
+    data_file = small_saved(tmp_path)
+    lines = data_file.read_bytes().split(b"\r\n")[:-1]
+    if appended:
+        lines.append(b"d0,0,\xff")
+    else:
+        lines[2] = lines[2].replace(b",", b",\xff", 1)
+    data_file.write_bytes(eol.join(lines) + eol)
+    with pytest.raises(DataFormatError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == f"{data_file}: row {len(lines) if appended else 3}: byte 0xff is not UTF-8"
+
+
 def test_blank_line_reports_zero_fields(tmp_path):
     data_file = small_saved(tmp_path)
     edit_row(data_file, 4, REJECTED["blank-line"])

@@ -5,7 +5,7 @@ import pytest
 
 from dglab import autodiff as ad
 from dglab.autodiff import Tensor, backward, grad_check
-from dglab.errors import ConfigError, ContractError
+from dglab.errors import ConfigError, ContractError, DimensionError, NumericError
 from dglab.losses import (
     SoftLabelBatch,
     alignment_loss,
@@ -137,6 +137,15 @@ def test_total_loss_gradient_finite_differences():
 def test_total_loss_rejects_negative_alpha():
     with pytest.raises(ConfigError):
         objective_parts(np.zeros((2, 3)), [0, 1], -0.1)
+
+
+def test_total_loss_rejects_one_column_or_non_finite_logits():
+    # the checks softmax_rows made on the logits before the align objective was one node
+    with pytest.raises(DimensionError):
+        objective_parts(np.zeros((2, 1)), [0, 0], 0.1)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(NumericError, match="non-finite logits"):
+            objective_parts(np.array([[0.0, bad], [1.0, 2.0]]), [0, 1], 0.1)
 
 
 def test_soft_label_batch_validation():
@@ -273,6 +282,7 @@ def test_fused_loss_nodes_grad_check():
     assert grad_check(lambda t: ad.mean_nll(t, labels), z) < 1e-6
     probs = rng.uniform(0.0, 1.0, (6, 3))
     assert grad_check(lambda t: ad.centroid_spread(t, labels), probs) < 1e-6
+    assert grad_check(lambda t: ad.soft_label_objective(t, labels, 0.37)[0], z) < 1e-6
 
 
 def test_each_loss_is_one_node_on_logits_or_probs():
@@ -281,7 +291,11 @@ def test_each_loss_is_one_node_on_logits_or_probs():
     assert cross_entropy(z, labels).lineage == ("mean_nll", (z,))
     soft = SoftLabelBatch(ad.softmax_rows(z), labels)
     assert alignment_loss(soft).lineage == ("centroid_spread", (soft.probs,))
-    _, ce, align = objective_parts(z, labels, 0.1)
-    assert ce.lineage == ("mean_nll", (z,))
-    assert align.lineage[0] == "centroid_spread"
-    assert align.lineage[1][0].lineage == ("softmax_rows", (z,))
+    assert objective_parts(z, labels, 0.0)[0].lineage == ("mean_nll", (z,))
+    # with alpha > 0 the whole objective is one node whose only parent is
+    # the logits; the two terms come back as values
+    combined, ce, align = objective_parts(z, labels, 0.1)
+    assert combined.lineage == ("soft_label_objective", (z,))
+    assert ce.lineage is None and align.lineage is None
+    assert _bits(ce.values) == _bits(cross_entropy(z, labels).values)
+    assert _bits(align.values) == _bits(alignment_loss(soft).values)

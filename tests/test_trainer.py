@@ -229,6 +229,19 @@ def test_non_finite_loss_raises_numeric_error_with_context():
     assert "iteration" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_align_step_on_non_finite_logits_raises_numeric_error(bad):
+    model = build_mlp([4, 5], 3, seed=0)
+    model.params["head_b"].values[1] = bad
+    momentum = {name: np.zeros_like(p.values) for name, p in model.params.items()}
+    before = {name: p.values.copy() for name, p in model.params.items()}
+    batch = (np.random.default_rng(0).standard_normal((6, 4)), np.array([0, 1, 2, 0, 1, 2]))
+    with pytest.raises(NumericError, match="non-finite logits"):
+        train_step(model, batch, STRATEGY_ALIGN, tiny_cfg(alpha=0.1), 0.01, np.random.default_rng(1), momentum)
+    for name, p in model.params.items():
+        assert np.array_equal(p.values, before[name], equal_nan=True)
+
+
 def test_history_csv_export(tmp_path):
     view = tiny_view()
     _, hist = train(view, tiny_cfg(iterations=3, strategy_mode="ce_only"))
