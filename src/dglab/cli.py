@@ -10,11 +10,16 @@ from __future__ import annotations
 import argparse
 import ctypes
 import inspect
+import math
 import os
 import sys
 import warnings
 
+import numpy as np
+
 from .data import (
+    DATA_FILE,
+    DomainDataset,
     TrainView,
     generate_shifted_waveforms,
     generate_spurious_gaussian,
@@ -24,7 +29,7 @@ from .data import (
     save_dataset,
 )
 from .errors import ConfigError, ContractError, DataFormatError, NumericError
-from .evaluation import ablation_grid, ablation_text, export_features, lodo_experiment
+from .evaluation import ablation_grid, ablation_text, export_features, grid_points, lodo_experiment
 from .models import load_model, model_batch, save_model
 from .saliency import SmoothGradConfig, smoothgrad, vanilla_saliency
 from .trainer import STRATEGY_MODES, TrainConfig, train
@@ -60,8 +65,29 @@ def _int_list(text: str) -> list[int]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _finite_float(text: str) -> float:
+    """argparse type of a float flag: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _load_training_data(path: str) -> DomainDataset:
+    """The dataset at ``path`` for a command that trains on it. load_dataset
+    reads nan and +-inf, but no run can train on them, so the first
+    data.csv row holding one is an error here."""
+    ds = load_dataset(path)
+    flat = ds.X.reshape(ds.n, -1)
+    bad = np.argwhere(~np.isfinite(flat))
+    if bad.size:
+        row, col = bad[0]
+        value = f"{os.path.join(path, DATA_FILE)}: row {row + 2}: value {flat[row, col]}"
+        raise DataFormatError(f"{value} is not finite, and training needs finite values")
+    return ds
 
 
 def _check_out_dir(path: str) -> None:
@@ -150,7 +176,7 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     _check_run_dir(args.out)
     cfg = _load_config(args.config)
-    ds = load_dataset(args.data)
+    ds = _load_training_data(args.data)
     view = TrainView(X=ds.X, y=ds.y)  # whole-file training; domains dropped
     model, history = train(view, cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -164,7 +190,7 @@ def cmd_train(args) -> int:
 def cmd_lodo(args) -> int:
     _check_out_dir(args.out)
     cfg = _load_config(args.config)
-    ds = load_dataset(args.data)
+    ds = _load_training_data(args.data)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     report = lodo_experiment(ds, cfg, methods, _int_list(args.seeds), holdout_fraction=args.holdout)
     report.save_json(args.out)
@@ -176,11 +202,11 @@ def cmd_ablation(args) -> int:
     _check_out_dir(args.out)
     cfg = _load_config(args.config)
     grid = read_json(args.grid)
-    if not isinstance(grid, list) or not all(
-        isinstance(p, list) and len(p) == 3 and all(_is_number(v) for v in p) for p in grid
-    ):
-        raise ConfigError(f"{args.grid}: expected a list of [alpha, m, q_max] number triples")
-    ds = load_dataset(args.data)
+    try:
+        grid_points(cfg, grid)
+    except ConfigError as e:
+        raise ConfigError(f"{args.grid}: {e}") from None
+    ds = _load_training_data(args.data)
     report = ablation_grid(ds, cfg, grid, _int_list(args.seeds))
     report.save_json(args.out)
     print(ablation_text(report))
@@ -240,11 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int)
     p.add_argument("--signal-dims", type=int)
     p.add_argument("--nuisance-dims", type=int)
-    p.add_argument("--nuisance-strength", type=float)
-    p.add_argument("--noise-sd", type=float)
+    p.add_argument("--nuisance-strength", type=_finite_float)
+    p.add_argument("--noise-sd", type=_finite_float)
     p.add_argument("--n-per-domain-class", type=int)
     p.add_argument("--length", type=int)
-    p.add_argument("--background-amplitude", type=float)
+    p.add_argument("--background-amplitude", type=_finite_float)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train on every row of a dataset (domains dropped)")
@@ -279,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--out", required=True, help="base CSV path; files get a _NNN suffix")
-    p.add_argument("--sg-n", type=int, default=25)
-    p.add_argument("--sg-sigma", type=float, default=0.15)
-    p.add_argument("--sg-seed", type=int, default=0)
+    p.add_argument("--sg-n", type=int, default=SmoothGradConfig.n)
+    p.add_argument("--sg-sigma", type=_finite_float, default=SmoothGradConfig.sigma)
+    p.add_argument("--sg-seed", type=int, default=SmoothGradConfig.seed)
     p.set_defaults(func=cmd_saliency_export)
 
     p = sub.add_parser("export-features", help="penultimate-layer features with domain tags")

@@ -110,6 +110,8 @@ def generate_spurious_gaussian(
         raise ConfigError("generate_spurious_gaussian: counts must be positive")
     if classes < 2:
         raise ConfigError(f"generate_spurious_gaussian: need >= 2 classes, got {classes}")
+    if not noise_sd >= 0:
+        raise ConfigError(f"generate_spurious_gaussian: noise_sd must be >= 0, got {noise_sd}")
 
     rng = np.random.default_rng(seed)
     direction = np.ones(signal_dims) / math.sqrt(signal_dims)
@@ -160,6 +162,8 @@ def generate_shifted_waveforms(
         raise ConfigError("generate_shifted_waveforms: counts must be positive")
     if classes < 2:
         raise ConfigError(f"generate_shifted_waveforms: need >= 2 classes, got {classes}")
+    if not noise_sd >= 0:
+        raise ConfigError(f"generate_shifted_waveforms: noise_sd must be >= 0, got {noise_sd}")
 
     rng = np.random.default_rng(seed)
     window = length // 2

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -140,10 +141,8 @@ def _dataset_meta(ds: DomainDataset) -> dict:
     }
 
 
-def _fingerprint(cfg: TrainConfig, ds: DomainDataset, extra: dict | None = None) -> str:
-    doc = {"config": cfg.to_json_dict(), "dataset": _dataset_meta(ds)}
-    if extra:
-        doc.update(extra)
+def _fingerprint(cfg: TrainConfig, ds: DomainDataset, extra: dict) -> str:
+    doc = {"config": cfg.to_json_dict(), "dataset": _dataset_meta(ds), **extra}
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
@@ -158,18 +157,16 @@ def _check_source_classes(
         raise ConfigError(f"target={target}: the source split has no rows of class {classes}{where}")
 
 
-def _lodo_rows(
-    ds: DomainDataset,
-    configs: dict[str, TrainConfig],
-    seeds: list[int],
-    holdout_fraction: float | None = None,
-) -> list[ReportRow]:
-    """Train and evaluate every (target domain, labelled config, seed) cell,
-    target by target. Every run's config and every source split is built
-    and checked before the first run trains."""
+def _lodo_report(
+    ds: DomainDataset, cfg: TrainConfig, configs: dict[str, TrainConfig], seeds: list[int],
+    holdout_fraction: float | None = None, grid: list | None = None,
+) -> RunReport:
+    """Report every (target domain, labelled config, seed) cell, trained target
+    by target and listed point by point for an ablation ``grid``. Every run's
+    config and every source split is built and checked before the first run trains."""
     if not seeds:
         raise ConfigError("a leave-one-domain-out experiment needs at least one seed")
-    runs = {label: [replace(cfg, seed=s) for s in seeds] for label, cfg in configs.items()}
+    runs = {label: [replace(c, seed=s) for s in seeds] for label, c in configs.items()}
     # a repeated seed would count twice in a mean
     seeds = [int(s) for s in seeds]
     if len(set(seeds)) < len(seeds):
@@ -199,14 +196,14 @@ def _lodo_rows(
                 if val_view is not None:
                     vals.append(_accuracy(model, val_view.X, val_view.y))
             rows.append(ReportRow(target, label, accuracies, source_val=vals or None))
-    return rows
+    if grid is not None:
+        rows.sort(key=lambda r: list(configs).index(r.method))
+    extra = {"methods": list(configs)} if grid is None else {"grid": grid}
+    return RunReport(rows, _fingerprint(cfg, ds, {**extra, "seeds": seeds}), seeds, grid)
 
 
 def lodo_experiment(
-    ds: DomainDataset,
-    cfg: TrainConfig,
-    methods: list[str],
-    seeds: list[int],
+    ds: DomainDataset, cfg: TrainConfig, methods: list[str], seeds: list[int],
     holdout_fraction: float | None = None,
 ) -> RunReport:
     """Train and evaluate every (target domain, method, seed) cell.
@@ -220,9 +217,7 @@ def lodo_experiment(
     if len(set(methods)) < len(methods):
         raise ConfigError(f"duplicate methods in {list(methods)}")
     configs = {m: replace(cfg, strategy_mode=m) for m in methods}
-    rows = _lodo_rows(ds, configs, seeds, holdout_fraction)
-    seeds = [int(s) for s in seeds]
-    return RunReport(rows, _fingerprint(cfg, ds, {"methods": methods, "seeds": seeds}), seeds)
+    return _lodo_report(ds, cfg, configs, seeds, holdout_fraction)
 
 
 def _grid_mode(alpha: float, m_percent: float) -> str:
@@ -240,32 +235,45 @@ def _grid_mode(alpha: float, m_percent: float) -> str:
     return "alternate"
 
 
+def _grid_cells(point) -> list[str]:
+    """A point's alpha, m and q_max as reports show them: zero as '-'."""
+    return ["-" if v == 0 else f"{v:g}" for v in point]
+
+
 def grid_label(alpha: float, m_percent: float, q_max: float) -> str:
-    def fmt(v) -> str:
-        return "-" if v == 0 else f"{v:g}"
-
-    return f"alpha={fmt(alpha)} m={fmt(m_percent)} qMax={fmt(q_max)}"
+    return "alpha={} m={} qMax={}".format(*_grid_cells((alpha, m_percent, q_max)))
 
 
-def ablation_grid(
-    ds: DomainDataset, base_cfg: TrainConfig, grid: list, seeds: list[int]
-) -> RunReport:
-    """One LODO cell per (target, (alpha, m, q_max) point, seed), rows listed point by point."""
+def grid_points(base_cfg: TrainConfig, grid) -> dict[str, TrainConfig]:
+    """Each [alpha, m, q_max] point's run config, by label, in grid order.
+
+    The grid must be a nonempty list of number triples (a bool is not a
+    number), each a valid TrainConfig, no two sharing a label (a report
+    keys its rows and footer by label)."""
+    if not isinstance(grid, (list, tuple)) or not all(
+        isinstance(p, (list, tuple)) and len(p) == 3
+        and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in p)
+        for p in grid
+    ):
+        raise ConfigError("expected a list of [alpha, m, q_max] number triples")
     if not grid:
-        raise ConfigError("ablation_grid: empty grid")
-    # every point's config and label is checked before the first cell trains
+        raise ConfigError("empty grid")
     points: dict[str, TrainConfig] = {}
     for point in grid:
         alpha, m_percent, q_max = (float(v) for v in point)
         label = grid_label(alpha, m_percent, q_max)
         if label in points:
-            raise ConfigError(f"ablation_grid: two grid points share the label {label!r}")
+            raise ConfigError(f"two grid points share the label {label!r}")
         mode = _grid_mode(alpha, m_percent)
         points[label] = replace(base_cfg, alpha=alpha, m_percent=m_percent, q_max=q_max, strategy_mode=mode)
-    rows = sorted(_lodo_rows(ds, points, seeds), key=lambda r: list(points).index(r.method))
-    seeds = [int(s) for s in seeds]
-    grid = [[float(v) for v in p] for p in grid]
-    return RunReport(rows, _fingerprint(base_cfg, ds, {"grid": grid, "seeds": seeds}), seeds, grid)
+    return points
+
+
+def ablation_grid(ds: DomainDataset, base_cfg: TrainConfig, grid: list, seeds: list[int]) -> RunReport:
+    """One LODO cell per (target, (alpha, m, q_max) point, seed), rows listed point by point."""
+    points = grid_points(base_cfg, grid)
+    grid = [[c.alpha, c.m_percent, c.q_max] for c in points.values()]
+    return _lodo_report(ds, base_cfg, points, seeds, grid=grid)
 
 
 def ablation_text(report: RunReport) -> str:
@@ -274,11 +282,9 @@ def ablation_text(report: RunReport) -> str:
         raise ContractError("ablation_text needs a report produced by ablation_grid")
     lines = [f"{'alpha':>8} {'m':>8} {'qMax':>8} {'avg accuracy (%)':>18}"]
     for point in report.grid:
-        label = grid_label(*point)
-        cells = [("-" if v == 0 else f"{v:g}") for v in point]
-        lines.append(
-            f"{cells[0]:>8} {cells[1]:>8} {cells[2]:>8} {report.footer[label] * 100:>18.2f}"
-        )
+        alpha, m_percent, q_max = _grid_cells(point)
+        accuracy = report.footer[grid_label(*point)] * 100
+        lines.append(f"{alpha:>8} {m_percent:>8} {q_max:>8} {accuracy:>18.2f}")
     return "\n".join(lines)
 
 

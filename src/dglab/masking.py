@@ -93,27 +93,25 @@ def mask_below_percentile(x, scores, q: float, rng) -> np.ndarray:
     return out.reshape(values.shape)
 
 
-def _round_half_away(v: float) -> int:
-    return int(math.floor(v + 0.5))
-
-
-def augment_batch(batch, model: Model, cfg: TrainConfig, sg_cfg: SmoothGradConfig, rng):
+def augment_batch(batch, model: Model, cfg: TrainConfig, rng):
     """Mask a uniformly chosen ``cfg.m_percent``% of the batch; labels pass through untouched.
 
-    ``cfg`` is the run's TrainConfig, which has checked both ranges. Each
-    chosen sample gets its own threshold percentile in [0, ``cfg.q_max``];
+    ``cfg`` is the run's TrainConfig, which has checked the fields read here.
+    Each chosen sample gets its own threshold percentile in [0, ``cfg.q_max``];
     saliency is conditioned on the sample's true label using the model's
-    current parameters, in one stacked SmoothGrad pass. Unchosen rows come
-    back bit-identical. ``rng`` is drawn in this order: the chosen rows, all
-    thresholds, then the shuffle keys of every masked position.
+    current parameters, in one stacked SmoothGrad pass (``cfg.sg_n``,
+    ``cfg.sg_sigma``). Unchosen rows come back bit-identical. ``rng`` is drawn
+    in this order: the SmoothGrad seed (even when no row is chosen), the
+    chosen rows, all thresholds, then the shuffle keys of every masked position.
     """
     x_batch, labels = batch
     x_values = np.asarray(x_batch, dtype=np.float64)
     if x_values.shape[0] < 1:
         raise ContractError("augment_batch: empty batch")
     labels = np.asarray(labels)
+    sg_cfg = SmoothGradConfig(cfg.sg_n, cfg.sg_sigma, seed=int(rng.integers(2**63)))
     out = x_values.copy()
-    count = _round_half_away(cfg.m_percent / 100.0 * x_values.shape[0])
+    count = math.floor(cfg.m_percent / 100.0 * x_values.shape[0] + 0.5)  # round half away from zero
     if count == 0:
         return out, labels
     chosen = rng.choice(x_values.shape[0], size=count, replace=False)

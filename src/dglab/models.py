@@ -253,7 +253,11 @@ def load_model(path) -> Model:
                 raise ValueError(f"parameter {name} has {values.size} values for shape {shape}")
             params[name] = Tensor(values.reshape(shape))
         input_shape = tuple(d if d is None else int(d) for d in doc["input_shape"])
-        return Model(doc["layers"], params, int(doc["num_classes"]), input_shape, int(doc["seed"]))
+        model = Model(doc["layers"], params, int(doc["num_classes"]), input_shape, int(doc["seed"]))
+        # a one-row probe meets every layer's name and parameters as a forward pass does
+        with ad.no_grad():
+            forward(model, np.zeros((1, *(1 if d is None else d for d in input_shape))))
+        return model
     except KeyError as e:
         raise ConfigError(f"{path}: checkpoint has no field {e}") from e
     except (AttributeError, TypeError, ValueError) as e:

@@ -53,8 +53,8 @@ class TrainConfig:
     alpha: float = 0.1
     m_percent: float = 50.0
     q_max: float = 70.0
-    sg_n: int = 25
-    sg_sigma: float = 0.15
+    sg_n: int = SmoothGradConfig.n
+    sg_sigma: float = SmoothGradConfig.sigma
     batch_size: int = 128
     iterations: int = 2000
     base_lr: float = 0.001
@@ -197,8 +197,7 @@ def train_step(model: Model, batch, strategy: str, cfg: TrainConfig, lr: float, 
     """
     x_batch, labels = batch
     if strategy == STRATEGY_MASK:
-        sg_cfg = SmoothGradConfig(cfg.sg_n, cfg.sg_sigma, seed=int(rng.integers(2**63)))
-        x_batch, labels = augment_batch((x_batch, labels), model, cfg, sg_cfg, rng)
+        x_batch, labels = augment_batch((x_batch, labels), model, cfg, rng)
 
     logits = forward(model, Tensor(x_batch))
     if strategy == STRATEGY_ALIGN:

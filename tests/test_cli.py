@@ -7,9 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from dglab import cli
+from dglab import cli, evaluation
 from dglab.data import DomainDataset, generate_shifted_waveforms, generate_spurious_gaussian, save_dataset
 from dglab.errors import NumericError
+from dglab.saliency import SmoothGradConfig
+from dglab.trainer import TrainConfig
 
 
 def run_cli(*args, cwd=None):
@@ -339,8 +341,13 @@ def test_run_directory_that_cannot_be_made_exits_one(command, monkeypatch, tmp_p
 
 @pytest.mark.parametrize(
     "text, message",
-    [("[[0.1, 50]]", "expected a list of [alpha, m, q_max] number triples"), ("[[0.1,", "invalid JSON")],
-    ids=["not-triples", "invalid-json"],
+    [
+        ("[[0.1, 50]]", "expected a list of [alpha, m, q_max] number triples"),
+        ("[[0.1,", "invalid JSON"),
+        ("[[0.1, 150, 70]]", "m_percent must be in [0, 100], got 150.0"),
+        ("[[0.1, 10, 70], [0.1, 10.0, 70]]", "two grid points share the label 'alpha=0.1 m=10 qMax=70'"),
+    ],
+    ids=["not-triples", "invalid-json", "out-of-range", "repeated-label"],
 )
 def test_ablation_grid_checked_before_loading_data(text, message, tmp_path, capsys):
     grid = tmp_path / "grid.json"
@@ -545,12 +552,19 @@ def _exports(checkpoint, dataset_dir, tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ["[1, 2]", "{bad", None],
-    ids=["json-list", "invalid-json", "missing-params"],
+    ["[1, 2]", "{bad", ("params",), ("params", "fc0_w"), ("layers", 0, "name")],
+    ids=["json-list", "invalid-json", "missing-params", "missing-parameter", "layer-without-name"],
 )
 def test_malformed_checkpoint_exits_one(text, checkpoint_doc, dataset_dir, tmp_path):
-    if text is None:
-        text = json.dumps({k: v for k, v in checkpoint_doc.items() if k != "params"})
+    if isinstance(text, tuple):
+        # a good checkpoint without the entry at this path
+        doc = json.loads(json.dumps(checkpoint_doc))
+        *parents, key = text
+        node = doc
+        for step in parents:
+            node = node[step]
+        del node[key]
+        text = json.dumps(doc)
     bad = tmp_path / "checkpoint.json"
     bad.write_text(text)
     for result in _exports(bad, dataset_dir, tmp_path):
@@ -667,3 +681,53 @@ def test_target_domain_without_rows_exits_one_before_any_training(command, explo
     assert cli.main(args) == 1
     assert capsys.readouterr().err == "error: target domain 'c' has no rows\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["train", "lodo", "ablation"])
+def test_non_finite_data_exits_one_before_any_training(command, value, monkeypatch, explode_config, tmp_path, capsys):
+    # load_dataset reads these values, but no run can train on them
+    ds = generate_spurious_gaussian(num_domains=3, n_per_domain_class=6, seed=0)
+    ds.X[4, 3] = float(value)  # data.csv row 6
+    ds.X[9, 0] = np.nan  # a later row, which the message must not name
+    save_dataset(ds, tmp_path / "ds")
+    monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("trained on non-finite data"))
+    monkeypatch.setattr(evaluation, "train", lambda *a: pytest.fail("trained on non-finite data"))
+    extra = ["--seeds", "0", *_grid_or_methods(command, "ce_only", tmp_path)] if command != "train" else []
+    out = tmp_path / "out"
+    args = [command, "--data", str(tmp_path / "ds"), "--config", str(explode_config), *extra, "--out", str(out)]
+    assert cli.main(args) == 1
+    data_csv = tmp_path / "ds" / "data.csv"
+    assert capsys.readouterr().err == (
+        f"error: {data_csv}: row 6: value {value} is not finite, and training needs finite values\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, flag, value, message",
+    [
+        ("spurious-gaussian", "--noise-sd", "nan", "argument --noise-sd: expected a finite number, got 'nan'"),
+        ("waveforms", "--noise-sd", "inf", "argument --noise-sd: expected a finite number, got 'inf'"),
+        ("spurious-gaussian", "--nuisance-strength", "-inf",
+         "argument --nuisance-strength: expected a finite number, got '-inf'"),
+        ("waveforms", "--background-amplitude", "nan",
+         "argument --background-amplitude: expected a finite number, got 'nan'"),
+        ("spurious-gaussian", "--noise-sd", "-0.5", "generate_spurious_gaussian: noise_sd must be >= 0, got -0.5"),
+        ("waveforms", "--noise-sd", "-1", "generate_shifted_waveforms: noise_sd must be >= 0, got -1.0"),
+    ],
+    ids=["gauss-noise-nan", "wave-noise-inf", "nuisance-minus-inf", "background-nan", "gauss-noise-negative",
+         "wave-noise-negative"],
+)
+def test_generate_non_finite_or_negative_noise_flag_exits_one(kind, flag, value, message, tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert cli.main(["generate", "--kind", kind, "--out", str(out), f"{flag}={value}"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_smoothgrad_defaults_reach_the_config_and_the_saliency_flags():
+    sg = SmoothGradConfig()
+    args = cli.build_parser().parse_args(["saliency-export", "--checkpoint", "c", "--data", "d", "--out", "o"])
+    assert (args.sg_n, args.sg_sigma, args.sg_seed) == (sg.n, sg.sigma, sg.seed)
+    assert (TrainConfig().sg_n, TrainConfig().sg_sigma) == (sg.n, sg.sigma)

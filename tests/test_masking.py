@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -111,7 +113,7 @@ def test_augment_m_zero_is_identity():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((10, 6))
     y = rng.integers(0, 3, 10)
-    Xa, ya = augment_batch((X, y), model, TrainConfig(m_percent=0.0, q_max=70.0), SmoothGradConfig(n=2), rng)
+    Xa, ya = augment_batch((X, y), model, TrainConfig(m_percent=0.0, q_max=70.0, sg_n=2), rng)
     assert np.array_equal(Xa, X)
     assert np.array_equal(ya, y)
 
@@ -121,7 +123,7 @@ def test_augment_full_batch_qmax_zero_is_identity():
     rng = np.random.default_rng(10)
     X = rng.standard_normal((8, 6))
     y = rng.integers(0, 3, 8)
-    Xa, _ = augment_batch((X, y), model, TrainConfig(m_percent=100.0, q_max=0.0), SmoothGradConfig(n=2), rng)
+    Xa, _ = augment_batch((X, y), model, TrainConfig(m_percent=100.0, q_max=0.0, sg_n=2), rng)
     assert np.array_equal(Xa, X)
 
 
@@ -130,7 +132,7 @@ def test_augment_changes_at_most_m_percent_rows():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((128, 16))
     y = rng.integers(0, 3, 128)
-    Xa, ya = augment_batch((X, y), model, TrainConfig(m_percent=50.0, q_max=70.0), SmoothGradConfig(n=3), rng)
+    Xa, ya = augment_batch((X, y), model, TrainConfig(m_percent=50.0, q_max=70.0, sg_n=3), rng)
     changed = [i for i in range(128) if not np.array_equal(Xa[i], X[i])]
     assert len(changed) <= 64
     for i in range(128):
@@ -144,7 +146,7 @@ def test_augment_row_count_rounding_half_away_from_zero():
     X = rng.standard_normal((3, 4))
     y = np.array([0, 1, 0])
     # 50% of 3 rows rounds to 2; verify via unchanged-row count >= 1
-    Xa, _ = augment_batch((X, y), model, TrainConfig(m_percent=50.0, q_max=100.0), SmoothGradConfig(n=2), rng)
+    Xa, _ = augment_batch((X, y), model, TrainConfig(m_percent=50.0, q_max=100.0, sg_n=2), rng)
     unchanged = sum(np.array_equal(Xa[i], X[i]) for i in range(3))
     assert unchanged >= 1
 
@@ -153,10 +155,9 @@ def test_augment_deterministic_given_rng_seed():
     model = build_mlp([6, 4], 3, seed=3)
     X = np.random.default_rng(13).standard_normal((12, 6))
     y = np.random.default_rng(14).integers(0, 3, 12)
-    cfg = TrainConfig(m_percent=50.0, q_max=70.0)
-    sg = SmoothGradConfig(n=3, sigma=0.15, seed=5)
-    a, _ = augment_batch((X, y), model, cfg, sg, np.random.default_rng(99))
-    b, _ = augment_batch((X, y), model, cfg, sg, np.random.default_rng(99))
+    cfg = TrainConfig(m_percent=50.0, q_max=70.0, sg_n=3, sg_sigma=0.15)
+    a, _ = augment_batch((X, y), model, cfg, np.random.default_rng(99))
+    b, _ = augment_batch((X, y), model, cfg, np.random.default_rng(99))
     assert np.array_equal(a, b)
 
 
@@ -179,7 +180,7 @@ def test_sample_threshold_batch_draw_matches_sequential_draws():
 
 @pytest.mark.parametrize("arch", ["mlp", "cnn1d"])
 def test_augment_batch_row_invariants_against_replayed_draws(arch):
-    # replay the documented draw order: chosen rows, then every threshold
+    # replay the documented draw order: SmoothGrad seed, chosen rows, then every threshold
     if arch == "mlp":
         model, shape = build_mlp([12, 8], 3, seed=32), (12,)
     else:
@@ -187,12 +188,13 @@ def test_augment_batch_row_invariants_against_replayed_draws(arch):
     rng = np.random.default_rng(34)
     X = rng.standard_normal((40, *shape))
     y = rng.integers(0, 3, 40)
-    cfg, sg = TrainConfig(m_percent=60.0, q_max=90.0), SmoothGradConfig(n=4, sigma=0.2, seed=35)
-    out, labels = augment_batch((X, y), model, cfg, sg, np.random.default_rng(36))
-    again, _ = augment_batch((X, y), model, cfg, sg, np.random.default_rng(36))
+    cfg = TrainConfig(m_percent=60.0, q_max=90.0, sg_n=4, sg_sigma=0.2)
+    out, labels = augment_batch((X, y), model, cfg, np.random.default_rng(36))
+    again, _ = augment_batch((X, y), model, cfg, np.random.default_rng(36))
     assert np.array_equal(out, again) and np.array_equal(labels, y)
 
     replay = np.random.default_rng(36)
+    sg = SmoothGradConfig(n=4, sigma=0.2, seed=int(replay.integers(2**63)))
     chosen = replay.choice(40, size=24, replace=False)
     qs = replay.uniform(0.0, 90.0, size=24)
     scores = smoothgrad(model, X[chosen], y[chosen], sg)
@@ -206,3 +208,41 @@ def test_augment_batch_row_invariants_against_replayed_draws(arch):
         assert np.array_equal(row[keep], before[keep])
         shuffled += not np.array_equal(row, before)
     assert shuffled > 0
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn1d"])
+@pytest.mark.parametrize("m_percent", [0.0, 60.0])
+def test_augment_batch_equals_a_replay_of_its_documented_draws(arch, m_percent):
+    # one mask step rebuilt from a clone of the step generator, draw by draw:
+    # the SmoothGrad seed, the chosen rows, every threshold, then one shuffle key
+    # per masked position, row by row; the batch must match bit for bit and the
+    # generator must end in the same state
+    if arch == "mlp":
+        model, shape = build_mlp([12, 8], 3, seed=37), (12,)
+    else:
+        model, shape = build_cnn1d([2, 4], 3, 3, seed=38), (2, 6)
+    data = np.random.default_rng(39)
+    X = data.standard_normal((30, *shape))
+    y = data.integers(0, 3, 30)
+    cfg = TrainConfig(m_percent=m_percent, q_max=80.0, sg_n=3, sg_sigma=0.25)
+    rng = np.random.default_rng(40)
+    replay = copy.deepcopy(rng)
+    out, _ = augment_batch((X, y), model, cfg, rng)
+
+    expected = X.copy()
+    sg = SmoothGradConfig(n=cfg.sg_n, sigma=cfg.sg_sigma, seed=int(replay.integers(2**63)))
+    count = int(np.floor(m_percent / 100 * 30 + 0.5))
+    if count:
+        chosen = replay.choice(30, size=count, replace=False)
+        qs = replay.uniform(0.0, cfg.q_max, size=count)
+        scores = smoothgrad(model, X[chosen], y[chosen], sg).reshape(count, -1)
+        below = [np.flatnonzero(s < np.percentile(s, q, method=PERCENTILE_METHOD)) for s, q in zip(scores, qs)]
+        keys = replay.random(sum(b.size for b in below))
+        start = 0
+        for i, cols in zip(chosen, below):
+            order = np.argsort(keys[start : start + cols.size], kind="stable")
+            start += cols.size
+            row = expected[i].reshape(-1)
+            row[cols] = row[cols[order]]
+    assert np.array_equal(out, expected)
+    assert rng.bit_generator.state == replay.bit_generator.state
