@@ -15,12 +15,12 @@ import os
 import sys
 import warnings
 
-import numpy as np
-
 from .data import (
     DATA_FILE,
     DomainDataset,
     TrainView,
+    check_every_class,
+    check_finite,
     generate_shifted_waveforms,
     generate_spurious_gaussian,
     load_dataset,
@@ -81,12 +81,7 @@ def _load_training_data(path: str) -> DomainDataset:
     reads nan and +-inf, but no run can train on them, so the first
     data.csv row holding one is an error here."""
     ds = load_dataset(path)
-    flat = ds.X.reshape(ds.n, -1)
-    bad = np.argwhere(~np.isfinite(flat))
-    if bad.size:
-        row, col = bad[0]
-        value = f"{os.path.join(path, DATA_FILE)}: row {row + 2}: value {flat[row, col]}"
-        raise DataFormatError(f"{value} is not finite, and training needs finite values")
+    check_finite(ds.X, os.path.join(path, DATA_FILE), first_row=2)  # row 1 is the header
     return ds
 
 
@@ -177,6 +172,8 @@ def cmd_train(args) -> int:
     _check_run_dir(args.out)
     cfg = _load_config(args.config)
     ds = _load_training_data(args.data)
+    # a class the file lacks would shrink the model's head, as in a LODO source split
+    check_every_class(ds.y, ds.num_classes, os.path.join(args.data, DATA_FILE))
     view = TrainView(X=ds.X, y=ds.y)  # whole-file training; domains dropped
     model, history = train(view, cfg)
     os.makedirs(args.out, exist_ok=True)

@@ -59,7 +59,8 @@ class DomainDataset:
             if not np.any((self.domain == d) & (self.y == c))
         ]
         if missing:
-            warnings.warn(f"classes missing from some domains: {missing}", stacklevel=2)
+            # stack levels: this method, the generated __init__, the code building the dataset
+            warnings.warn(f"classes missing from some domains: {missing}", stacklevel=3)
 
     @property
     def n(self) -> int:
@@ -82,6 +83,27 @@ class TrainView:
         self.y = np.asarray(self.y, dtype=np.int64)
         if self.y.shape != (self.X.shape[0],):
             raise ContractError(f"row counts disagree: X {self.X.shape}, y {self.y.shape}")
+
+
+def check_finite(X: np.ndarray, where: str, first_row: int = 0) -> None:
+    """Raise DataFormatError naming the first row of ``X``, numbered from
+    ``first_row``, that holds nan or +-inf: no run can train on it."""
+    flat = X.reshape(len(X), -1)
+    bad = ~np.isfinite(flat)
+    if bad.any():
+        row, col = divmod(int(bad.argmax()), flat.shape[1])
+        value = f"{where}: row {row + first_row}: value {flat[row, col]}"
+        raise DataFormatError(f"{value} is not finite, and training needs finite values")
+
+
+def check_every_class(y: np.ndarray, num_classes: int, where: str, after: str = "") -> None:
+    """Raise ConfigError naming each class below ``num_classes`` that ``y``
+    has no row of: batching could not draw it, and the model's head would
+    lose it. The message reads ``{where} has no rows of class {c}{after}``."""
+    missing = np.flatnonzero(np.bincount(y, minlength=num_classes) == 0)
+    if missing.size:
+        classes = ", ".join(str(c) for c in missing)
+        raise ConfigError(f"{where} has no rows of class {classes}{after}")
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +272,13 @@ def write_json(path, doc, **json_dump_kwargs) -> None:
 
 
 def read_json(path, error=ConfigError):
-    """The JSON document at ``path``; invalid JSON, or bytes that are not
-    UTF-8 (which JSON text must be), raise ``error`` naming the file."""
+    """The JSON document at ``path``; invalid JSON, bytes that are not UTF-8
+    (which JSON text must be), or an integer longer than Python converts
+    (4300 digits by default) raise ``error`` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
             raise error(f"{path}: invalid JSON: {e}") from e
 
 

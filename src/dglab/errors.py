@@ -18,7 +18,8 @@ class DimensionError(ContractError):
 
 
 class DataFormatError(ValueError):
-    """A dataset file is malformed; the message names the row or field."""
+    """A dataset or its file is malformed (a non-finite value, say); the
+    message names the row or field."""
 
 
 class NumericError(ArithmeticError):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +20,8 @@ import numpy as np
 from .autodiff import Tensor, no_grad
 from .data import (
     DomainDataset,
-    TrainView,
+    check_every_class,
+    check_finite,
     leave_one_domain_out,
     split_holdout,
     write_json,
@@ -146,17 +146,6 @@ def _fingerprint(cfg: TrainConfig, ds: DomainDataset, extra: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _check_source_classes(
-    view: TrainView, num_classes: int, target: str, holdout_fraction: float | None
-) -> None:
-    """A class the source split lacks would break batching or shrink the head."""
-    missing = np.flatnonzero(np.bincount(view.y, minlength=num_classes) == 0)
-    if missing.size:
-        where = " after the holdout split" if holdout_fraction is not None else ""
-        classes = ", ".join(str(c) for c in missing)
-        raise ConfigError(f"target={target}: the source split has no rows of class {classes}{where}")
-
-
 def _lodo_report(
     ds: DomainDataset, cfg: TrainConfig, configs: dict[str, TrainConfig], seeds: list[int],
     holdout_fraction: float | None = None, grid: list | None = None,
@@ -172,6 +161,9 @@ def _lodo_report(
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"duplicate seeds in {seeds}")
 
+    # a target domain's row is checked too: argmax scores a nan logit row as class 0
+    check_finite(ds.X, "dataset")
+    after = "" if holdout_fraction is None else " after the holdout split"
     splits = []
     for target in ds.domain_names:
         train_view, test = leave_one_domain_out(ds, target)
@@ -180,7 +172,8 @@ def _lodo_report(
             for s in seeds
         ]
         for view, _val_view in views:
-            _check_source_classes(view, ds.num_classes, target, holdout_fraction)
+            # a class the source split lacks would break batching or shrink the head
+            check_every_class(view.y, ds.num_classes, f"target={target}: the source split", after)
         splits.append((target, test, views))
 
     rows: list[ReportRow] = []
@@ -220,59 +213,61 @@ def lodo_experiment(
     return _lodo_report(ds, cfg, configs, seeds, holdout_fraction)
 
 
-def _grid_mode(alpha: float, m_percent: float) -> str:
-    """Map a hyperparameter point onto the strategy that exercises it.
+# the TrainConfig fields a grid point sets, in point order, with their report headers
+GRID_FIELDS = {"alpha": "alpha", "m_percent": "m", "q_max": "qMax"}
+
+
+def _grid_mode(cfg: TrainConfig) -> str:
+    """Map a grid point's config onto the strategy that exercises it.
 
     A zeroed strategy is not merely weightless, it is switched off, so the
     all-zero point reproduces plain cross-entropy training exactly.
     """
-    if alpha == 0 and m_percent == 0:
+    if cfg.alpha == 0 and cfg.m_percent == 0:
         return "ce_only"
-    if m_percent == 0:
+    if cfg.m_percent == 0:
         return "align_only"
-    if alpha == 0:
+    if cfg.alpha == 0:
         return "mask_only"
     return "alternate"
 
 
 def _grid_cells(point) -> list[str]:
-    """A point's alpha, m and q_max as reports show them: zero as '-'."""
+    """A point's values as reports show them: zero as '-'."""
     return ["-" if v == 0 else f"{v:g}" for v in point]
 
 
-def grid_label(alpha: float, m_percent: float, q_max: float) -> str:
-    return "alpha={} m={} qMax={}".format(*_grid_cells((alpha, m_percent, q_max)))
+def grid_label(*point: float) -> str:
+    return " ".join(f"{header}={cell}" for header, cell in zip(GRID_FIELDS.values(), _grid_cells(point)))
 
 
 def grid_points(base_cfg: TrainConfig, grid) -> dict[str, TrainConfig]:
     """Each [alpha, m, q_max] point's run config, by label, in grid order.
 
-    The grid must be a nonempty list of number triples (a bool is not a
-    number), each a valid TrainConfig, no two sharing a label (a report
-    keys its rows and footer by label)."""
+    The grid must be a nonempty list of triples. TrainConfig checks each value
+    as written, as the field it sets; run configs hold it as a float. No two
+    points may share a label (a report keys its rows and footer by label)."""
     if not isinstance(grid, (list, tuple)) or not all(
-        isinstance(p, (list, tuple)) and len(p) == 3
-        and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in p)
-        for p in grid
+        isinstance(p, (list, tuple)) and len(p) == len(GRID_FIELDS) for p in grid
     ):
         raise ConfigError("expected a list of [alpha, m, q_max] number triples")
     if not grid:
         raise ConfigError("empty grid")
     points: dict[str, TrainConfig] = {}
     for point in grid:
-        alpha, m_percent, q_max = (float(v) for v in point)
-        label = grid_label(alpha, m_percent, q_max)
+        checked = replace(base_cfg, **dict(zip(GRID_FIELDS, point)))
+        values = {name: float(getattr(checked, name)) for name in GRID_FIELDS}
+        label = grid_label(*values.values())
         if label in points:
             raise ConfigError(f"two grid points share the label {label!r}")
-        mode = _grid_mode(alpha, m_percent)
-        points[label] = replace(base_cfg, alpha=alpha, m_percent=m_percent, q_max=q_max, strategy_mode=mode)
+        points[label] = replace(checked, **values, strategy_mode=_grid_mode(checked))
     return points
 
 
 def ablation_grid(ds: DomainDataset, base_cfg: TrainConfig, grid: list, seeds: list[int]) -> RunReport:
     """One LODO cell per (target, (alpha, m, q_max) point, seed), rows listed point by point."""
     points = grid_points(base_cfg, grid)
-    grid = [[c.alpha, c.m_percent, c.q_max] for c in points.values()]
+    grid = [[getattr(c, name) for name in GRID_FIELDS] for c in points.values()]
     return _lodo_report(ds, base_cfg, points, seeds, grid=grid)
 
 
@@ -280,11 +275,10 @@ def ablation_text(report: RunReport) -> str:
     """Hyperparameter table with zeros shown as '-', one row per grid point."""
     if report.grid is None:
         raise ContractError("ablation_text needs a report produced by ablation_grid")
-    lines = [f"{'alpha':>8} {'m':>8} {'qMax':>8} {'avg accuracy (%)':>18}"]
+    lines = [" ".join(f"{header:>8}" for header in GRID_FIELDS.values()) + f" {'avg accuracy (%)':>18}"]
     for point in report.grid:
-        alpha, m_percent, q_max = _grid_cells(point)
         accuracy = report.footer[grid_label(*point)] * 100
-        lines.append(f"{alpha:>8} {m_percent:>8} {q_max:>8} {accuracy:>18.2f}")
+        lines.append(" ".join(f"{cell:>8}" for cell in _grid_cells(point)) + f" {accuracy:>18.2f}")
     return "\n".join(lines)
 
 

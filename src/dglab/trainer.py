@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import TrainView, class_balanced_batches, open_for_rewrite, read_json, write_json
+from .data import TrainView, check_finite, class_balanced_batches, open_for_rewrite, read_json, write_json
 from .errors import ConfigError, ContractError, NumericError
 from .losses import cross_entropy, objective_parts
 from .masking import augment_batch
@@ -36,14 +36,24 @@ STRATEGY_MODES = ("alternate", "align_only", "mask_only", "ce_only")
 ARCHITECTURES = ("mlp", "cnn1d")
 
 
-def _is_integer(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+def _is_int64(v) -> bool:
+    """An integer, not a bool, that numpy's default integer type holds."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and -(2**63) <= v < 2**63
+
+
+# what a field of each annotated type may hold (JSON can carry NaN and huge integers)
+_FIELD_KINDS = {
+    int: (_is_int64, "an int64 integer"),
+    float: (lambda v: _is_int64(v) or isinstance(v, float) and math.isfinite(v), "a finite double or an int64"),
+    tuple: (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int64, v)), "a list of int64 integers"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
 
 
 @functools.cache
-def _field_types(cls) -> tuple:
-    """(name, type) of each annotated field of ``cls``, resolved once per class."""
-    return tuple(get_type_hints(cls).items())
+def _field_kinds(cls) -> tuple:
+    """(name, check, what it holds) of each annotated field of ``cls``, resolved once per class."""
+    return tuple((name, *_FIELD_KINDS[kind]) for name, kind in get_type_hints(cls).items())
 
 
 @dataclass
@@ -70,19 +80,13 @@ class TrainConfig:
     kernel: int = 5
 
     def __post_init__(self):
-        # types first, as annotated: JSON configs can carry strings, fractions and NaN
-        types = _field_types(type(self))
-        for name in (n for n, t in types if t is int):
-            if not _is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in (n for n, t in types if t is float):
+        # types first, as annotated; a tuple field is stored as a tuple of ints
+        for name, holds, what in _field_kinds(type(self)):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-                raise ConfigError(f"{name} must be a finite number, got {v!r}")
-        for name in (n for n, t in types if t is tuple):
-            v = getattr(self, name)
-            if not isinstance(v, (list, tuple)) or not all(_is_integer(h) for h in v):
-                raise ConfigError(f"{name} must be a list of integers, got {v!r}")
+            if not holds(v):
+                raise ConfigError(f"{name} must be {what}, got {v!r}")
+            if isinstance(v, (list, tuple)):
+                setattr(self, name, tuple(int(h) for h in v))
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if not 0.0 <= self.m_percent <= 100.0:
@@ -115,14 +119,10 @@ class TrainConfig:
             )
         if self.arch not in ARCHITECTURES:
             raise ConfigError(f"unknown arch {self.arch!r}; choose from {ARCHITECTURES}")
-        self.hidden = tuple(int(h) for h in self.hidden)
-        self.channels = tuple(int(c) for c in self.channels)
 
     def to_json_dict(self) -> dict:
-        doc = asdict(self)
-        doc["hidden"] = list(self.hidden)
-        doc["channels"] = list(self.channels)
-        return doc
+        # JSON writes a tuple as a list; a dict compared with a loaded one must hold lists
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in asdict(self).items()}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrainConfig":
@@ -252,6 +252,7 @@ def train(dataset: TrainView, cfg: TrainConfig):
     num_classes = int(dataset.y.max()) + 1
     if num_classes < 2:
         raise ConfigError(f"train: need >= 2 classes, got {num_classes}")
+    check_finite(dataset.X, "train")
 
     ss = np.random.SeedSequence(cfg.seed)
     ss_model, ss_batch, ss_strategy, ss_step = ss.spawn(4)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import types
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -344,7 +345,7 @@ def test_run_directory_that_cannot_be_made_exits_one(command, monkeypatch, tmp_p
     [
         ("[[0.1, 50]]", "expected a list of [alpha, m, q_max] number triples"),
         ("[[0.1,", "invalid JSON"),
-        ("[[0.1, 150, 70]]", "m_percent must be in [0, 100], got 150.0"),
+        ("[[0.1, 150, 70]]", "m_percent must be in [0, 100], got 150"),
         ("[[0.1, 10, 70], [0.1, 10.0, 70]]", "two grid points share the label 'alpha=0.1 m=10 qMax=70'"),
     ],
     ids=["not-triples", "invalid-json", "out-of-range", "repeated-label"],
@@ -355,6 +356,58 @@ def test_ablation_grid_checked_before_loading_data(text, message, tmp_path, caps
     argv = ["ablation", "--data", str(tmp_path / "no-data"), "--grid", str(grid), "--out", str(tmp_path / "a.json")]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {grid}: {message}")
+
+
+HUGE_CONFIGS = {
+    # id: (--config document, the field the error names)
+    "alpha-400-digits": ({"alpha": 10**400}, "alpha"),
+    "hidden-10**30": ({"hidden": [10**30]}, "hidden"),
+    "batch-size-10**30": ({"batch_size": 10**30}, "batch_size"),
+}
+HUGE_SETTINGS = {
+    **{f"{command}-{key}": (command, "--config", *case) for key, case in HUGE_CONFIGS.items()
+       for command in ("train", "lodo", "ablation")},
+    "ablation-grid-alpha-400-digits": ("ablation", "--grid", [[10**400, 0, 0]], "alpha"),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_SETTINGS.values(), ids=HUGE_SETTINGS.keys())
+def test_setting_no_double_or_int64_holds_exits_one_before_loading_data(case, tmp_path, capsys):
+    # no --data exists, so each error comes before any data loads, let alone trains
+    command, flag, doc, name = case
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    grid = tmp_path / "grid.json"
+    grid.write_text("[[0, 0, 0]]")
+    args = [command, "--data", str(tmp_path / "no-data"), "--out", str(tmp_path / "out"), flag, str(path)]
+    args += ["--grid", str(grid)] if command == "ablation" and flag == "--config" else []
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    where = f"{path}: " if flag == "--grid" else ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {where}{name} must be a")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_integer_past_the_digit_limit_exits_one(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"alpha": ' + "1" * 5000 + "}")
+    argv = ["train", "--data", str(tmp_path / "no-data"), "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON: Exceeds the limit (4300 digits)")
+
+
+@pytest.mark.filterwarnings("ignore:classes missing")
+def test_train_on_data_missing_a_declared_class_exits_one(config_path, tmp_path, capsys, monkeypatch):
+    # train would build a two-class head for three-class data
+    data = tmp_path / "ds"
+    ds = generate_spurious_gaussian(num_domains=2, classes=3, n_per_domain_class=6, seed=0)
+    keep = ds.y != 2
+    save_dataset(replace(ds, X=ds.X[keep], y=ds.y[keep], domain=ds.domain[keep]), data)
+    monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("trained on data missing a class"))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data", str(data), "--config", str(config_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {data / 'data.csv'} has no rows of class 2\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

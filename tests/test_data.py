@@ -16,6 +16,8 @@ import dglab
 from dglab.data import (
     DomainDataset,
     TrainView,
+    check_every_class,
+    check_finite,
     class_balanced_batches,
     generate_shifted_waveforms,
     generate_spurious_gaussian,
@@ -737,5 +739,29 @@ def test_missing_class_in_domain_warns():
     X = np.zeros((4, 2))
     y = np.array([0, 1, 0, 0])
     domain = np.array(["a", "a", "b", "b"])  # domain b lacks class 1
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as seen:
         DomainDataset(X=X, y=y, domain=domain, num_classes=2, domain_names=["a", "b"])
+    # the warning points at the code that built the dataset, not into the dataclass machinery
+    assert [w.filename for w in seen] == [__file__]
+
+
+def test_check_finite_names_the_first_bad_row_from_the_given_number():
+    X = np.zeros((5, 2, 3))
+    check_finite(X, "here")
+    X[3, 1, 2], X[2, 0, 1], X[4, 0, 0] = np.inf, -np.inf, np.nan
+    with pytest.raises(DataFormatError, match=r"^here: row 12: value -inf is not finite, and training needs"):
+        check_finite(X, "here", first_row=10)
+
+
+def test_check_every_class_names_each_missing_class():
+    check_every_class(np.array([0, 1, 2, 1]), 3, "split")
+    with pytest.raises(ConfigError, match=r"^split has no rows of class 0, 3 after all$"):
+        check_every_class(np.array([1, 2, 1]), 4, "split", " after all")
+
+
+def test_read_json_integer_past_the_digit_limit_is_invalid_json(tmp_path):
+    # json.loads raises a plain ValueError for an integer longer than int() converts
+    path = tmp_path / "big.json"
+    path.write_text('{"alpha": ' + "1" * 5000 + "}")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: invalid JSON: Exceeds the limit"):
+        read_json(path)

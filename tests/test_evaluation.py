@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from dglab.data import DomainDataset, generate_spurious_gaussian
-from dglab.errors import ConfigError, ContractError
+from dglab import evaluation
+from dglab.errors import ConfigError, ContractError, DataFormatError
 from dglab.evaluation import (
     RunReport,
     ReportRow,
@@ -15,6 +16,7 @@ from dglab.evaluation import (
     evaluate,
     export_features,
     grid_label,
+    grid_points,
     lodo_experiment,
 )
 from dglab.models import build_mlp
@@ -166,6 +168,39 @@ def test_ablation_duplicate_labels_rejected_before_training():
         with pytest.raises(ConfigError, match="share the label"):
             ablation_grid(tiny_dataset(), exploding, grid, [0])
 
+
+
+def test_grid_values_are_checked_as_written_and_run_as_floats():
+    # TrainConfig checks each value as the field it sets; the run config and the report hold floats
+    points = grid_points(tiny_cfg(), [[0, 50, 70], [0.1, 0, 0]])
+    assert list(points) == ["alpha=- m=50 qMax=70", "alpha=0.1 m=- qMax=-"]
+    for cfg in points.values():
+        assert all(type(v) is float for v in (cfg.alpha, cfg.m_percent, cfg.q_max))
+    assert [c.strategy_mode for c in points.values()] == ["mask_only", "align_only"]
+    for point, message in [
+        ([10**400, 0, 0], "alpha must be a finite double or an int64, got 1000"),
+        ([0, 2**63, 0], "m_percent must be a finite double or an int64, got 9223372036854775808"),
+        ([0, 50, 170], r"q_max must be in \[0, 100\], got 170$"),
+        ([0, 50, True], "q_max must be a finite double or an int64, got True"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            grid_points(tiny_cfg(), [[0, 0, 0], point])
+
+
+@pytest.mark.parametrize("domain", ["d0", "d2"], ids=["first-domain", "last-domain"])
+@pytest.mark.parametrize("run", ["lodo", "ablation"])
+def test_non_finite_data_rejected_before_any_cell_trains(run, domain, monkeypatch):
+    # every domain is a source of some cell and the target of one; the check covers the whole
+    # dataset at once, or a target's nan row would be scored as class 0 (argmax of nan logits)
+    bad = tiny_dataset()
+    row = int(np.flatnonzero(bad.domain == domain)[4])
+    bad.X[row, 1] = np.nan
+    monkeypatch.setattr(evaluation, "train", lambda *a: pytest.fail("trained on non-finite data"))
+    with pytest.raises(DataFormatError, match=rf"^dataset: row {row}: value nan is not finite"):
+        if run == "lodo":
+            lodo_experiment(bad, tiny_cfg(), ["ce_only"], [0])
+        else:
+            ablation_grid(bad, tiny_cfg(), [(0.0, 0.0, 0.0)], [0])
 
 
 def test_ablation_text_renders_zeros_as_dash():

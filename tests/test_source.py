@@ -48,3 +48,27 @@ def test_no_module_imports_a_name_it_never_uses():
         for name, line in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules ``source`` imports, relative imports aside."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_import_scan_sees_plain_and_from_imports_only():
+    source = "import numbers\nimport os.path as osp\nfrom typing import Any\nfrom .numbers import x\nfrom . import y"
+    assert imported_modules(source) == {"numbers", "os", "typing"}
+
+
+def test_only_the_trainer_checks_numbers():
+    # TrainConfig's field annotations are the one statement of what a run setting may hold;
+    # a second module importing numbers would be a second check of config or grid values
+    src = Path(dglab.__file__).parent
+    importers = [p.name for p in sorted(src.glob("*.py")) if "numbers" in imported_modules(p.read_text(encoding="utf-8"))]
+    assert importers == ["trainer.py"]

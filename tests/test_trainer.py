@@ -1,10 +1,12 @@
+import json
 import math
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from dglab.data import TrainView, generate_spurious_gaussian, leave_one_domain_out
-from dglab.errors import ConfigError, ContractError, NumericError
+from dglab.errors import ConfigError, ContractError, DataFormatError, NumericError
 from dglab.trainer import (
     STRATEGY_ALIGN,
     STRATEGY_CE,
@@ -123,6 +125,38 @@ def test_min_class_ratio_outside_zero_one_rejected_by_the_config(ratio):
     with pytest.raises(ConfigError, match=r"min_class_ratio must be in \(0, 1\]"):
         TrainConfig(min_class_ratio=ratio)
     assert TrainConfig(min_class_ratio=1.0).min_class_ratio == 1.0
+
+
+# JSON true, null, a string, an integer no double holds, and the first integer past int64
+NOT_A_SETTING = {"true": True, "null": None, "string": "x", "400-digits": 10**400, "2**63": 2**63}
+
+
+@pytest.mark.parametrize("value", NOT_A_SETTING.values(), ids=NOT_A_SETTING.keys())
+@pytest.mark.parametrize("name", get_type_hints(TrainConfig))
+def test_config_rejects_what_no_field_holds(name, value):
+    with pytest.raises(ConfigError, match=rf"\b{name}\b"):
+        TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["hidden", "channels"])
+@pytest.mark.parametrize(
+    "element",
+    [10**30, 2**63, -(2**63) - 1, True, 1.0, "8"],
+    ids=["10**30", "2**63", "below-int64", "true", "float", "string"],
+)
+def test_config_list_field_holds_only_int64_integers(name, element):
+    with pytest.raises(ConfigError, match=f"{name} must be a list of int64 integers"):
+        TrainConfig(**{name: [8, element]})
+
+
+def test_config_keeps_numbers_as_written():
+    # an integer literal in a float field stays an integer, so config.json writes it back unchanged;
+    # the int64 bounds themselves are settings
+    cfg = TrainConfig(m_percent=50, q_max=70, alpha=2**63 - 1, seed=2**63 - 1, hidden=[np.int64(4), 8])
+    assert json.dumps(cfg.to_json_dict()["m_percent"]) == "50" and cfg.q_max == 70
+    assert cfg.hidden == (4, 8) and all(type(h) is int for h in cfg.hidden)
+    assert cfg.to_json_dict()["hidden"] == [4, 8] and cfg.to_json_dict()["channels"] == [8, 16]
+    assert TrainConfig(alpha=np.float64(0.5)).alpha == 0.5
 
 
 def test_config_json_round_trip(tmp_path):
@@ -255,6 +289,16 @@ def test_history_csv_export(tmp_path):
 def test_train_rejects_empty_view():
     with pytest.raises(ConfigError):
         train(TrainView(X=np.zeros((0, 4)), y=np.zeros(0, dtype=np.int64)), tiny_cfg())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_train_rejects_non_finite_data_before_any_step(value, monkeypatch):
+    view = tiny_view()
+    view.X[7, 3] = value
+    view.X[9, 0] = np.nan  # a later row, which the message must not name
+    monkeypatch.setattr("dglab.trainer.train_step", lambda *a: pytest.fail("trained on non-finite data"))
+    with pytest.raises(DataFormatError, match=rf"^train: row 7: value {value} is not finite"):
+        train(view, tiny_cfg())
 
 
 def test_cnn_training_path():
