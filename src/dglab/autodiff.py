@@ -2,10 +2,12 @@
 
 Every operation evaluates eagerly on numpy arrays and, while grad mode is
 on, records its parents plus a vector-Jacobian closure on the output
-tensor. ``backward`` on a scalar root replays the graph in reverse
-topological order and returns a fresh :class:`GradMap`; no gradient state
-survives between calls. Gradients from multiple consumers of the same
-tensor accumulate additively.
+tensor. ``backward`` replays the graph in reverse topological order and
+returns a fresh :class:`GradMap`; no gradient state survives between
+calls. A scalar root is seeded with 1; any root may instead be seeded with
+an explicit upstream gradient ``grad`` of its own shape, which yields the
+vector-Jacobian product of ``grad`` with the root. Gradients from multiple
+consumers of the same tensor accumulate additively.
 
 Every vector-Jacobian closure has the signature ``vjp(g, need)`` and
 returns one gradient per parent. ``need`` holds one flag per parent; an
@@ -154,7 +156,8 @@ def affine(x, w, b) -> Tensor:
         raise DimensionError(
             f"affine shapes do not chain: x {x.shape} @ w {w.shape} + b {b.shape}"
         )
-    out = x.values @ w.values + b.values
+    out = x.values @ w.values
+    out += b.values
 
     def vjp(g: Array, need=ALL_PARENTS):
         return (
@@ -553,8 +556,13 @@ def soft_label_objective(logits, labels, alpha: float) -> tuple[Tensor, float, f
 # backward pass
 
 
-def backward(root: Tensor, wrt: Sequence[Tensor] | None = None) -> GradMap:
-    """Reverse-mode gradients of a scalar root.
+def backward(root: Tensor, wrt: Sequence[Tensor] | None = None, grad=None) -> GradMap:
+    """Reverse-mode gradients of a scalar root, or of a seeded one.
+
+    ``grad`` is the upstream gradient of the root, an array of the root's
+    shape (a ContractError otherwise); every gradient is then that of
+    ``sum(root * grad)``, and the root's own entry is ``grad`` as given.
+    Without it the root must be a scalar and is seeded with 1.
 
     Without ``wrt`` the map holds every reachable tensor. With ``wrt`` it
     holds only the listed tensors that the root depends on, and each op is
@@ -565,8 +573,14 @@ def backward(root: Tensor, wrt: Sequence[Tensor] | None = None) -> GradMap:
     """
     if not isinstance(root, Tensor):
         raise ContractError("backward expects a Tensor root")
-    if root.values.shape != ():
-        raise ContractError(f"backward root must be scalar, got shape {root.shape}")
+    if grad is None:
+        if root.values.shape != ():
+            raise ContractError(f"backward root must be scalar, got shape {root.shape}")
+        grad = np.ones((), dtype=np.float64)
+    else:
+        grad = np.asarray(grad, dtype=np.float64)
+        if grad.shape != root.values.shape:
+            raise ContractError(f"backward grad has shape {grad.shape}, the root {root.shape}")
 
     topo: list[Tensor] = []
     visited: set[int] = set()
@@ -593,7 +607,7 @@ def backward(root: Tensor, wrt: Sequence[Tensor] | None = None) -> GradMap:
             if any(id(p) in live for p in node._parents):
                 live.add(id(node))
 
-    grads: dict[int, Array] = {id(root): np.ones((), dtype=np.float64)}
+    grads: dict[int, Array] = {id(root): grad}
     keep: dict[int, Tensor] = {id(root): root}
     for node in reversed(topo):
         g = grads.get(id(node))

@@ -29,7 +29,14 @@ from .data import (
     save_dataset,
 )
 from .errors import ConfigError, ContractError, DataFormatError, NumericError
-from .evaluation import ablation_grid, ablation_text, export_features, grid_points, lodo_experiment
+from .evaluation import (
+    ablation_grid,
+    ablation_text,
+    export_features,
+    grid_points,
+    lodo_experiment,
+    paired_text,
+)
 from .models import load_model, model_batch, save_model
 from .saliency import SmoothGradConfig, smoothgrad, vanilla_saliency
 from .trainer import STRATEGY_MODES, TrainConfig, train
@@ -192,6 +199,8 @@ def cmd_lodo(args) -> int:
     report = lodo_experiment(ds, cfg, methods, _int_list(args.seeds), holdout_fraction=args.holdout)
     report.save_json(args.out)
     print(report.to_text())
+    if "ce_only" in methods:
+        print(paired_text(report), file=sys.stderr)
     return 0
 
 

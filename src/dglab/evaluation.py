@@ -113,6 +113,69 @@ class RunReport:
         return "\n".join(lines)
 
 
+@dataclass
+class PairedDifference:
+    """One method's target accuracy against a baseline's, paired by seed and
+    target, as accuracy fractions."""
+
+    mean: float  # mean over seeds of the seed's target-averaged difference
+    stderr: float | None  # that mean's standard error over seeds; None below 2 seeds
+    per_target: dict[str, float]  # each target's difference, averaged over seeds
+    worst_target: str  # the target with the method's lowest cell mean
+    worst_accuracy: float
+
+
+def paired_summary(report: RunReport, baseline: str = "ce_only") -> dict[str, PairedDifference]:
+    """Each method's accuracy difference to ``baseline``, the baseline included.
+
+    A seed fixes every method's initial model and generator seeds, so
+    differences are taken seed by seed: seed s contributes the mean over targets of
+    acc(method, s) - acc(baseline, s), and the standard error is that of
+    the mean of these per-seed values (sample standard deviation over
+    sqrt(seeds)). The worst target's accuracy is the lowest cell mean.
+    """
+    methods = list(dict.fromkeys(r.method for r in report.rows))
+    targets = list(dict.fromkeys(r.target for r in report.rows))
+    if baseline not in methods:
+        raise ContractError(f"paired_summary: the report has no {baseline!r} rows")
+    summary = {}
+    for method in methods:
+        diffs = {
+            t: [a - b for a, b in zip(report.cell(t, method).accuracies, report.cell(t, baseline).accuracies)]
+            for t in targets
+        }
+        per_seed = [math.fsum(seed_diffs) / len(targets) for seed_diffs in zip(*diffs.values())]
+        mean = math.fsum(per_seed) / len(per_seed)
+        stderr = None
+        if len(per_seed) > 1:
+            variance = math.fsum((d - mean) ** 2 for d in per_seed) / (len(per_seed) - 1)
+            stderr = math.sqrt(variance / len(per_seed))
+        worst = min(targets, key=lambda t: report.cell(t, method).mean)
+        per_target = {t: math.fsum(d) / len(d) for t, d in diffs.items()}
+        summary[method] = PairedDifference(mean, stderr, per_target, worst, report.cell(worst, method).mean)
+    return summary
+
+
+def paired_text(report: RunReport, baseline: str = "ce_only") -> str:
+    """``paired_summary`` as a table in accuracy points: the mean difference,
+    its standard error, each target's difference and the worst target."""
+    summary = paired_summary(report, baseline)
+    targets = list(next(iter(summary.values())).per_target)
+    width = max(12, max(len(m) for m in summary) + 2)
+    seeds = len(report.rows[0].accuracies)
+    lines = [
+        f"paired difference to {baseline} in points over {seeds} seed{'s' if seeds > 1 else ''}"
+        " (mean, standard error, per target), and the worst target",
+        "Method".ljust(width) + f"{'diff':>8}{'se':>7}" + "".join(f"{t:>9}" for t in targets) + "   worst",
+    ]
+    for method, d in summary.items():
+        se = "-" if d.stderr is None else f"{d.stderr * 100:.2f}"
+        cells = "".join(f"{v * 100:+9.2f}" for v in d.per_target.values())
+        worst = f"{d.worst_target} {d.worst_accuracy * 100:.2f}"
+        lines.append(method.ljust(width) + f"{d.mean * 100:+8.2f}{se:>7}" + cells + f"   {worst}")
+    return "\n".join(lines)
+
+
 def _accuracy(model: Model, X: np.ndarray, y: np.ndarray) -> float:
     with no_grad():
         logits = forward(model, Tensor(model_batch(model, X))).values

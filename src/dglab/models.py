@@ -160,9 +160,13 @@ def features(model: Model, x) -> Tensor:
 
     For a purely linear model this is the input itself.
     """
+    _check_head(model)
+    return _walk(model, x, len(model.layers) - 1)
+
+
+def _check_head(model: Model) -> None:
     if not model.layers or model.layers[-1]["kind"] != "affine":
         raise ConfigError("the last layer must be the affine head")
-    return _walk(model, x, len(model.layers) - 1)
 
 
 def model_batch(model: Model, X: np.ndarray) -> np.ndarray:
@@ -190,12 +194,14 @@ def _largest_row_intermediate(model: Model, row_shape: tuple) -> int:
 def class_logit_input_gradients(model: Model, batch_values: np.ndarray, classes) -> np.ndarray:
     """Per-row gradients d f(x_i)[c_i] / d x_i for a stacked batch.
 
-    Rows pass through the network independently, so one backward pass over
-    the summed picked logits yields every row's own input gradient; the
-    pass differentiates only toward the input, never the parameters. The
-    stack is walked in chunks of at most INPUT_GRADIENT_CHUNK_ELEMENTS //
-    (largest per-row intermediate) rows, which bounds peak memory without
-    changing any row's result.
+    The class-c logit is affine in the head's input, with gradient column c
+    of the head weight, so the backward pass starts there: seeded with row
+    i's class column, one pass through the layers below the head yields
+    every row's own input gradient (rows pass through the network
+    independently). The pass differentiates only toward the input, never
+    the parameters. The stack is walked in chunks of at most
+    INPUT_GRADIENT_CHUNK_ELEMENTS // (largest per-row intermediate) rows,
+    which bounds peak memory without changing any row's result.
     """
     values = np.asarray(batch_values, dtype=np.float64)
     _check_batch_shape(model, values.shape)
@@ -210,8 +216,10 @@ def class_logit_input_gradients(model: Model, batch_values: np.ndarray, classes)
     grads = np.empty_like(values)
     for start in range(0, values.shape[0], rows):
         leaf = Tensor(values[start : start + rows])
-        picked = ad.take_per_row(forward(model, leaf), classes[start : start + rows])
-        grads[start : start + rows] = ad.backward(ad.sum_all(picked), wrt=(leaf,))[leaf]
+        feats = features(model, leaf)
+        head_w = model.params[f"{model.layers[-1]['name']}_w"].values
+        seed = np.take(head_w.T, classes[start : start + rows], axis=0)
+        grads[start : start + rows] = ad.backward(feats, wrt=(leaf,), grad=seed)[leaf]
     return grads
 
 
@@ -254,10 +262,14 @@ def load_model(path) -> Model:
             params[name] = Tensor(values.reshape(shape))
         input_shape = tuple(d if d is None else int(d) for d in doc["input_shape"])
         model = Model(doc["layers"], params, int(doc["num_classes"]), input_shape, int(doc["seed"]))
-        # a one-row probe meets every layer's name and parameters as a forward pass does
+        # the head rule of features and input gradients, then a one-row probe,
+        # which meets every layer's name and parameters as a forward pass does
+        _check_head(model)
         with ad.no_grad():
             forward(model, np.zeros((1, *(1 if d is None else d for d in input_shape))))
         return model
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
     except KeyError as e:
         raise ConfigError(f"{path}: checkpoint has no field {e}") from e
     except (AttributeError, TypeError, ValueError) as e:

@@ -10,6 +10,7 @@ return the score array itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +28,18 @@ class SmoothGradConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ConfigError(f"smoothgrad replicate count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ConfigError(f"smoothgrad replicate count must be >= 1, got {self.n}")
+        if isinstance(self.sigma, bool) or not (
+            isinstance(self.sigma, (int, float, np.integer, np.floating)) and math.isfinite(self.sigma)
+        ):
+            raise ConfigError(f"smoothgrad sigma must be a finite number, got {self.sigma!r}")
         if self.sigma < 0:
             raise ConfigError(f"smoothgrad sigma must be >= 0, got {self.sigma}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"smoothgrad seed must be a non-negative integer, got {self.seed!r}")
 
 
 def vanilla_saliency(model: Model, x, c: int) -> np.ndarray:
@@ -49,9 +58,11 @@ def smoothgrad(model: Model, x, c, cfg: SmoothGradConfig) -> np.ndarray:
     (n, *input_shape) standard-normal noise from cfg.seed is shared by every
     row and scaled per row by cfg.sigma times that row's value range, so a
     constant row gets no noise. All k*n replicates go through one
-    input-gradient pass (rows pass through the network independently). The
-    average is anchored at the first replicate, which keeps it exact when
-    every replicate map is identical, e.g. for linear models or zero noise.
+    input-gradient pass (rows pass through the network independently),
+    stacked replicate-major so that every per-replicate step runs over a
+    contiguous (k, *input_shape) block. The average is anchored at the
+    first replicate, which keeps it exact when every replicate map is
+    identical, e.g. for linear models or zero noise.
     """
     values = np.asarray(getattr(x, "values", x), dtype=np.float64)
     stacked = values.ndim == len(model.input_shape) + 1
@@ -67,10 +78,11 @@ def smoothgrad(model: Model, x, c, cfg: SmoothGradConfig) -> np.ndarray:
     # per row reproduces the vanilla one-row pass bit for bit
     n = cfg.n if sigma_abs.any() else 1
     noise = np.random.default_rng(cfg.seed).standard_normal((n, *shape))
-    replicates = samples[:, None] + noise * sigma_abs.reshape(k, *(1,) * (1 + len(shape)))
-    grads = class_logit_input_gradients(
-        model, replicates.reshape(k * n, *shape), np.repeat(classes, n)
-    )
-    squared = (grads * grads).reshape(k, n, *shape)
-    scores = np.maximum(squared[:, 0] + (squared - squared[:, :1]).mean(axis=1), 0.0)
+    # replicate-major: row r*k + i is replicate r of sample i
+    replicates = noise[:, None] * sigma_abs.reshape(1, k, *(1,) * len(shape))
+    replicates += samples
+    grads = class_logit_input_gradients(model, replicates.reshape(n * k, *shape), np.tile(classes, n))
+    squared = (grads * grads).reshape(n, k, *shape)
+    # the same sequential sum over replicates, and division by n, as a mean
+    scores = np.maximum(squared[0] + (squared - squared[0]).sum(axis=0) / n, 0.0)
     return scores if stacked else scores[0]

@@ -37,6 +37,16 @@ def test_affine_matches_triple_loop_oracle():
     np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("rows", [128, 1600])
+def test_affine_is_bytewise_x_at_w_plus_b(rows):
+    # the bias is added in place into the product's buffer: the same IEEE add
+    rng = np.random.default_rng(rows)
+    x, w, b = rng.standard_normal((rows, 18)), rng.standard_normal((18, 32)), rng.standard_normal(32)
+    x[0, :] = 0.0
+    b[:4] = [0.0, -0.0, np.inf, -np.inf]  # signed zeros and infinities as well
+    assert ad.affine(x, w, b).values.tobytes() == (x @ w + b).tobytes()
+
+
 def test_affine_shape_mismatch_names_shapes():
     with pytest.raises(DimensionError) as exc:
         ad.affine(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
@@ -128,6 +138,34 @@ def test_backward_requires_scalar_root():
     x = Tensor([1.0, 2.0])
     with pytest.raises(ContractError):
         backward(ad.relu(x))
+
+
+def test_backward_seeded_root_is_bitwise_the_weighted_sum_graph():
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.standard_normal((6, 5)))
+    w, b = Tensor(rng.standard_normal((5, 4))), Tensor(rng.standard_normal(4))
+    root = ad.relu(ad.affine(x, w, b))
+    grad = rng.standard_normal(root.shape)
+    summed = backward(ad.sum_all(ad.mul(root, Tensor(grad))))
+    seeded = backward(root, grad=grad)
+    assert len(seeded) == len(summed) - 3  # no sum_all, mul or constant node
+    for t in (root, x, w, b):
+        assert seeded[t].tobytes() == summed[t].tobytes()
+    only_x = backward(root, wrt=(x,), grad=grad)
+    assert len(only_x) == 1 and only_x[x].tobytes() == summed[x].tobytes()
+
+
+def test_backward_grad_must_have_the_root_shape():
+    root = ad.relu(Tensor(np.ones((2, 3))))
+    for bad in (np.ones((3, 2)), np.ones(6), np.ones((1, 2, 3)), 1.0):
+        with pytest.raises(ContractError, match="backward grad has shape"):
+            backward(root, grad=bad)
+    scalar = ad.sum_all(root)
+    with pytest.raises(ContractError):
+        backward(scalar, grad=np.ones(1))
+    # a scalar root takes a scalar seed, and no seed means a seed of 1
+    assert np.array_equal(backward(scalar, grad=2.0)[root], np.full((2, 3), 2.0))
+    assert np.array_equal(backward(scalar)[root], np.ones((2, 3)))
 
 
 def test_backward_accumulates_over_two_consumers():

@@ -121,6 +121,23 @@ def test_lodo_report_and_determinism(dataset_dir, config_path, tmp_path):
     assert set(doc["footer"]) == {"ce_only", "alternate"}
 
 
+def test_lodo_prints_the_paired_summary_to_stderr_only(dataset_dir, config_path, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    argv = ["lodo", "--data", str(dataset_dir), "--config", str(config_path), "--seeds", "0,1", "--out", str(out)]
+    assert cli.main([*argv, "--methods", "ce_only,alternate"]) == 0
+    captured = capsys.readouterr()
+    report = evaluation.RunReport(
+        [evaluation.ReportRow(r["target"], r["method"], r["accuracies"]) for r in json.loads(out.read_text())["rows"]],
+        fingerprint="", seeds=[0, 1],
+    )
+    assert captured.out == report.to_text() + "\n"
+    assert captured.err == evaluation.paired_text(report) + "\n"
+    assert "paired" not in out.read_text()
+    # without the baseline there is nothing to pair with
+    assert cli.main([*argv, "--methods", "alternate"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_ablation_cli(dataset_dir, config_path, tmp_path):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps([[0.0, 0.0, 0.0], [0.1, 50.0, 70.0]]))
@@ -412,8 +429,12 @@ def test_train_on_data_missing_a_declared_class_exits_one(config_path, tmp_path,
 
 @pytest.mark.parametrize(
     "flag, value, message",
-    [("--sg-n", "0", "replicate count must be >= 1"), ("--sg-sigma", "-0.5", "sigma must be >= 0")],
-    ids=["sg-n", "sg-sigma"],
+    [
+        ("--sg-n", "0", "replicate count must be >= 1"),
+        ("--sg-sigma", "-0.5", "sigma must be >= 0"),
+        ("--sg-seed", "-1", "seed must be a non-negative integer"),
+    ],
+    ids=["sg-n", "sg-sigma", "sg-seed"],
 )
 def test_saliency_flags_checked_before_loading_anything(flag, value, message, tmp_path, capsys):
     missing = tmp_path / "missing"
@@ -635,6 +656,19 @@ def test_unknown_layer_kind_exits_one(checkpoint_doc, dataset_dir, tmp_path):
         assert result.returncode == 1, result.stderr
         assert "bogus" in result.stderr and "Traceback" not in result.stderr
     assert not (tmp_path / "features.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["saliency-export", "export-features"])
+def test_checkpoint_without_the_affine_head_exits_one_at_load(command, checkpoint_doc, monkeypatch, tmp_path, capsys):
+    doc = json.loads(json.dumps(checkpoint_doc))
+    del doc["layers"][-1]  # the MLP now ends in relu, and its forward pass still runs
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "load_dataset", lambda *a: pytest.fail("read data for a checkpoint without a head"))
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--checkpoint", str(bad), "--data", str(tmp_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: the last layer must be the affine head\n"
+    assert list(tmp_path.iterdir()) == [bad]
 
 
 def test_negative_saliency_sample_count_exits_one(checkpoint_doc, dataset_dir, tmp_path):

@@ -18,6 +18,8 @@ from dglab.evaluation import (
     grid_label,
     grid_points,
     lodo_experiment,
+    paired_summary,
+    paired_text,
 )
 from dglab.models import build_mlp
 from dglab.trainer import TrainConfig
@@ -279,3 +281,46 @@ def test_export_features_shape_and_determinism(tmp_path):
     assert len(lines) == ds.n + 1
     assert lines[0] == "domain,label," + ",".join(f"f{i}" for i in range(6))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _two_method_report(seeds=3):
+    accuracies = {
+        ("a", "ce_only"): [0.5, 0.6, 0.4], ("b", "ce_only"): [0.7, 0.8, 0.9],
+        ("a", "m"): [0.6, 0.6, 0.5], ("b", "m"): [0.7, 0.9, 0.7],
+    }
+    rows = [ReportRow(t, m, acc[:seeds]) for (t, m), acc in accuracies.items()]
+    return RunReport(rows, fingerprint="x", seeds=list(range(seeds)))
+
+
+def test_paired_summary_pairs_by_seed_and_target():
+    summary = paired_summary(_two_method_report())
+    m = summary["m"]
+    # per-seed target means of the differences: 0.05, 0.05, -0.05
+    assert m.mean == pytest.approx(0.05 / 3)
+    assert m.stderr == pytest.approx(math.sqrt(((0.1 / 3) ** 2 * 2 + (0.2 / 3) ** 2) / 2 / 3))
+    assert m.per_target == pytest.approx({"a": 0.2 / 3, "b": -0.1 / 3})
+    assert (m.worst_target, m.worst_accuracy) == ("a", pytest.approx(1.7 / 3))
+    base = summary["ce_only"]
+    assert (base.mean, base.stderr, base.per_target) == (0.0, 0.0, {"a": 0.0, "b": 0.0})
+    assert (base.worst_target, base.worst_accuracy) == ("a", pytest.approx(0.5))
+
+
+def test_paired_summary_has_no_standard_error_below_two_seeds():
+    m = paired_summary(_two_method_report(seeds=1))["m"]
+    assert m.mean == pytest.approx(0.05) and m.stderr is None
+
+
+def test_paired_summary_needs_the_baseline():
+    with pytest.raises(ContractError, match="no 'alternate' rows"):
+        paired_summary(_two_method_report(), baseline="alternate")
+    assert set(paired_summary(_two_method_report(), baseline="m")) == {"ce_only", "m"}
+
+
+def test_paired_text_shows_points():
+    lines = paired_text(_two_method_report()).splitlines()
+    assert lines[0].startswith("paired difference to ce_only in points over 3 seeds")
+    assert lines[1].split() == ["Method", "diff", "se", "a", "b", "worst"]
+    assert lines[2].split() == ["ce_only", "+0.00", "0.00", "+0.00", "+0.00", "a", "50.00"]
+    assert lines[3].split() == ["m", "+1.67", "3.33", "+6.67", "-3.33", "a", "56.67"]
+    one_seed = paired_text(_two_method_report(seeds=1)).splitlines()
+    assert "over 1 seed " in one_seed[0] and one_seed[3].split()[:3] == ["m", "+5.00", "-"]

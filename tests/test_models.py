@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from dglab import autodiff as ad
+from dglab import models
 from dglab.autodiff import Tensor, grad_check
 from dglab.errors import ConfigError, DimensionError
 from dglab.models import (
@@ -195,3 +198,65 @@ def test_input_gradient_needs_one_class_per_row():
     model = build_mlp([4, 6], 3, seed=0)
     with pytest.raises(DimensionError):
         class_logit_input_gradients(model, np.zeros((3, 4)), [0, 1])
+
+
+def _picked_logit_gradients(model, values, classes):
+    """Input gradients as the backward pass of the summed picked logits through
+    the whole network, head included, chunked as the library chunks."""
+    rows = max(1, models.INPUT_GRADIENT_CHUNK_ELEMENTS // models._largest_row_intermediate(model, values.shape[1:]))
+    grads = np.empty_like(values)
+    for start in range(0, values.shape[0], rows):
+        leaf = Tensor(values[start : start + rows])
+        picked = ad.take_per_row(forward(model, leaf), classes[start : start + rows])
+        grads[start : start + rows] = ad.backward(ad.sum_all(picked), wrt=(leaf,))[leaf]
+    return grads
+
+
+INPUT_GRADIENT_CASES = {
+    "mlp-32": (lambda: build_mlp([18, 32], 3, seed=41), (1600, 18)),
+    "mlp-16-8": (lambda: build_mlp([18, 16, 8], 3, seed=42), (1600, 18)),
+    "linear": (lambda: build_mlp([18], 3, seed=43), (1600, 18)),
+    "cnn1d": (lambda: build_cnn1d([1, 8, 16], 5, 3, seed=44), (250, 1, 64)),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_GRADIENT_CASES))
+def test_input_gradients_are_bitwise_the_picked_logit_graph(case):
+    build, shape = INPUT_GRADIENT_CASES[case]
+    model = build()
+    if case == "cnn1d":  # the stack spans three chunks, the last one partial
+        assert 2 * models.INPUT_GRADIENT_CHUNK_ELEMENTS // models._largest_row_intermediate(model, shape[1:]) < 250
+    rng = np.random.default_rng(45)
+    values = rng.standard_normal(shape)
+    classes = rng.integers(0, 3, shape[0])
+    got = class_logit_input_gradients(model, values, classes)
+    assert got.tobytes() == _picked_logit_gradients(model, values, classes).tobytes()
+
+
+def test_input_gradients_never_run_the_head(monkeypatch):
+    model = build_mlp([4, 6], 3, seed=46)
+    monkeypatch.setattr(models, "forward", lambda *a: pytest.fail("ran the head forward"))
+    for op in ("take_per_row", "sum_all"):
+        monkeypatch.setattr(ad, op, lambda *a: pytest.fail(f"built a {op} node"))
+    grads = class_logit_input_gradients(model, np.random.default_rng(47).standard_normal((5, 4)), [0, 1, 2, 0, 1])
+    assert grads.shape == (5, 4)
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn1d"])
+def test_load_model_rejects_a_checkpoint_without_the_affine_head(arch, tmp_path):
+    model = build_mlp([4, 8], 3, seed=0) if arch == "mlp" else build_cnn1d([1, 4], 3, 3, seed=0)
+    del model.layers[-1]  # now ends in relu (mlp) or gap (cnn1d); forward still runs
+    forward(model, np.zeros((1, 4) if arch == "mlp" else (1, 1, 5)))
+    path = tmp_path / "ckpt.json"
+    save_model(model, path)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: the last layer must be the affine head$"):
+        load_model(path)
+
+
+def test_load_model_names_the_file_of_an_unknown_layer_kind(tmp_path):
+    model = build_mlp([4, 8], 3, seed=0)
+    model.layers.insert(1, {"kind": "bogus"})
+    path = tmp_path / "ckpt.json"
+    save_model(model, path)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: unknown layer kind 'bogus'$"):
+        load_model(path)

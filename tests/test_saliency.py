@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,36 @@ def test_config_validation():
         SmoothGradConfig(sigma=-0.1)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("sigma", float("nan"), "sigma must be a finite number, got nan"),
+        ("sigma", float("inf"), "sigma must be a finite number, got inf"),
+        ("sigma", -float("inf"), "sigma must be a finite number, got -inf"),
+        ("sigma", True, "sigma must be a finite number, got True"),
+        ("sigma", "0.1", "sigma must be a finite number, got '0.1'"),
+        ("n", 2.5, "replicate count must be an integer, got 2.5"),
+        ("n", 3.0, "replicate count must be an integer, got 3.0"),
+        ("n", True, "replicate count must be an integer, got True"),
+        ("n", None, "replicate count must be an integer, got None"),
+        ("seed", -1, "seed must be a non-negative integer, got -1"),
+        ("seed", 2.5, "seed must be a non-negative integer, got 2.5"),
+        ("seed", True, "seed must be a non-negative integer, got True"),
+    ],
+)
+def test_config_rejects_what_is_not_a_count_a_finite_scale_or_a_seed(field, value, message):
+    # nan gave an all-zero map, inf finite nonsense, n=2.5 or True a TypeError,
+    # and a negative seed a ValueError from numpy at the first call
+    with pytest.raises(ConfigError, match=f"^smoothgrad {re.escape(message)}$"):
+        SmoothGradConfig(**{field: value})
+
+
+def test_config_takes_numpy_scalars():
+    cfg = SmoothGradConfig(n=np.int64(3), sigma=np.float64(0.2), seed=1)
+    model, x = build_mlp([4, 6], 3, seed=48), np.random.default_rng(49).standard_normal(4)
+    assert np.array_equal(smoothgrad(model, x, 1, cfg), smoothgrad(model, x, 1, SmoothGradConfig(3, 0.2, 1)))
+
+
 def test_class_out_of_range():
     model = build_mlp([4], 3, seed=0)
     with pytest.raises(IndexError):
@@ -205,3 +237,33 @@ def test_sample_shape_mismatch_raises_dimension_error():
             vanilla_saliency(model, x, 0)
         with pytest.raises(DimensionError):
             smoothgrad(model, x, 0, SmoothGradConfig(n=3))
+
+
+def _sample_major_smoothgrad(model, samples, classes, cfg):
+    """SmoothGrad with the replicates stacked sample-major, (k, n): row i*n + r
+    is replicate r of sample i, and the average is a mean over axis 1."""
+    k, shape = samples.shape[0], samples.shape[1:]
+    flat = samples.reshape(k, -1)
+    sigma_abs = cfg.sigma * (flat.max(axis=1) - flat.min(axis=1))
+    n = cfg.n if sigma_abs.any() else 1
+    noise = np.random.default_rng(cfg.seed).standard_normal((n, *shape))
+    replicates = samples[:, None] + noise * sigma_abs.reshape(k, *(1,) * (1 + len(shape)))
+    grads = class_logit_input_gradients(model, replicates.reshape(k * n, *shape), np.repeat(classes, n))
+    squared = (grads * grads).reshape(k, n, *shape)
+    return np.maximum(squared[:, 0] + (squared - squared[:, :1]).mean(axis=1), 0.0)
+
+
+@pytest.mark.parametrize("sigma", [0.15, 0.0], ids=["n-25", "noise-free"])
+@pytest.mark.parametrize("arch", ["mlp", "cnn1d"])
+def test_replicate_major_smoothgrad_is_bitwise_the_sample_major_stack(arch, sigma):
+    # the mask step's shape: 64 samples x 25 replicates, one 1600-row pass for
+    # the MLP; the cnn1d stack spans 16 chunks, cut at other rows in each layout
+    rng = np.random.default_rng(50)
+    if arch == "mlp":
+        model, X = build_mlp([18, 32], 3, seed=51), rng.standard_normal((64, 18))
+    else:
+        model, X = build_cnn1d([1, 8, 16], 5, 3, seed=52), rng.standard_normal((64, 1, 64))
+    X[5] = 0.25  # a constant row gets no noise
+    y = rng.integers(0, 3, 64)
+    cfg = SmoothGradConfig(n=25, sigma=sigma, seed=53)
+    assert smoothgrad(model, X, y, cfg).tobytes() == _sample_major_smoothgrad(model, X, y, cfg).tobytes()
