@@ -475,8 +475,10 @@ def load_dataset(path) -> DomainDataset:
 # splits and batching
 
 
-def leave_one_domain_out(ds: DomainDataset, target: str):
-    """Partition into (domain-free train view, target test set)."""
+def target_rows(ds: DomainDataset, target: str) -> np.ndarray:
+    """Row mask of domain ``target``, the test set of its leave-one-domain-out
+    split; a split without source domains or without target rows raises
+    ConfigError."""
     if len(ds.domain_names) < 2:
         raise ConfigError("leave_one_domain_out needs at least 2 domains")
     if target not in ds.domain_names:
@@ -484,6 +486,12 @@ def leave_one_domain_out(ds: DomainDataset, target: str):
     test_mask = ds.domain == target
     if not test_mask.any():
         raise ConfigError(f"target domain {target!r} has no rows")
+    return test_mask
+
+
+def leave_one_domain_out(ds: DomainDataset, target: str):
+    """Partition into (domain-free train view, target test set)."""
+    test_mask = target_rows(ds, target)
     train = TrainView(X=ds.X[~test_mask], y=ds.y[~test_mask])
     test = DomainDataset(
         X=ds.X[test_mask],
@@ -495,21 +503,31 @@ def leave_one_domain_out(ds: DomainDataset, target: str):
     return train, test
 
 
-def split_holdout(view: TrainView, fraction: float = 0.1, seed: int = 0):
-    """Split off a stratified in-source validation fraction; returns (train, held)."""
+def holdout_rows(y: np.ndarray, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted row indices (kept, held) of a stratified in-source validation
+    split of labels ``y``: each class present holds out a ``fraction`` of
+    its rows, at least one, drawn from a generator seeded with ``seed``."""
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"holdout fraction must be in (0, 1), got {fraction}")
     rng = np.random.default_rng(seed)
-    held_idx = []
-    for c in np.unique(view.y):
-        pool = np.flatnonzero(view.y == c)
+    held = []
+    for c in np.unique(y):
+        pool = np.flatnonzero(y == c)
         take = max(1, int(round(fraction * pool.size)))
-        held_idx.append(rng.permutation(pool)[:take])
-    held_idx = np.sort(np.concatenate(held_idx))
-    keep = np.setdiff1d(np.arange(view.y.size), held_idx)
+        held.append(rng.permutation(pool)[:take])
+    held = np.sort(np.concatenate(held))
+    # the sorted complement by a mask, without the sort setdiff1d would run
+    kept = np.ones(y.size, dtype=bool)
+    kept[held] = False
+    return np.flatnonzero(kept), held
+
+
+def split_holdout(view: TrainView, fraction: float = 0.1, seed: int = 0):
+    """Split off a stratified in-source validation fraction; returns (train, held)."""
+    kept, held = holdout_rows(view.y, fraction, seed)
     return (
-        TrainView(X=view.X[keep], y=view.y[keep]),
-        TrainView(X=view.X[held_idx], y=view.y[held_idx]),
+        TrainView(X=view.X[kept], y=view.y[kept]),
+        TrainView(X=view.X[held], y=view.y[held]),
     )
 
 

@@ -22,13 +22,15 @@ from .data import (
     DomainDataset,
     check_every_class,
     check_finite,
+    holdout_rows,
     leave_one_domain_out,
     split_holdout,
+    target_rows,
     write_json,
     write_rows,
 )
 from .errors import ConfigError, ContractError, NumericError
-from .models import Model, features, forward, model_batch
+from .models import Model, features, forward, head_weight, model_batch, row_chunks
 from .trainer import TrainConfig, train
 
 REPORT_FORMAT = "dglab-report-v1"
@@ -177,9 +179,12 @@ def paired_text(report: RunReport, baseline: str = "ce_only") -> str:
 
 
 def _accuracy(model: Model, X: np.ndarray, y: np.ndarray) -> float:
+    batch = model_batch(model, X)
+    predictions = np.empty(len(batch), dtype=np.intp)
     with no_grad():
-        logits = forward(model, Tensor(model_batch(model, X))).values
-    predictions = np.argmax(logits, axis=1)  # argmax ties resolve to the lowest class
+        for rows in row_chunks(model, batch):
+            # argmax ties resolve to the lowest class
+            predictions[rows] = np.argmax(forward(model, Tensor(batch[rows])).values, axis=1)
     return float(np.mean(predictions == y))
 
 
@@ -215,7 +220,8 @@ def _lodo_report(
 ) -> RunReport:
     """Report every (target domain, labelled config, seed) cell, trained target
     by target and listed point by point for an ablation ``grid``. Every run's
-    config and every source split is built and checked before the first run trains."""
+    config and every source split's labels are checked before the first run
+    trains; a target's split samples exist only while its runs train."""
     if not seeds:
         raise ConfigError("a leave-one-domain-out experiment needs at least one seed")
     runs = {label: [replace(c, seed=s) for s in seeds] for label, c in configs.items()}
@@ -227,35 +233,47 @@ def _lodo_report(
     # a target domain's row is checked too: argmax scores a nan logit row as class 0
     check_finite(ds.X, "dataset")
     after = "" if holdout_fraction is None else " after the holdout split"
-    splits = []
     for target in ds.domain_names:
-        train_view, test = leave_one_domain_out(ds, target)
-        views = [
-            (train_view, None) if holdout_fraction is None else split_holdout(train_view, holdout_fraction, seed=s)
-            for s in seeds
-        ]
-        for view, _val_view in views:
+        source_y = ds.y[~target_rows(ds, target)]
+        if holdout_fraction is None:
+            split_labels = [source_y]
+        else:
+            split_labels = [source_y[holdout_rows(source_y, holdout_fraction, s)[0]] for s in seeds]
+        for labels in split_labels:
             # a class the source split lacks would break batching or shrink the head
-            check_every_class(view.y, ds.num_classes, f"target={target}: the source split", after)
-        splits.append((target, test, views))
+            check_every_class(labels, ds.num_classes, f"target={target}: the source split", after)
 
-    rows: list[ReportRow] = []
-    for target, test, views in splits:
-        for label, run_cfgs in runs.items():
-            accuracies, vals = [], []
-            for seed, run_cfg, (view, val_view) in zip(seeds, run_cfgs, views):
-                try:
-                    model, _history = train(view, run_cfg)
-                except NumericError as e:
-                    raise NumericError(f"target={target} method={label} seed={seed}: {e}") from e
-                accuracies.append(evaluate(model, test))
-                if val_view is not None:
-                    vals.append(_accuracy(model, val_view.X, val_view.y))
-            rows.append(ReportRow(target, label, accuracies, source_val=vals or None))
+    rows = [row for target in ds.domain_names for row in _train_target(ds, target, runs, seeds, holdout_fraction)]
     if grid is not None:
         rows.sort(key=lambda r: list(configs).index(r.method))
     extra = {"methods": list(configs)} if grid is None else {"grid": grid}
     return RunReport(rows, _fingerprint(cfg, ds, {**extra, "seeds": seeds}), seeds, grid)
+
+
+def _train_target(
+    ds: DomainDataset, target: str, runs: dict[str, list[TrainConfig]], seeds: list[int],
+    holdout_fraction: float | None,
+) -> list[ReportRow]:
+    """Train and score every run of one target domain, one row per label.
+    The target's splits are built here and dropped on return."""
+    train_view, test = leave_one_domain_out(ds, target)
+    views = [
+        (train_view, None) if holdout_fraction is None else split_holdout(train_view, holdout_fraction, seed=s)
+        for s in seeds
+    ]
+    rows = []
+    for label, run_cfgs in runs.items():
+        accuracies, vals = [], []
+        for seed, run_cfg, (view, val_view) in zip(seeds, run_cfgs, views):
+            try:
+                model, _history = train(view, run_cfg)
+            except NumericError as e:
+                raise NumericError(f"target={target} method={label} seed={seed}: {e}") from e
+            accuracies.append(evaluate(model, test))
+            if val_view is not None:
+                vals.append(_accuracy(model, val_view.X, val_view.y))
+        rows.append(ReportRow(target, label, accuracies, source_val=vals or None))
+    return rows
 
 
 def lodo_experiment(
@@ -347,6 +365,9 @@ def ablation_text(report: RunReport) -> str:
 
 def export_features(model: Model, held: DomainDataset, path) -> None:
     """Write penultimate-layer activations with domain and label columns."""
+    batch = model_batch(model, held.X)
+    feats = np.empty((len(batch), head_weight(model).shape[0]))
     with no_grad():
-        feats = features(model, Tensor(model_batch(model, held.X))).values
+        for rows in row_chunks(model, batch):
+            feats[rows] = features(model, Tensor(batch[rows])).values
     write_rows(path, "f", held.domain, held.y, feats)

@@ -21,12 +21,14 @@ from .errors import ConfigError, DimensionError
 
 CHECKPOINT_FORMAT = "dglab-checkpoint-v1"
 
-# Cap on rows x largest per-row intermediate in one input-gradient pass
-# (2**18 float64 = 2 MiB). Unchunked, a 1600-row SmoothGrad stack through
-# the default 1-d CNN raised an 8-iteration waveforms LODO run's peak RSS
-# from 68 to 167 MB; at this cap the CNN takes ~100 rows per chunk and the
-# MLP still takes all 1600 rows in one pass.
-INPUT_GRADIENT_CHUNK_ELEMENTS = 2**18
+# Cap on rows x largest per-row intermediate in one chunk of a batch-wide
+# pass: the input-gradient pass, evaluation and feature export (2**18
+# float64 = 2 MiB). Unchunked, a 1600-row SmoothGrad stack through the
+# default 1-d CNN raised an 8-iteration waveforms LODO run's peak RSS from
+# 68 to 167 MB, and a cnn1d forward pass over a whole test domain grew with
+# its rows; at this cap the CNN takes ~100 rows per chunk and the MLP takes
+# 8192 rows at hidden=(32,), so a whole 1600-row stack in one pass.
+ROW_CHUNK_ELEMENTS = 2**18
 
 
 @dataclass
@@ -171,11 +173,12 @@ def _check_head(model: Model) -> None:
 
 def model_batch(model: Model, X: np.ndarray) -> np.ndarray:
     """Lay a (n, *sample_shape) array out as the model's input: an MLP takes flat rows."""
-    return X.reshape(X.shape[0], -1) if len(model.input_shape) == 1 else X
+    # the width is spelled out: reshape cannot infer a -1 extent from zero rows
+    return X.reshape(X.shape[0], math.prod(X.shape[1:])) if len(model.input_shape) == 1 else X
 
 
 def _largest_row_intermediate(model: Model, row_shape: tuple) -> int:
-    """Float64 elements per row of the widest array an input-gradient pass builds.
+    """Float64 elements per row of the widest array a batch-wide pass builds.
 
     conv1d counts its output and the (c_in, kernel, length) columns its
     forward pass builds and keeps for the weight gradient.
@@ -191,6 +194,29 @@ def _largest_row_intermediate(model: Model, row_shape: tuple) -> int:
     return largest
 
 
+def row_chunks(model: Model, values: np.ndarray) -> list[slice]:
+    """Consecutive row slices that cover a checked input batch ``values``.
+
+    Each slice holds ROW_CHUNK_ELEMENTS // (largest per-row intermediate)
+    rows, at least one; the last may hold fewer, and zero rows give no
+    slice. Rows pass through the network independently, so a pass walked
+    chunk by chunk into a preallocated output bounds its peak memory and
+    computes each row as a one-pass call does: conv1d and pooling run row
+    by row, but an affine layer's matrix product over another row count
+    may round a row's last bit differently (the BLAS picks its kernel and
+    blocking by size).
+    """
+    _check_batch_shape(model, values.shape)
+    rows = max(1, ROW_CHUNK_ELEMENTS // _largest_row_intermediate(model, values.shape[1:]))
+    return [slice(start, start + rows) for start in range(0, values.shape[0], rows)]
+
+
+def head_weight(model: Model) -> np.ndarray:
+    """The affine head's weight, shaped (features width, num_classes)."""
+    _check_head(model)
+    return model.params[f"{model.layers[-1]['name']}_w"].values
+
+
 def class_logit_input_gradients(model: Model, batch_values: np.ndarray, classes) -> np.ndarray:
     """Per-row gradients d f(x_i)[c_i] / d x_i for a stacked batch.
 
@@ -199,12 +225,10 @@ def class_logit_input_gradients(model: Model, batch_values: np.ndarray, classes)
     i's class column, one pass through the layers below the head yields
     every row's own input gradient (rows pass through the network
     independently). The pass differentiates only toward the input, never
-    the parameters. The stack is walked in chunks of at most
-    INPUT_GRADIENT_CHUNK_ELEMENTS // (largest per-row intermediate) rows,
-    which bounds peak memory without changing any row's result.
+    the parameters. The stack is walked in the chunks of ``row_chunks``.
     """
     values = np.asarray(batch_values, dtype=np.float64)
-    _check_batch_shape(model, values.shape)
+    chunks = row_chunks(model, values)
     classes = np.asarray(classes, dtype=np.intp)
     if classes.shape != values.shape[:1]:
         raise DimensionError(f"need one class per row: {classes.shape} for {values.shape[0]} rows")
@@ -212,14 +236,12 @@ def class_logit_input_gradients(model: Model, batch_values: np.ndarray, classes)
         raise IndexError(
             f"class index out of range: {classes} for {model.num_classes} classes"
         )
-    rows = max(1, INPUT_GRADIENT_CHUNK_ELEMENTS // _largest_row_intermediate(model, values.shape[1:]))
+    head_w = head_weight(model)
     grads = np.empty_like(values)
-    for start in range(0, values.shape[0], rows):
-        leaf = Tensor(values[start : start + rows])
-        feats = features(model, leaf)
-        head_w = model.params[f"{model.layers[-1]['name']}_w"].values
-        seed = np.take(head_w.T, classes[start : start + rows], axis=0)
-        grads[start : start + rows] = ad.backward(feats, wrt=(leaf,), grad=seed)[leaf]
+    for rows in chunks:
+        leaf = Tensor(values[rows])
+        seed = np.take(head_w.T, classes[rows], axis=0)
+        grads[rows] = ad.backward(features(model, leaf), wrt=(leaf,), grad=seed)[leaf]
     return grads
 
 
@@ -264,9 +286,13 @@ def load_model(path) -> Model:
         model = Model(doc["layers"], params, int(doc["num_classes"]), input_shape, int(doc["seed"]))
         # the head rule of features and input gradients, then a one-row probe,
         # which meets every layer's name and parameters as a forward pass does
+        # and gives the head's width
         _check_head(model)
         with ad.no_grad():
-            forward(model, np.zeros((1, *(1 if d is None else d for d in input_shape))))
+            logits = forward(model, np.zeros((1, *(1 if d is None else d for d in input_shape)))).values
+        # every class index is checked against num_classes, so it must be the head's width
+        if logits.shape[-1] != model.num_classes:
+            raise ConfigError(f"the head has {logits.shape[-1]} outputs, but num_classes is {model.num_classes}")
         return model
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e

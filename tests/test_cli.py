@@ -671,6 +671,20 @@ def test_checkpoint_without_the_affine_head_exits_one_at_load(command, checkpoin
     assert list(tmp_path.iterdir()) == [bad]
 
 
+def test_checkpoint_with_a_wrong_num_classes_exits_one_before_saliency_export_writes(
+    checkpoint_doc, dataset_dir, tmp_path, capsys
+):
+    doc = json.loads(json.dumps(checkpoint_doc))
+    doc["num_classes"] = 2  # the head still has 3 columns; class-2 rows start at row 80
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(doc))
+    args = ["saliency-export", "--checkpoint", str(bad), "--data", str(dataset_dir), "--samples", "100",
+            "--sg-n", "1", "--out", str(tmp_path / "sal.csv")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == f"error: {bad}: the head has 3 outputs, but num_classes is 2\n"
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 def test_negative_saliency_sample_count_exits_one(checkpoint_doc, dataset_dir, tmp_path):
     checkpoint = tmp_path / "checkpoint.json"
     checkpoint.write_text(json.dumps(checkpoint_doc))
@@ -741,10 +755,12 @@ MISSING_CLASS_CASES = {
 
 @pytest.mark.filterwarnings("ignore:classes missing")
 @pytest.mark.parametrize("case", MISSING_CLASS_CASES.values(), ids=MISSING_CLASS_CASES.keys())
-def test_class_missing_from_a_source_split_exits_one(case, config_path, tmp_path, capsys):
+def test_class_missing_from_a_source_split_exits_one(case, monkeypatch, config_path, tmp_path, capsys):
     command, missing, rows_outside_target, extra, message = case
     data = tmp_path / "ds"
     _dataset_missing_a_class(data, missing, rows_outside_target)
+    # only the last target's split lacks the class, and it is found before any run trains
+    monkeypatch.setattr(evaluation, "train", lambda *a: pytest.fail("trained before every split was checked"))
     args = [command, "--data", str(data), "--config", str(config_path), "--seeds", "0",
             "--out", str(tmp_path / "report.json"), *extra, *_grid_or_methods(command, "ce_only", tmp_path)]
     assert cli.main(args) == 1

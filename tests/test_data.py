@@ -21,6 +21,7 @@ from dglab.data import (
     class_balanced_batches,
     generate_shifted_waveforms,
     generate_spurious_gaussian,
+    holdout_rows,
     leave_one_domain_out,
     load_dataset,
     open_for_rewrite,
@@ -674,6 +675,31 @@ def test_split_holdout_stratified_partition():
     assert rest.X.shape[0] + held.X.shape[0] == ds.n
     assert set(np.unique(held.y)) == set(range(ds.num_classes))
     assert set(np.unique(rest.y)) == set(range(ds.num_classes))
+
+
+def reference_split_holdout(view, fraction, seed):
+    """The stratified split as it drew its rows before holdout_rows existed."""
+    rng = np.random.default_rng(seed)
+    held_idx = []
+    for c in np.unique(view.y):
+        pool = np.flatnonzero(view.y == c)
+        take = max(1, int(round(fraction * pool.size)))
+        held_idx.append(rng.permutation(pool)[:take])
+    held_idx = np.sort(np.concatenate(held_idx))
+    keep = np.setdiff1d(np.arange(view.y.size), held_idx)
+    return view.X[keep], view.X[held_idx]
+
+
+@pytest.mark.parametrize("fraction, seed", [(0.1, 0), (0.1, 7), (0.25, 3), (0.9, 1)])
+def test_holdout_rows_are_the_split_holdout_rows(fraction, seed):
+    ds = small_gaussian()
+    view, _ = leave_one_domain_out(ds, "d1")
+    kept, held = holdout_rows(view.y, fraction, seed)
+    want_kept, want_held = reference_split_holdout(view, fraction, seed)
+    assert view.X[kept].tobytes() == want_kept.tobytes()
+    assert view.X[held].tobytes() == want_held.tobytes()
+    rest, held_view = split_holdout(view, fraction, seed=seed)
+    assert rest.X.tobytes() == want_kept.tobytes() and held_view.X.tobytes() == want_held.tobytes()
 
 
 def test_balanced_batches_exact_size_and_every_class():

@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dglab.data import DomainDataset, generate_spurious_gaussian
-from dglab import evaluation
+from dglab.data import DomainDataset, generate_shifted_waveforms, generate_spurious_gaussian, write_rows
+from dglab import evaluation, models
 from dglab.errors import ConfigError, ContractError, DataFormatError
 from dglab.evaluation import (
     RunReport,
@@ -21,7 +22,7 @@ from dglab.evaluation import (
     paired_summary,
     paired_text,
 )
-from dglab.models import build_mlp
+from dglab.models import build_cnn1d, build_mlp, features, forward, model_batch
 from dglab.trainer import TrainConfig
 
 
@@ -281,6 +282,68 @@ def test_export_features_shape_and_determinism(tmp_path):
     assert len(lines) == ds.n + 1
     assert lines[0] == "domain,label," + ",".join(f"f{i}" for i in range(6))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+CHUNKED_CASES = {
+    # 270 and 30 rows: 7-row chunks leave a partial last chunk of 4 and 2 rows
+    "mlp": lambda: (build_mlp([10, 6], 3, seed=5), tiny_dataset()),
+    "cnn1d": lambda: (
+        build_cnn1d([1, 8, 16], 5, 3, seed=5),
+        generate_shifted_waveforms(num_domains=2, length=16, n_per_domain_class=5, seed=5),
+    ),
+}
+
+
+@pytest.mark.parametrize("arch", list(CHUNKED_CASES))
+def test_chunked_evaluate_and_export_are_the_one_pass_forward(arch, monkeypatch, tmp_path):
+    model, ds = CHUNKED_CASES[arch]()
+    batch = model_batch(model, ds.X)
+    logits, feats = forward(model, batch).values, features(model, batch).values
+    monkeypatch.setattr(models, "ROW_CHUNK_ELEMENTS", 7 * models._largest_row_intermediate(model, batch.shape[1:]))
+    chunks = models.row_chunks(model, batch)
+    assert len(chunks) > 1 and len(range(ds.n)[chunks[-1]]) < 7
+
+    seen = []
+
+    def recording_forward(model, x):
+        out = forward(model, x)
+        seen.append(out.values)
+        return out
+
+    monkeypatch.setattr(evaluation, "forward", recording_forward)
+    assert evaluate(model, ds) == float(np.mean(np.argmax(logits, axis=1) == ds.y))
+    assert len(seen) == len(chunks)
+    # the head's matrix product may round a logit's last bit differently in a
+    # 7-row pass than in one pass (the BLAS treats a row by its place in its
+    # blocks); the features these models feed the head come out bit for bit
+    np.testing.assert_allclose(np.concatenate(seen), logits, rtol=1e-13, atol=0)
+    assert np.array_equal(np.argmax(np.concatenate(seen), axis=1), np.argmax(logits, axis=1))
+    export_features(model, ds, tmp_path / "chunked.csv")
+    write_rows(tmp_path / "one_pass.csv", "f", ds.domain, ds.y, feats)
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "one_pass.csv").read_bytes()
+
+
+@pytest.mark.parametrize("arch", list(CHUNKED_CASES))
+def test_export_features_of_zero_rows_writes_the_header(arch, tmp_path):
+    model, ds = CHUNKED_CASES[arch]()
+    empty = DomainDataset(X=ds.X[:0], y=ds.y[:0], domain=ds.domain[:0], num_classes=3, domain_names=ds.domain_names)
+    export_features(model, empty, tmp_path / "features.csv")
+    width = 6 if arch == "mlp" else 16
+    assert (tmp_path / "features.csv").read_text() == "domain,label," + ",".join(f"f{i}" for i in range(width)) + "\n"
+
+
+def test_evaluate_peak_memory_does_not_grow_with_the_test_set():
+    model = build_cnn1d([1, 8, 16], 5, 3, seed=0)  # the trainer's default CNN
+    peaks = []
+    for n_per_domain_class in (50, 200):  # 600 and 2400 rows
+        ds = generate_shifted_waveforms(n_per_domain_class=n_per_domain_class, seed=0)
+        tracemalloc.start()
+        try:
+            evaluate(model, ds)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 
 def _two_method_report(seeds=3):

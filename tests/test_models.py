@@ -203,7 +203,7 @@ def test_input_gradient_needs_one_class_per_row():
 def _picked_logit_gradients(model, values, classes):
     """Input gradients as the backward pass of the summed picked logits through
     the whole network, head included, chunked as the library chunks."""
-    rows = max(1, models.INPUT_GRADIENT_CHUNK_ELEMENTS // models._largest_row_intermediate(model, values.shape[1:]))
+    rows = max(1, models.ROW_CHUNK_ELEMENTS // models._largest_row_intermediate(model, values.shape[1:]))
     grads = np.empty_like(values)
     for start in range(0, values.shape[0], rows):
         leaf = Tensor(values[start : start + rows])
@@ -225,12 +225,20 @@ def test_input_gradients_are_bitwise_the_picked_logit_graph(case):
     build, shape = INPUT_GRADIENT_CASES[case]
     model = build()
     if case == "cnn1d":  # the stack spans three chunks, the last one partial
-        assert 2 * models.INPUT_GRADIENT_CHUNK_ELEMENTS // models._largest_row_intermediate(model, shape[1:]) < 250
+        assert 2 * models.ROW_CHUNK_ELEMENTS // models._largest_row_intermediate(model, shape[1:]) < 250
     rng = np.random.default_rng(45)
     values = rng.standard_normal(shape)
     classes = rng.integers(0, 3, shape[0])
     got = class_logit_input_gradients(model, values, classes)
     assert got.tobytes() == _picked_logit_gradients(model, values, classes).tobytes()
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn1d"])
+def test_input_gradients_of_zero_rows_are_empty(arch):
+    model = build_mlp([4, 6], 3, seed=0) if arch == "mlp" else build_cnn1d([1, 4], 3, 3, seed=0)
+    values = np.zeros((0, 4) if arch == "mlp" else (0, 1, 9))
+    assert models.row_chunks(model, values) == []
+    assert class_logit_input_gradients(model, values, []).shape == values.shape
 
 
 def test_input_gradients_never_run_the_head(monkeypatch):
@@ -250,6 +258,17 @@ def test_load_model_rejects_a_checkpoint_without_the_affine_head(arch, tmp_path)
     path = tmp_path / "ckpt.json"
     save_model(model, path)
     with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: the last layer must be the affine head$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("num_classes", [2, 4])
+def test_load_model_rejects_a_num_classes_the_head_does_not_have(num_classes, tmp_path):
+    model = build_mlp([4, 8], 3, seed=0)
+    model.num_classes = num_classes
+    path = tmp_path / "ckpt.json"
+    save_model(model, path)
+    message = f"{path}: the head has 3 outputs, but num_classes is {num_classes}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         load_model(path)
 
 

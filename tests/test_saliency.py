@@ -198,7 +198,7 @@ def test_stacked_smoothgrad_rows_equal_single_calls_cnn1d(sigma, monkeypatch):
     X, y = _stack_with_constant_row((2, 12), np.random.default_rng(23))
     # 7-row chunks: the 9 x 5 replicate stack spans 7 chunks, cut mid-sample
     monkeypatch.setattr(
-        models, "INPUT_GRADIENT_CHUNK_ELEMENTS", 7 * models._largest_row_intermediate(model, (2, 12))
+        models, "ROW_CHUNK_ELEMENTS", 7 * models._largest_row_intermediate(model, (2, 12))
     )
     cfg = SmoothGradConfig(n=5, sigma=sigma, seed=24)
     stacked = smoothgrad(model, X, y, cfg)
