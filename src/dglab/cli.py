@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import inspect
-import math
 import os
 import sys
 import warnings
@@ -27,6 +25,7 @@ from .data import (
     open_for_rewrite,
     read_json,
     save_dataset,
+    setting_kinds,
 )
 from .errors import ConfigError, ContractError, DataFormatError, NumericError
 from .evaluation import (
@@ -35,7 +34,9 @@ from .evaluation import (
     export_features,
     grid_points,
     lodo_experiment,
+    method_configs,
     paired_text,
+    run_configs,
 )
 from .models import load_model, model_batch, save_model
 from .saliency import SmoothGradConfig, smoothgrad, vanilla_saliency
@@ -69,18 +70,7 @@ def _int_list(text: str) -> list[int]:
     try:
         return [int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _finite_float(text: str) -> float:
-    """argparse type of a float flag: a finite number."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _load_training_data(path: str) -> DomainDataset:
@@ -165,9 +155,8 @@ def cmd_generate(args) -> int:
     # only the flags given reach the generator, so its signature holds every default
     generator = GENERATORS[args.kind]
     given = {k: v for k, v in vars(args).items() if k not in ("command", "func", "kind", "out")}
-    accepted = inspect.signature(generator).parameters
     for name in given:
-        if name not in accepted:
+        if name not in setting_kinds(generator):
             raise ConfigError(f"--{name.replace('_', '-')} does not apply to --kind {args.kind}")
     ds = generator(**given)
     save_dataset(ds, args.out)
@@ -194,9 +183,10 @@ def cmd_train(args) -> int:
 def cmd_lodo(args) -> int:
     _check_out_dir(args.out)
     cfg = _load_config(args.config)
-    ds = _load_training_data(args.data)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    report = lodo_experiment(ds, cfg, methods, _int_list(args.seeds), holdout_fraction=args.holdout)
+    run_configs(method_configs(cfg, methods), args.seeds, args.holdout)  # every flag, before the data loads
+    ds = _load_training_data(args.data)
+    report = lodo_experiment(ds, cfg, methods, args.seeds, holdout_fraction=args.holdout)
     report.save_json(args.out)
     print(report.to_text())
     if "ce_only" in methods:
@@ -209,11 +199,12 @@ def cmd_ablation(args) -> int:
     cfg = _load_config(args.config)
     grid = read_json(args.grid)
     try:
-        grid_points(cfg, grid)
+        points = grid_points(cfg, grid)
     except ConfigError as e:
         raise ConfigError(f"{args.grid}: {e}") from None
+    run_configs(points, args.seeds)  # before the data loads
     ds = _load_training_data(args.data)
-    report = ablation_grid(ds, cfg, grid, _int_list(args.seeds))
+    report = ablation_grid(ds, cfg, grid, args.seeds)
     report.save_json(args.out)
     print(ablation_text(report))
     return 0
@@ -267,16 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--kind", choices=list(GENERATORS), required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--num-domains", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--signal-dims", type=int)
-    p.add_argument("--nuisance-dims", type=int)
-    p.add_argument("--nuisance-strength", type=_finite_float)
-    p.add_argument("--noise-sd", type=_finite_float)
-    p.add_argument("--n-per-domain-class", type=int)
-    p.add_argument("--length", type=int)
-    p.add_argument("--background-amplitude", type=_finite_float)
+    # one flag per generator parameter, parsed as its kind's type (a Seed as an int); the generator checks it
+    flags = {name: kind for gen in GENERATORS.values() for name, kind in setting_kinds(gen).items()}
+    for name, kind in flags.items():
+        p.add_argument(f"--{name.replace('_', '-')}", type=getattr(kind, "__supertype__", kind))
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train on every row of a dataset (domains dropped)")
@@ -293,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="ce_only,alternate",
         help=f"comma-separated strategy modes, each one of {', '.join(STRATEGY_MODES)}",
     )
-    p.add_argument("--seeds", default="0,1,2")
+    p.add_argument("--seeds", type=_int_list, default="0,1,2")
     p.add_argument("--holdout", type=float, default=None, help="in-source validation fraction")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_lodo)
@@ -302,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--grid", required=True, help="JSON list of [alpha, m, q_max] triples")
-    p.add_argument("--seeds", default="0,1,2")
+    p.add_argument("--seeds", type=_int_list, default="0,1,2")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablation)
 
@@ -312,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--out", required=True, help="base CSV path; files get a _NNN suffix")
     p.add_argument("--sg-n", type=int, default=SmoothGradConfig.n)
-    p.add_argument("--sg-sigma", type=_finite_float, default=SmoothGradConfig.sigma)
+    p.add_argument("--sg-sigma", type=float, default=SmoothGradConfig.sigma)
     p.add_argument("--sg-seed", type=int, default=SmoothGradConfig.seed)
     p.set_defaults(func=cmd_saliency_export)
 

@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
+import numbers
 import os
 import re
 import stat
 import warnings
 from dataclasses import dataclass
+from typing import NewType, get_type_hints
 
 import numpy as np
 
@@ -106,6 +109,38 @@ def check_every_class(y: np.ndarray, num_classes: int, where: str, after: str = 
         raise ConfigError(f"{where} has no rows of class {classes}{after}")
 
 
+Seed = NewType("Seed", int)  # a seed of numpy's generators, which take no negative integer
+
+
+def _is_int64(v) -> bool:
+    """An integer, not a bool, that numpy's default integer type holds."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and -(2**63) <= v < 2**63
+
+
+# what a setting of each annotated kind may hold (JSON and flags can carry NaN and huge integers)
+SETTING_KINDS = {
+    int: (_is_int64, "an int64 integer"),
+    Seed: (lambda v: _is_int64(v) and v >= 0, "a non-negative int64 integer"),
+    float: (lambda v: _is_int64(v) or isinstance(v, float) and math.isfinite(v), "a finite double or an int64"),
+    tuple: (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int64, v)), "a list of int64 integers"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+@functools.cache
+def setting_kinds(owner) -> dict:
+    """The annotated kind of each field of a class or parameter of a function, by name."""
+    return {name: kind for name, kind in get_type_hints(owner).items() if name != "return"}
+
+
+def check_settings(owner, values, prefix: str = "") -> None:
+    """Raise ConfigError at the first annotated setting of ``owner`` whose value in ``values`` its kind rejects."""
+    for name, kind in setting_kinds(owner).items():
+        holds, what = SETTING_KINDS[kind]
+        if not holds(values[name]):
+            raise ConfigError(f"{prefix}{name} must be {what}, got {values[name]!r}")
+
+
 # ---------------------------------------------------------------------------
 # synthetic generators
 
@@ -118,7 +153,7 @@ def generate_spurious_gaussian(
     nuisance_strength: float = 3.0,
     noise_sd: float = 0.5,
     n_per_domain_class: int = 500,
-    seed: int = 0,
+    seed: Seed = 0,
 ) -> DomainDataset:
     """Gaussian blobs whose nuisance coordinates are predictive only in-domain.
 
@@ -128,11 +163,12 @@ def generate_spurious_gaussian(
     domain but point nowhere useful in a held-out domain. A model that leans
     on them looks strong in-domain and falls over under the LODO split.
     """
+    check_settings(generate_spurious_gaussian, locals(), "generate_spurious_gaussian: ")
     if num_domains < 1 or signal_dims < 1 or n_per_domain_class < 1 or nuisance_dims < 0:
         raise ConfigError("generate_spurious_gaussian: counts must be positive")
     if classes < 2:
         raise ConfigError(f"generate_spurious_gaussian: need >= 2 classes, got {classes}")
-    if not noise_sd >= 0:
+    if noise_sd < 0:
         raise ConfigError(f"generate_spurious_gaussian: noise_sd must be >= 0, got {noise_sd}")
 
     rng = np.random.default_rng(seed)
@@ -166,7 +202,7 @@ def generate_shifted_waveforms(
     classes: int = 3,
     length: int = 64,
     n_per_domain_class: int = 200,
-    seed: int = 0,
+    seed: Seed = 0,
     background_amplitude: float = 1.0,
     noise_sd: float = 0.05,
 ) -> DomainDataset:
@@ -178,13 +214,14 @@ def generate_shifted_waveforms(
     outside that window. With background_amplitude 0 all domains share one
     distribution. Output shape is (n, 1, length).
     """
+    check_settings(generate_shifted_waveforms, locals(), "generate_shifted_waveforms: ")
     if length < 16:
         raise ConfigError(f"generate_shifted_waveforms: length must be >= 16, got {length}")
     if num_domains < 1 or n_per_domain_class < 1:
         raise ConfigError("generate_shifted_waveforms: counts must be positive")
     if classes < 2:
         raise ConfigError(f"generate_shifted_waveforms: need >= 2 classes, got {classes}")
-    if not noise_sd >= 0:
+    if noise_sd < 0:
         raise ConfigError(f"generate_shifted_waveforms: noise_sd must be >= 0, got {noise_sd}")
 
     rng = np.random.default_rng(seed)
@@ -503,12 +540,17 @@ def leave_one_domain_out(ds: DomainDataset, target: str):
     return train, test
 
 
+def check_holdout_fraction(fraction: float) -> None:
+    """Raise ConfigError unless a holdout split can take ``fraction`` of each class."""
+    if not 0.0 < fraction < 1.0:
+        raise ConfigError(f"holdout fraction must be in (0, 1), got {fraction}")
+
+
 def holdout_rows(y: np.ndarray, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted row indices (kept, held) of a stratified in-source validation
     split of labels ``y``: each class present holds out a ``fraction`` of
     its rows, at least one, drawn from a generator seeded with ``seed``."""
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"holdout fraction must be in (0, 1), got {fraction}")
+    check_holdout_fraction(fraction)
     rng = np.random.default_rng(seed)
     held = []
     for c in np.unique(y):

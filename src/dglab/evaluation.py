@@ -22,6 +22,7 @@ from .data import (
     DomainDataset,
     check_every_class,
     check_finite,
+    check_holdout_fraction,
     holdout_rows,
     leave_one_domain_out,
     split_holdout,
@@ -214,6 +215,19 @@ def _fingerprint(cfg: TrainConfig, ds: DomainDataset, extra: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+def run_configs(configs: dict[str, TrainConfig], seeds: list[int], holdout_fraction: float | None = None) -> dict:
+    """Each labelled config's run configs, one per seed: every check of an experiment that needs no data."""
+    if not seeds:
+        raise ConfigError("a leave-one-domain-out experiment needs at least one seed")
+    runs = {label: [replace(c, seed=s) for s in seeds] for label, c in configs.items()}
+    # a repeated seed would count twice in a mean
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"duplicate seeds in {[int(s) for s in seeds]}")
+    if holdout_fraction is not None:
+        check_holdout_fraction(holdout_fraction)
+    return runs
+
+
 def _lodo_report(
     ds: DomainDataset, cfg: TrainConfig, configs: dict[str, TrainConfig], seeds: list[int],
     holdout_fraction: float | None = None, grid: list | None = None,
@@ -222,13 +236,8 @@ def _lodo_report(
     by target and listed point by point for an ablation ``grid``. Every run's
     config and every source split's labels are checked before the first run
     trains; a target's split samples exist only while its runs train."""
-    if not seeds:
-        raise ConfigError("a leave-one-domain-out experiment needs at least one seed")
-    runs = {label: [replace(c, seed=s) for s in seeds] for label, c in configs.items()}
-    # a repeated seed would count twice in a mean
+    runs = run_configs(configs, seeds, holdout_fraction)
     seeds = [int(s) for s in seeds]
-    if len(set(seeds)) < len(seeds):
-        raise ConfigError(f"duplicate seeds in {seeds}")
 
     # a target domain's row is checked too: argmax scores a nan logit row as class 0
     check_finite(ds.X, "dataset")
@@ -276,6 +285,16 @@ def _train_target(
     return rows
 
 
+def method_configs(cfg: TrainConfig, methods: list[str]) -> dict[str, TrainConfig]:
+    """Each method's config by name: ``cfg`` with that strategy mode."""
+    if not methods:
+        raise ConfigError("lodo_experiment needs at least one method")
+    # a repeated method would count twice in the footer
+    if len(set(methods)) < len(methods):
+        raise ConfigError(f"duplicate methods in {list(methods)}")
+    return {m: replace(cfg, strategy_mode=m) for m in methods}
+
+
 def lodo_experiment(
     ds: DomainDataset, cfg: TrainConfig, methods: list[str], seeds: list[int],
     holdout_fraction: float | None = None,
@@ -285,13 +304,7 @@ def lodo_experiment(
     With ``holdout_fraction`` set, each run also reports accuracy on a
     stratified in-source validation split (trained on the remainder).
     """
-    if not methods:
-        raise ConfigError("lodo_experiment needs at least one method")
-    # a repeated method would count twice in the footer
-    if len(set(methods)) < len(methods):
-        raise ConfigError(f"duplicate methods in {list(methods)}")
-    configs = {m: replace(cfg, strategy_mode=m) for m in methods}
-    return _lodo_report(ds, cfg, configs, seeds, holdout_fraction)
+    return _lodo_report(ds, cfg, method_configs(cfg, methods), seeds, holdout_fraction)
 
 
 # the TrainConfig fields a grid point sets, in point order, with their report headers

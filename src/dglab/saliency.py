@@ -10,11 +10,11 @@ return the score array itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Seed, check_settings
 from .errors import ConfigError, DimensionError
 from .models import Model, class_logit_input_gradients
 
@@ -25,21 +25,14 @@ class SmoothGradConfig:
 
     n: int = 25
     sigma: float = 0.15
-    seed: int = 0
+    seed: Seed = 0
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise ConfigError(f"smoothgrad replicate count must be an integer, got {self.n!r}")
+        check_settings(type(self), vars(self), "smoothgrad ")
         if self.n < 1:
-            raise ConfigError(f"smoothgrad replicate count must be >= 1, got {self.n}")
-        if isinstance(self.sigma, bool) or not (
-            isinstance(self.sigma, (int, float, np.integer, np.floating)) and math.isfinite(self.sigma)
-        ):
-            raise ConfigError(f"smoothgrad sigma must be a finite number, got {self.sigma!r}")
+            raise ConfigError(f"smoothgrad n must be >= 1, got {self.n}")
         if self.sigma < 0:
             raise ConfigError(f"smoothgrad sigma must be >= 0, got {self.sigma}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ConfigError(f"smoothgrad seed must be a non-negative integer, got {self.seed!r}")
 
 
 def vanilla_saliency(model: Model, x, c: int) -> np.ndarray:

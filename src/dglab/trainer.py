@@ -9,18 +9,16 @@ are not representable on its input type.
 
 from __future__ import annotations
 
-import functools
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field
-from typing import get_type_hints
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import TrainView, check_finite, class_balanced_batches, open_for_rewrite, read_json, write_json
+from .data import Seed, TrainView, check_finite, check_settings, class_balanced_batches, open_for_rewrite, read_json
+from .data import setting_kinds, write_json
 from .errors import ConfigError, ContractError, NumericError
 from .losses import cross_entropy, objective_parts
 from .masking import augment_batch
@@ -34,26 +32,6 @@ STRATEGY_CE = "ce"
 STRATEGY_MODES = ("alternate", "align_only", "mask_only", "ce_only")
 
 ARCHITECTURES = ("mlp", "cnn1d")
-
-
-def _is_int64(v) -> bool:
-    """An integer, not a bool, that numpy's default integer type holds."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and -(2**63) <= v < 2**63
-
-
-# what a field of each annotated type may hold (JSON can carry NaN and huge integers)
-_FIELD_KINDS = {
-    int: (_is_int64, "an int64 integer"),
-    float: (lambda v: _is_int64(v) or isinstance(v, float) and math.isfinite(v), "a finite double or an int64"),
-    tuple: (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int64, v)), "a list of int64 integers"),
-    str: (lambda v: isinstance(v, str), "a string"),
-}
-
-
-@functools.cache
-def _field_kinds(cls) -> tuple:
-    """(name, check, what it holds) of each annotated field of ``cls``, resolved once per class."""
-    return tuple((name, *_FIELD_KINDS[kind]) for name, kind in get_type_hints(cls).items())
 
 
 @dataclass
@@ -73,46 +51,32 @@ class TrainConfig:
     min_class_ratio: float = 0.5
     momentum: float = 0.9
     strategy_mode: str = "alternate"
-    seed: int = 0
+    seed: Seed = 0
     arch: str = "mlp"
     hidden: tuple = (32,)
     channels: tuple = (8, 16)
     kernel: int = 5
 
     def __post_init__(self):
-        # types first, as annotated; a tuple field is stored as a tuple of ints
-        for name, holds, what in _field_kinds(type(self)):
-            v = getattr(self, name)
-            if not holds(v):
-                raise ConfigError(f"{name} must be {what}, got {v!r}")
-            if isinstance(v, (list, tuple)):
-                setattr(self, name, tuple(int(h) for h in v))
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-        if not 0.0 <= self.m_percent <= 100.0:
-            raise ConfigError(f"m_percent must be in [0, 100], got {self.m_percent}")
-        if not 0.0 <= self.q_max <= 100.0:
-            raise ConfigError(f"q_max must be in [0, 100], got {self.q_max}")
-        if self.sg_n < 1:
-            raise ConfigError(f"sg_n must be >= 1, got {self.sg_n}")
-        if self.sg_sigma < 0:
-            raise ConfigError(f"sg_sigma must be >= 0, got {self.sg_sigma}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
-        if self.lr_decay_factor <= 0:
-            raise ConfigError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not 0.0 <= self.lr_decay_at_fraction <= 1.0:
-            raise ConfigError(f"lr_decay_at_fraction must be in [0, 1], got {self.lr_decay_at_fraction}")
-        if not 0.0 < self.min_class_ratio <= 1.0:
-            raise ConfigError(f"min_class_ratio must be in (0, 1], got {self.min_class_ratio}")
+        # kinds first, as annotated; a tuple field is stored as a tuple of ints; then ranges and choices
+        check_settings(type(self), vars(self))
+        self.hidden, self.channels = tuple(map(int, self.hidden)), tuple(map(int, self.channels))
+        for name, holds, rule in (
+            ("alpha", self.alpha >= 0, ">= 0"),
+            ("m_percent", 0 <= self.m_percent <= 100, "in [0, 100]"),
+            ("q_max", 0 <= self.q_max <= 100, "in [0, 100]"),
+            ("sg_n", self.sg_n >= 1, ">= 1"),
+            ("sg_sigma", self.sg_sigma >= 0, ">= 0"),
+            ("iterations", self.iterations >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("base_lr", self.base_lr > 0, "> 0"),
+            ("lr_decay_factor", self.lr_decay_factor > 0, "> 0"),
+            ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
+            ("lr_decay_at_fraction", 0 <= self.lr_decay_at_fraction <= 1, "in [0, 1]"),
+            ("min_class_ratio", 0 < self.min_class_ratio <= 1, "in (0, 1]"),
+        ):
+            if not holds:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
         if self.strategy_mode not in STRATEGY_MODES:
             raise ConfigError(
                 f"unknown strategy_mode {self.strategy_mode!r}; choose from {STRATEGY_MODES}"
@@ -128,8 +92,7 @@ class TrainConfig:
     def from_json_dict(cls, doc: dict) -> "TrainConfig":
         if not isinstance(doc, dict):
             raise ConfigError(f"a config must be a JSON object, got {type(doc).__name__}")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
+        unknown = set(doc) - setting_kinds(cls).keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**doc)

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import subprocess
 import sys
@@ -12,7 +14,7 @@ from dglab import cli, evaluation
 from dglab.data import DomainDataset, generate_shifted_waveforms, generate_spurious_gaussian, save_dataset
 from dglab.errors import NumericError
 from dglab.saliency import SmoothGradConfig
-from dglab.trainer import TrainConfig
+from dglab.trainer import STRATEGY_MODES, TrainConfig
 
 
 def run_cli(*args, cwd=None):
@@ -430,9 +432,9 @@ def test_train_on_data_missing_a_declared_class_exits_one(config_path, tmp_path,
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--sg-n", "0", "replicate count must be >= 1"),
+        ("--sg-n", "0", "n must be >= 1"),
         ("--sg-sigma", "-0.5", "sigma must be >= 0"),
-        ("--sg-seed", "-1", "seed must be a non-negative integer"),
+        ("--sg-seed", "-1", "seed must be a non-negative int64 integer"),
     ],
     ids=["sg-n", "sg-sigma", "sg-seed"],
 )
@@ -441,6 +443,63 @@ def test_saliency_flags_checked_before_loading_anything(flag, value, message, tm
     argv = ["saliency-export", "--checkpoint", str(missing / "checkpoint.json"), "--data", str(missing)]
     assert cli.main([*argv, flag, value, "--out", str(tmp_path / "sal.csv")]) == 1
     assert capsys.readouterr().err == f"error: smoothgrad {message}, got {value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--kind", "spurious-gaussian", "--seed", "-1"],
+         "generate_spurious_gaussian: seed must be a non-negative int64 integer, got -1"),
+        (["generate", "--kind", "spurious-gaussian", "--n-per-domain-class", str(10**20)],
+         f"generate_spurious_gaussian: n_per_domain_class must be an int64 integer, got {10**20}"),
+        (["saliency-export", "--checkpoint", "missing.json", "--data", "missing", "--sg-n", str(10**20)],
+         f"smoothgrad n must be an int64 integer, got {10**20}"),
+    ],
+    ids=["generate-negative-seed", "generate-count-past-int64", "saliency-replicates-past-int64"],
+)
+def test_setting_numpy_cannot_take_exits_one_writing_nothing(argv, message, monkeypatch, tmp_path, capsys):
+    # numpy takes no negative seed and no count past int64
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--out", "out"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_flags_are_the_generators_parameters():
+    # a new generator needs no CLI edit; a parameter name two generators share means one kind of value
+    annotations = {}
+    for generator in cli.GENERATORS.values():
+        for name, param in inspect.signature(generator).parameters.items():
+            assert annotations.setdefault(name, param.annotation) == param.annotation, name
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest for a in subparsers.choices["generate"]._actions} - {"help", "kind", "out"}
+    assert flags == set(annotations)
+
+
+NOT_INTEGERS = "argument --seeds: expected comma-separated integers, got '1,x'"
+LODO_FLAGS = {
+    # id: (command, flags, message)
+    "unknown-method": ("lodo", ["--methods", "bogus"], f"unknown strategy_mode 'bogus'; choose from {STRATEGY_MODES}"),
+    "duplicate-method": ("lodo", ["--methods", "ce_only,ce_only"], "duplicate methods in ['ce_only', 'ce_only']"),
+    "seed-not-an-integer": ("lodo", ["--seeds", "1,x"], NOT_INTEGERS),
+    "duplicate-seed": ("lodo", ["--seeds", "1,1"], "duplicate seeds in [1, 1]"),
+    "holdout-past-one": ("lodo", ["--holdout", "2"], "holdout fraction must be in (0, 1), got 2.0"),
+    "ablation-seed-not-an-integer": ("ablation", ["--seeds", "1,x"], NOT_INTEGERS),
+    "ablation-duplicate-seed": ("ablation", ["--seeds", "1,1"], "duplicate seeds in [1, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", LODO_FLAGS.values(), ids=LODO_FLAGS.keys())
+def test_lodo_and_ablation_flags_checked_before_loading_data(case, tmp_path, capsys):
+    # no --data exists, so each error comes before any data loads
+    command, flags, message = case
+    grid = tmp_path / "grid.json"
+    grid.write_text("[[0, 0, 0]]")
+    args = [command, "--data", str(tmp_path / "nope"), *flags, "--out", str(tmp_path / "r.json")]
+    args += ["--grid", str(grid)] if command == "ablation" else []
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.fixture
@@ -810,12 +869,14 @@ def test_non_finite_data_exits_one_before_any_training(command, value, monkeypat
 @pytest.mark.parametrize(
     "kind, flag, value, message",
     [
-        ("spurious-gaussian", "--noise-sd", "nan", "argument --noise-sd: expected a finite number, got 'nan'"),
-        ("waveforms", "--noise-sd", "inf", "argument --noise-sd: expected a finite number, got 'inf'"),
+        ("spurious-gaussian", "--noise-sd", "nan",
+         "generate_spurious_gaussian: noise_sd must be a finite double or an int64, got nan"),
+        ("waveforms", "--noise-sd", "inf",
+         "generate_shifted_waveforms: noise_sd must be a finite double or an int64, got inf"),
         ("spurious-gaussian", "--nuisance-strength", "-inf",
-         "argument --nuisance-strength: expected a finite number, got '-inf'"),
+         "generate_spurious_gaussian: nuisance_strength must be a finite double or an int64, got -inf"),
         ("waveforms", "--background-amplitude", "nan",
-         "argument --background-amplitude: expected a finite number, got 'nan'"),
+         "generate_shifted_waveforms: background_amplitude must be a finite double or an int64, got nan"),
         ("spurious-gaussian", "--noise-sd", "-0.5", "generate_spurious_gaussian: noise_sd must be >= 0, got -0.5"),
         ("waveforms", "--noise-sd", "-1", "generate_shifted_waveforms: noise_sd must be >= 0, got -1.0"),
     ],

@@ -129,23 +129,27 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("sigma", float("nan"), "sigma must be a finite number, got nan"),
-        ("sigma", float("inf"), "sigma must be a finite number, got inf"),
-        ("sigma", -float("inf"), "sigma must be a finite number, got -inf"),
-        ("sigma", True, "sigma must be a finite number, got True"),
-        ("sigma", "0.1", "sigma must be a finite number, got '0.1'"),
-        ("n", 2.5, "replicate count must be an integer, got 2.5"),
-        ("n", 3.0, "replicate count must be an integer, got 3.0"),
-        ("n", True, "replicate count must be an integer, got True"),
-        ("n", None, "replicate count must be an integer, got None"),
-        ("seed", -1, "seed must be a non-negative integer, got -1"),
-        ("seed", 2.5, "seed must be a non-negative integer, got 2.5"),
-        ("seed", True, "seed must be a non-negative integer, got True"),
+        ("sigma", float("nan"), "sigma must be a finite double or an int64, got nan"),
+        ("sigma", float("inf"), "sigma must be a finite double or an int64, got inf"),
+        ("sigma", -float("inf"), "sigma must be a finite double or an int64, got -inf"),
+        ("sigma", True, "sigma must be a finite double or an int64, got True"),
+        ("sigma", "0.1", "sigma must be a finite double or an int64, got '0.1'"),
+        pytest.param(
+            "sigma", 10**400, f"sigma must be a finite double or an int64, got {10**400}", id="sigma-10**400"
+        ),
+        # n is the replicate count
+        pytest.param("n", 2.5, "n must be an int64 integer, got 2.5", id="n-2.5-replicate count"),
+        pytest.param("n", 3.0, "n must be an int64 integer, got 3.0", id="n-3.0-replicate count"),
+        pytest.param("n", True, "n must be an int64 integer, got True", id="n-True-replicate count"),
+        pytest.param("n", None, "n must be an int64 integer, got None", id="n-None-replicate count"),
+        ("seed", -1, "seed must be a non-negative int64 integer, got -1"),
+        ("seed", 2.5, "seed must be a non-negative int64 integer, got 2.5"),
+        ("seed", True, "seed must be a non-negative int64 integer, got True"),
     ],
 )
 def test_config_rejects_what_is_not_a_count_a_finite_scale_or_a_seed(field, value, message):
     # nan gave an all-zero map, inf finite nonsense, n=2.5 or True a TypeError,
-    # and a negative seed a ValueError from numpy at the first call
+    # a negative seed a ValueError from numpy at the first call, and 10**400 an OverflowError
     with pytest.raises(ConfigError, match=f"^smoothgrad {re.escape(message)}$"):
         SmoothGradConfig(**{field: value})
 

@@ -66,9 +66,44 @@ def test_import_scan_sees_plain_and_from_imports_only():
     assert imported_modules(source) == {"numbers", "os", "typing"}
 
 
-def test_only_the_trainer_checks_numbers():
-    # TrainConfig's field annotations are the one statement of what a run setting may hold;
-    # a second module importing numbers would be a second check of config or grid values
+# numpy's abstract scalar types, which an isinstance test of a setting's number kind would name
+NUMPY_NUMBER_TYPES = {"integer", "floating", "number", "signedinteger", "unsignedinteger", "inexact"}
+
+
+def number_kind_tests(source: str) -> list[int]:
+    """Lines of ``source`` where ``isinstance`` tests against a type from
+    ``numbers`` or one of numpy's abstract scalar types."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            for part in ast.walk(node.args[1]):
+                if isinstance(part, ast.Attribute) and isinstance(part.value, ast.Name) and (
+                    part.value.id == "numbers" or part.value.id in ("np", "numpy") and part.attr in NUMPY_NUMBER_TYPES
+                ):
+                    lines.append(node.lineno)
+                    break
+    return lines
+
+
+def test_number_kind_scan_flags_numbers_and_numpy_scalar_types_only():
+    source = "\n".join([
+        "isinstance(v, numbers.Integral)",
+        "isinstance(v, (int, np.integer))",
+        "isinstance(v, np.ndarray)",
+        "isinstance(v, (float, numpy.floating)) and math.isfinite(v)",
+        "isinstance(v, bool)",
+    ])
+    assert number_kind_tests(source) == [1, 2, 4]
+
+
+def test_only_the_data_module_checks_what_a_setting_holds():
+    # data.SETTING_KINDS is the one statement of what a config field, a SmoothGrad setting or a
+    # generator parameter may hold; a module that imports numbers, or tests a value against a
+    # numbers or numpy scalar type, would keep a second set of rules
     src = Path(dglab.__file__).parent
-    importers = [p.name for p in sorted(src.glob("*.py")) if "numbers" in imported_modules(p.read_text(encoding="utf-8"))]
-    assert importers == ["trainer.py"]
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(src.glob("*.py"))}
+    assert [name for name, text in sources.items() if "numbers" in imported_modules(text)] == ["data.py"]
+    offenders = [
+        f"{name}:{line}" for name, text in sources.items() if name != "data.py" for line in number_kind_tests(text)
+    ]
+    assert offenders == []
