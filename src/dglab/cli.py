@@ -61,6 +61,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
+    # argparse takes "-1,2" for an option; no option here starts with a digit, so "-<digit>..." is a value
+    def _parse_optional(self, arg_string):
+        return None if arg_string[:1] == "-" and arg_string[1:2].isdigit() else super()._parse_optional(arg_string)
+
 
 def _load_config(path: str | None) -> TrainConfig:
     return TrainConfig.load_json(path) if path else TrainConfig()

@@ -234,8 +234,8 @@ def _lodo_report(
 ) -> RunReport:
     """Report every (target domain, labelled config, seed) cell, trained target
     by target and listed point by point for an ablation ``grid``. Every run's
-    config and every source split's labels are checked before the first run
-    trains; a target's split samples exist only while its runs train."""
+    config and each target's source split labels are checked before the first
+    run trains."""
     runs = run_configs(configs, seeds, holdout_fraction)
     seeds = [int(s) for s in seeds]
 
@@ -243,14 +243,12 @@ def _lodo_report(
     check_finite(ds.X, "dataset")
     after = "" if holdout_fraction is None else " after the holdout split"
     for target in ds.domain_names:
-        source_y = ds.y[~target_rows(ds, target)]
-        if holdout_fraction is None:
-            split_labels = [source_y]
-        else:
-            split_labels = [source_y[holdout_rows(source_y, holdout_fraction, s)[0]] for s in seeds]
-        for labels in split_labels:
-            # a class the source split lacks would break batching or shrink the head
-            check_every_class(labels, ds.num_classes, f"target={target}: the source split", after)
+        labels = ds.y[~target_rows(ds, target)]
+        if holdout_fraction is not None:
+            # every seed's split keeps n_c - max(1, round(f * n_c)) rows of class c, so one seed checks all
+            labels = labels[holdout_rows(labels, holdout_fraction, seeds[0])[0]]
+        # a class the source split lacks would break batching or shrink the head
+        check_every_class(labels, ds.num_classes, f"target={target}: the source split", after)
 
     rows = [row for target in ds.domain_names for row in _train_target(ds, target, runs, seeds, holdout_fraction)]
     if grid is not None:
@@ -263,25 +261,21 @@ def _train_target(
     ds: DomainDataset, target: str, runs: dict[str, list[TrainConfig]], seeds: list[int],
     holdout_fraction: float | None,
 ) -> list[ReportRow]:
-    """Train and score every run of one target domain, one row per label.
-    The target's splits are built here and dropped on return."""
+    """Train and score every run of one target domain, one row per label. Runs go
+    seed by seed, and a seed's holdout split is dropped before the next one's is built."""
     train_view, test = leave_one_domain_out(ds, target)
-    views = [
-        (train_view, None) if holdout_fraction is None else split_holdout(train_view, holdout_fraction, seed=s)
-        for s in seeds
-    ]
-    rows = []
-    for label, run_cfgs in runs.items():
-        accuracies, vals = [], []
-        for seed, run_cfg, (view, val_view) in zip(seeds, run_cfgs, views):
+    rows = [ReportRow(target, label, [], None if holdout_fraction is None else []) for label in runs]
+    for seed, seed_cfgs in zip(seeds, zip(*runs.values())):
+        view, val_view = split_holdout(train_view, holdout_fraction, seed) if holdout_fraction else (train_view, None)
+        for row, run_cfg in zip(rows, seed_cfgs):
             try:
                 model, _history = train(view, run_cfg)
             except NumericError as e:
-                raise NumericError(f"target={target} method={label} seed={seed}: {e}") from e
-            accuracies.append(evaluate(model, test))
+                raise NumericError(f"target={target} method={row.method} seed={seed}: {e}") from e
+            row.accuracies.append(evaluate(model, test))
             if val_view is not None:
-                vals.append(_accuracy(model, val_view.X, val_view.y))
-        rows.append(ReportRow(target, label, accuracies, source_val=vals or None))
+                row.source_val.append(_accuracy(model, val_view.X, val_view.y))
+        del view, val_view
     return rows
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -58,9 +58,8 @@ class TrainConfig:
     kernel: int = 5
 
     def __post_init__(self):
-        # kinds first, as annotated; a tuple field is stored as a tuple of ints; then ranges and choices
+        # kinds first, as annotated; then ranges and choices; last, a tuple field is stored as a tuple of ints
         check_settings(type(self), vars(self))
-        self.hidden, self.channels = tuple(map(int, self.hidden)), tuple(map(int, self.channels))
         for name, holds, rule in (
             ("alpha", self.alpha >= 0, ">= 0"),
             ("m_percent", 0 <= self.m_percent <= 100, "in [0, 100]"),
@@ -74,6 +73,10 @@ class TrainConfig:
             ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
             ("lr_decay_at_fraction", 0 <= self.lr_decay_at_fraction <= 1, "in [0, 1]"),
             ("min_class_ratio", 0 < self.min_class_ratio <= 1, "in (0, 1]"),
+            # the network's shape, checked before any data loads (the model builders check it again)
+            ("hidden", all(h >= 1 for h in self.hidden), "a list of integers >= 1"),
+            ("channels", all(c >= 1 for c in self.channels), "a list of integers >= 1"),
+            ("kernel", self.kernel >= 1 and self.kernel % 2 == 1, "odd and >= 1"),
         ):
             if not holds:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
@@ -83,6 +86,7 @@ class TrainConfig:
             )
         if self.arch not in ARCHITECTURES:
             raise ConfigError(f"unknown arch {self.arch!r}; choose from {ARCHITECTURES}")
+        self.hidden, self.channels = tuple(map(int, self.hidden)), tuple(map(int, self.channels))
 
     def to_json_dict(self) -> dict:
         # JSON writes a tuple as a list; a dict compared with a loaded one must hold lists
@@ -123,11 +127,13 @@ class TrainHistory:
         return len(self.records)
 
     def to_csv(self, path) -> None:
+        """One column per TrainRecord field: a string as is, None empty, a number as its repr."""
+        names = [f.name for f in fields(TrainRecord)]
         with open_for_rewrite(path, newline="") as fh:
-            fh.write("iteration,strategy,loss_ce,loss_align,lr,seconds\n")
+            fh.write(",".join(names) + "\n")
             for r in self.records:
-                align = "" if r.loss_align is None else repr(r.loss_align)
-                fh.write(f"{r.iteration},{r.strategy},{r.loss_ce!r},{align},{r.lr!r},{r.seconds!r}\n")
+                cells = (getattr(r, name) for name in names)
+                fh.write(",".join(v if isinstance(v, str) else "" if v is None else repr(v) for v in cells) + "\n")
 
 
 def lr_schedule(base_lr: float, iteration: int, total: int, factor: float, at_fraction: float) -> float:
@@ -239,14 +245,5 @@ def train(dataset: TrainView, cfg: TrainConfig):
             rec = train_step(model, batch, strategy, cfg, lr, rng_step, momentum_state)
         except NumericError as e:
             raise NumericError(f"iteration {i}: {e}") from e
-        history.records.append(
-            TrainRecord(
-                iteration=i,
-                strategy=rec["strategy"],
-                loss_ce=rec["loss_ce"],
-                loss_align=rec["loss_align"],
-                lr=lr,
-                seconds=time.perf_counter() - started,
-            )
-        )
+        history.records.append(TrainRecord(iteration=i, **rec, lr=lr, seconds=time.perf_counter() - started))
     return model, history

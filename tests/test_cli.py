@@ -477,6 +477,7 @@ def test_generate_flags_are_the_generators_parameters():
 
 
 NOT_INTEGERS = "argument --seeds: expected comma-separated integers, got '1,x'"
+NEGATIVE_SEED = "seed must be a non-negative int64 integer, got -1"
 LODO_FLAGS = {
     # id: (command, flags, message)
     "unknown-method": ("lodo", ["--methods", "bogus"], f"unknown strategy_mode 'bogus'; choose from {STRATEGY_MODES}"),
@@ -486,6 +487,9 @@ LODO_FLAGS = {
     "holdout-past-one": ("lodo", ["--holdout", "2"], "holdout fraction must be in (0, 1), got 2.0"),
     "ablation-seed-not-an-integer": ("ablation", ["--seeds", "1,x"], NOT_INTEGERS),
     "ablation-duplicate-seed": ("ablation", ["--seeds", "1,1"], "duplicate seeds in [1, 1]"),
+    # argparse alone takes "-1,2" for an option and exits with "expected one argument"
+    "seed-list-starting-negative": ("lodo", ["--seeds", "-1,2"], NEGATIVE_SEED),
+    "ablation-seed-list-starting-negative": ("ablation", ["--seeds", "-1,2"], NEGATIVE_SEED),
 }
 
 
@@ -895,3 +899,27 @@ def test_smoothgrad_defaults_reach_the_config_and_the_saliency_flags():
     args = cli.build_parser().parse_args(["saliency-export", "--checkpoint", "c", "--data", "d", "--out", "o"])
     assert (args.sg_n, args.sg_sigma, args.sg_seed) == (sg.n, sg.sigma, sg.seed)
     assert (TrainConfig().sg_n, TrainConfig().sg_sigma) == (sg.n, sg.sigma)
+
+
+NETWORK_SHAPES = {
+    # id: (config, message)
+    "even-kernel": ({"arch": "cnn1d", "kernel": 4}, "kernel must be odd and >= 1, got 4"),
+    "zero-width": ({"hidden": [0]}, "hidden must be a list of integers >= 1, got [0]"),
+    "zero-channels": ({"arch": "cnn1d", "channels": [8, 0]}, "channels must be a list of integers >= 1, got [8, 0]"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "lodo", "ablation"])
+@pytest.mark.parametrize("case", NETWORK_SHAPES.values(), ids=NETWORK_SHAPES.keys())
+def test_network_shape_checked_before_loading_data(case, command, tmp_path, capsys):
+    # no --data exists, so the config's field is named before any data loads
+    cfg, message = case
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / ("run" if command == "train" else "r.json")
+    args = [command, "--data", str(tmp_path / "nope"), "--config", str(config), "--out", str(out)]
+    args += [] if command == "train" else _grid_or_methods(command, "ce_only", tmp_path)
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+

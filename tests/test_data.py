@@ -702,6 +702,16 @@ def test_holdout_rows_are_the_split_holdout_rows(fraction, seed):
     assert rest.X.tobytes() == want_kept.tobytes() and held_view.X.tobytes() == want_held.tobytes()
 
 
+@pytest.mark.parametrize("fraction", [0.01, 0.1, 0.25, 0.5, 0.75, 0.99])
+def test_holdout_rows_keep_the_same_class_counts_for_every_seed(fraction):
+    # classes of 1, 2, 3, 7 and 40 rows, shuffled; a LODO pre-check reads one seed's split for all
+    y = np.random.default_rng(0).permutation(np.repeat(np.arange(5), [1, 2, 3, 7, 40]))
+    counts = {
+        seed: np.bincount(y[holdout_rows(y, fraction, seed)[0]], minlength=5).tolist() for seed in range(12)
+    }
+    assert len(set(map(tuple, counts.values()))) == 1, counts
+
+
 def test_balanced_batches_exact_size_and_every_class():
     ds = small_gaussian()
     view = TrainView(X=ds.X, y=ds.y)

@@ -1,13 +1,14 @@
 import json
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dglab.data import DomainDataset, generate_shifted_waveforms, generate_spurious_gaussian, write_rows
-from dglab import evaluation, models
+from dglab import data, evaluation, models
 from dglab.errors import ConfigError, ContractError, DataFormatError
 from dglab.evaluation import (
     RunReport,
@@ -23,7 +24,7 @@ from dglab.evaluation import (
     paired_text,
 )
 from dglab.models import build_cnn1d, build_mlp, features, forward, model_batch
-from dglab.trainer import TrainConfig
+from dglab.trainer import TrainConfig, train
 
 
 def tiny_dataset(seed=0):
@@ -132,6 +133,26 @@ def test_lodo_deterministic_repeat():
     a = lodo_experiment(ds, tiny_cfg(), ["ce_only"], [0, 1])
     b = lodo_experiment(ds, tiny_cfg(), ["ce_only"], [0, 1])
     assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(b.to_json_dict(), sort_keys=True)
+
+
+def test_lodo_trains_with_one_seed_holdout_split_alive(monkeypatch):
+    alive = []  # (seed, weakref) of each view split_holdout returned
+
+    def recording_split(view, fraction, seed):
+        views = data.split_holdout(view, fraction, seed)
+        alive.extend((seed, weakref.ref(v)) for v in views)
+        return views
+
+    def checking_train(view, cfg):
+        others = [seed for seed, ref in alive if seed != cfg.seed and ref() is not None]
+        assert others == [], f"seed {cfg.seed} trains while the holdout views of seeds {others} are alive"
+        return train(view, cfg)
+
+    monkeypatch.setattr(evaluation, "split_holdout", recording_split)
+    monkeypatch.setattr(evaluation, "train", checking_train)
+    report = lodo_experiment(tiny_dataset(), tiny_cfg(), ["ce_only", "align_only"], [0, 1, 2], holdout_fraction=0.1)
+    assert len(alive) == 3 * 3 * 2  # targets x seeds x (train, held)
+    assert all(len(r.accuracies) == len(r.source_val) == 3 for r in report.rows)
 
 
 def test_lodo_holdout_records_source_validation():

@@ -12,6 +12,8 @@ from dglab.trainer import (
     STRATEGY_CE,
     STRATEGY_MASK,
     TrainConfig,
+    TrainHistory,
+    TrainRecord,
     choose_strategy,
     lr_schedule,
     train,
@@ -284,6 +286,28 @@ def test_history_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "iteration,strategy,loss_ce,loss_align,lr,seconds"
     assert len(lines) == 4
+
+
+def history_csv_oracle(history) -> str:
+    """history.csv as the hand-written header and f-string rows wrote it."""
+    lines = ["iteration,strategy,loss_ce,loss_align,lr,seconds"]
+    for r in history.records:
+        align = "" if r.loss_align is None else repr(r.loss_align)
+        lines.append(f"{r.iteration},{r.strategy},{r.loss_ce!r},{align},{r.lr!r},{r.seconds!r}")
+    return "".join(line + "\n" for line in lines)
+
+
+def test_history_csv_columns_are_the_record_fields(tmp_path):
+    written = TrainHistory([
+        TrainRecord(iteration=0, strategy=STRATEGY_ALIGN, loss_ce=1.0986, loss_align=0.25, lr=0.001, seconds=0.5),
+        TrainRecord(iteration=1, strategy=STRATEGY_MASK, loss_ce=1e-17, loss_align=None, lr=1e-4, seconds=3.25e-05),
+    ])
+    _, trained = train(tiny_view(), tiny_cfg(iterations=6, strategy_mode="alternate"))
+    assert {r.strategy for r in trained.records} == {STRATEGY_ALIGN, STRATEGY_MASK}
+    for history in (written, trained):
+        path = tmp_path / "history.csv"
+        history.to_csv(path)
+        assert path.read_bytes() == history_csv_oracle(history).encode()
 
 
 def test_train_rejects_empty_view():
