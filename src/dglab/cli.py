@@ -32,6 +32,7 @@ from .evaluation import (
     ablation_grid,
     ablation_text,
     export_features,
+    grid_label,
     grid_points,
     lodo_experiment,
     method_configs,
@@ -40,7 +41,7 @@ from .evaluation import (
 )
 from .models import load_model, model_batch, save_model
 from .saliency import SmoothGradConfig, smoothgrad, vanilla_saliency
-from .trainer import STRATEGY_MODES, TrainConfig, train
+from .trainer import MODE_STRATEGIES, TrainConfig, train
 
 # a path that is missing, or a directory where a file is expected (or the
 # reverse), is the user's to fix
@@ -211,6 +212,9 @@ def cmd_ablation(args) -> int:
     report = ablation_grid(ds, cfg, grid, args.seeds)
     report.save_json(args.out)
     print(ablation_text(report))
+    baseline = grid_label(0, 0, 0)  # the all-zero point trains plain cross-entropy
+    if baseline in points:
+        print(paired_text(report, baseline=baseline), file=sys.stderr)
     return 0
 
 
@@ -222,6 +226,13 @@ def cmd_saliency_export(args) -> int:
     model = load_model(args.checkpoint)
     ds = load_dataset(args.data)
     count = min(args.samples, ds.n)
+    # a label the checkpoint's head lacks would stop the export after the files before it were written
+    beyond = next((k for k, c in enumerate(ds.y[:count].tolist()) if c >= model.num_classes), None)
+    if beyond is not None:
+        raise ConfigError(
+            f"{os.path.join(args.data, DATA_FILE)}: row {beyond + 2}: label {ds.y[beyond]} is not a class"
+            f" of the checkpoint, which has {model.num_classes} classes"
+        )
     stem, ext = os.path.splitext(args.out)
     ext = ext or ".csv"
     samples = model_batch(model, ds.X)
@@ -280,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--methods",
         default="ce_only,alternate",
-        help=f"comma-separated strategy modes, each one of {', '.join(STRATEGY_MODES)}",
+        help=f"comma-separated strategy modes, each one of {', '.join(MODE_STRATEGIES)}",
     )
     p.add_argument("--seeds", type=_int_list, default="0,1,2")
     p.add_argument("--holdout", type=float, default=None, help="in-source validation fraction")

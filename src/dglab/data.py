@@ -326,24 +326,29 @@ def _csv_field(text: str) -> str:
     return buf.getvalue().rpartition(",")[0]  # drop the empty second field and the line end
 
 
+# rows per block that write_rows formats at once
+WRITE_BLOCK_ROWS = 1024
+
+
 def write_rows(path, column_prefix: str, domain, labels, values) -> None:
     """Write a CSV of domain, label and float columns ``column_prefix``0, 1, ...
 
     ``values`` holds one row per domain tag. Floats are written with
     FLOAT_FORMAT, so they read back bit for bit. The bytes are those of
     ``csv.writer`` over the same fields, but each domain name is quoted
-    once and each row is formatted in one ``%`` operation.
+    once and each row is formatted in one ``%`` operation. Rows become Python
+    values WRITE_BLOCK_ROWS at a time, so memory does not grow with the row count.
     """
     width = values.shape[1]
     with open_for_rewrite(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["domain", "label"] + [f"{column_prefix}{i}" for i in range(width)])
-        domain = domain.tolist()
         quoted = {name: _csv_field(name) for name in set(domain)}
         row = ",".join(["%s", "%d"] + [FLOAT_FORMAT] * width) + writer.dialect.lineterminator
-        fh.writelines(
-            row % (quoted[d], c, *x) for d, c, x in zip(domain, labels.tolist(), values.tolist())
-        )
+        for start in range(0, len(values), WRITE_BLOCK_ROWS):
+            block = slice(start, start + WRITE_BLOCK_ROWS)
+            cells = zip(domain[block].tolist(), labels[block].tolist(), values[block].tolist())
+            fh.writelines(row % (quoted[d], c, *x) for d, c, x in cells)
 
 
 def save_dataset(ds: DomainDataset, path) -> None:

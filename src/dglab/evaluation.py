@@ -32,7 +32,7 @@ from .data import (
 )
 from .errors import ConfigError, ContractError, NumericError
 from .models import Model, features, forward, head_weight, model_batch, row_chunks
-from .trainer import TrainConfig, train
+from .trainer import MODE_STRATEGIES, STRATEGY_ALIGN, STRATEGY_CE, STRATEGY_MASK, TrainConfig, train
 
 REPORT_FORMAT = "dglab-report-v1"
 
@@ -306,18 +306,14 @@ GRID_FIELDS = {"alpha": "alpha", "m_percent": "m", "q_max": "qMax"}
 
 
 def _grid_mode(cfg: TrainConfig) -> str:
-    """Map a grid point's config onto the strategy that exercises it.
+    """The strategy mode that runs exactly the strategies a grid point weighs:
+    align when alpha is non-zero, mask when m is, plain cross-entropy when neither.
 
     A zeroed strategy is not merely weightless, it is switched off, so the
     all-zero point reproduces plain cross-entropy training exactly.
     """
-    if cfg.alpha == 0 and cfg.m_percent == 0:
-        return "ce_only"
-    if cfg.m_percent == 0:
-        return "align_only"
-    if cfg.alpha == 0:
-        return "mask_only"
-    return "alternate"
+    weighed = {s for s, w in ((STRATEGY_ALIGN, cfg.alpha), (STRATEGY_MASK, cfg.m_percent)) if w != 0} or {STRATEGY_CE}
+    return next(mode for mode, strategies in MODE_STRATEGIES.items() if set(strategies) == weighed)
 
 
 def _grid_cells(point) -> list[str]:

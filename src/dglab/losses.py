@@ -66,20 +66,19 @@ def alignment_loss(soft: SoftLabelBatch) -> Tensor:
     return ad.centroid_spread(soft.probs, soft.labels)
 
 
-def objective_parts(logits, labels, alpha: float) -> tuple[Tensor, Tensor, Tensor | None]:
-    """(combined, cross-entropy, alignment or None) for one batch.
+def objective_parts(logits, labels, alpha: float) -> tuple[Tensor, float, float | None]:
+    """(combined loss node, cross-entropy, alignment or None) for one batch.
 
     alpha == 0 skips the alignment term entirely, so the combined loss is
     the cross-entropy node itself. alpha > 0 builds the one node
-    ``autodiff.soft_label_objective`` on the logits; the cross-entropy and
-    alignment it returns beside it are leaves that carry the two terms'
-    values only.
+    ``autodiff.soft_label_objective`` on the logits. The two terms come
+    back as Python floats, whose repr is the shortest round-tripping decimal.
     """
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
     z = ad.as_tensor(logits)
     if alpha == 0.0:
         ce = cross_entropy(z, labels)
-        return ce, ce, None
+        return ce, float(ce.values), None
     loss, ce, align = ad.soft_label_objective(z, labels, alpha)
-    return loss, Tensor(ce), Tensor(align)
+    return loss, float(ce), float(align)

@@ -93,8 +93,8 @@ def mask_below_percentile(x, scores, q: float, rng) -> np.ndarray:
     return out.reshape(values.shape)
 
 
-def augment_batch(batch, model: Model, cfg: TrainConfig, rng):
-    """Mask a uniformly chosen ``cfg.m_percent``% of the batch; labels pass through untouched.
+def augment_batch(x_batch, labels, model: Model, cfg: TrainConfig, rng) -> np.ndarray:
+    """A copy of the batch with a uniformly chosen ``cfg.m_percent``% of its rows masked.
 
     ``cfg`` is the run's TrainConfig, which has checked the fields read here.
     Each chosen sample gets its own threshold percentile in [0, ``cfg.q_max``];
@@ -104,20 +104,17 @@ def augment_batch(batch, model: Model, cfg: TrainConfig, rng):
     in this order: the SmoothGrad seed (even when no row is chosen), the
     chosen rows, all thresholds, then the shuffle keys of every masked position.
     """
-    x_batch, labels = batch
-    x_values = np.asarray(x_batch, dtype=np.float64)
-    if x_values.shape[0] < 1:
+    out = np.array(x_batch, dtype=np.float64, copy=True)
+    if out.shape[0] < 1:
         raise ContractError("augment_batch: empty batch")
-    labels = np.asarray(labels)
     sg_cfg = SmoothGradConfig(cfg.sg_n, cfg.sg_sigma, seed=int(rng.integers(2**63)))
-    out = x_values.copy()
-    count = math.floor(cfg.m_percent / 100.0 * x_values.shape[0] + 0.5)  # round half away from zero
+    count = math.floor(cfg.m_percent / 100.0 * out.shape[0] + 0.5)  # round half away from zero
     if count == 0:
-        return out, labels
-    chosen = rng.choice(x_values.shape[0], size=count, replace=False)
-    rows = x_values[chosen]
-    scores = smoothgrad(model, rows, labels[chosen], sg_cfg)
+        return out
+    chosen = rng.choice(out.shape[0], size=count, replace=False)
+    rows = out[chosen]
+    scores = smoothgrad(model, rows, np.asarray(labels)[chosen], sg_cfg)
     qs = sample_threshold(cfg.q_max, rng, size=count)
     masked = mask_rows_below_percentile(rows.reshape(count, -1), scores.reshape(count, -1), qs, rng)
     out[chosen] = masked.reshape(rows.shape)
-    return out, labels
+    return out

@@ -29,7 +29,13 @@ STRATEGY_ALIGN = "align"
 STRATEGY_MASK = "mask"
 STRATEGY_CE = "ce"
 
-STRATEGY_MODES = ("alternate", "align_only", "mask_only", "ce_only")
+# each mode's strategies: a one-strategy mode draws nothing, ``alternate`` flips a fair coin between its two
+MODE_STRATEGIES = {
+    "alternate": (STRATEGY_ALIGN, STRATEGY_MASK),
+    "align_only": (STRATEGY_ALIGN,),
+    "mask_only": (STRATEGY_MASK,),
+    "ce_only": (STRATEGY_CE,),
+}
 
 ARCHITECTURES = ("mlp", "cnn1d")
 
@@ -80,9 +86,9 @@ class TrainConfig:
         ):
             if not holds:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
-        if self.strategy_mode not in STRATEGY_MODES:
+        if self.strategy_mode not in MODE_STRATEGIES:
             raise ConfigError(
-                f"unknown strategy_mode {self.strategy_mode!r}; choose from {STRATEGY_MODES}"
+                f"unknown strategy_mode {self.strategy_mode!r}; choose from {tuple(MODE_STRATEGIES)}"
             )
         if self.arch not in ARCHITECTURES:
             raise ConfigError(f"unknown arch {self.arch!r}; choose from {ARCHITECTURES}")
@@ -146,16 +152,11 @@ def lr_schedule(base_lr: float, iteration: int, total: int, factor: float, at_fr
 
 
 def choose_strategy(mode: str, rng) -> str:
-    """Pick the strategy for one batch; ``alternate`` flips a fair coin."""
-    if mode == "align_only":
-        return STRATEGY_ALIGN
-    if mode == "mask_only":
-        return STRATEGY_MASK
-    if mode == "ce_only":
-        return STRATEGY_CE
-    if mode == "alternate":
-        return STRATEGY_ALIGN if rng.random() < 0.5 else STRATEGY_MASK
-    raise ConfigError(f"unknown strategy_mode {mode!r}")
+    """Pick the strategy for one batch from ``MODE_STRATEGIES``; ``alternate`` flips a fair coin."""
+    strategies = MODE_STRATEGIES.get(mode)
+    if strategies is None:
+        raise ConfigError(f"unknown strategy_mode {mode!r}")
+    return strategies[0] if len(strategies) == 1 else strategies[int(rng.random() >= 0.5)]
 
 
 def train_step(model: Model, batch, strategy: str, cfg: TrainConfig, lr: float, rng, momentum_state) -> dict:
@@ -166,20 +167,17 @@ def train_step(model: Model, batch, strategy: str, cfg: TrainConfig, lr: float, 
     """
     x_batch, labels = batch
     if strategy == STRATEGY_MASK:
-        x_batch, labels = augment_batch((x_batch, labels), model, cfg, rng)
+        x_batch = augment_batch(x_batch, labels, model, cfg, rng)
 
     logits = forward(model, Tensor(x_batch))
     if strategy == STRATEGY_ALIGN:
         loss, ce, align = objective_parts(logits, labels, cfg.alpha)
     else:
-        ce = cross_entropy(logits, labels)
-        loss, align = ce, None
+        loss, align = cross_entropy(logits, labels), None
+        ce = float(loss.values)
 
-    loss_value = float(loss.values)
-    if not np.isfinite(loss_value):
-        parts = f"ce={float(ce.values)!r}"
-        if align is not None:
-            parts += f", align={float(align.values)!r}"
+    if not np.isfinite(loss.values):
+        parts = f"ce={ce!r}" + ("" if align is None else f", align={align!r}")
         raise NumericError(f"non-finite loss under strategy {strategy!r} ({parts})")
 
     grads = ad.backward(loss)
@@ -192,11 +190,7 @@ def train_step(model: Model, batch, strategy: str, cfg: TrainConfig, lr: float, 
         v += g
         p.values = p.values - lr * v
 
-    return {
-        "strategy": strategy,
-        "loss_ce": float(ce.values),
-        "loss_align": None if align is None else float(align.values),
-    }
+    return {"strategy": strategy, "loss_ce": ce, "loss_align": align}
 
 
 def build_model_for(cfg: TrainConfig, input_shape: tuple, num_classes: int, model_seed: int) -> Model:

@@ -14,7 +14,7 @@ from dglab import cli, evaluation
 from dglab.data import DomainDataset, generate_shifted_waveforms, generate_spurious_gaussian, save_dataset
 from dglab.errors import NumericError
 from dglab.saliency import SmoothGradConfig
-from dglab.trainer import STRATEGY_MODES, TrainConfig
+from dglab.trainer import MODE_STRATEGIES, TrainConfig
 
 
 def run_cli(*args, cwd=None):
@@ -152,6 +152,28 @@ def test_ablation_cli(dataset_dir, config_path, tmp_path):
     assert "-" in result.stdout
     doc = json.loads(out.read_text())
     assert len(doc["grid"]) == 2
+
+
+def test_ablation_prints_the_paired_summary_to_the_all_zero_point(dataset_dir, config_path, tmp_path, capsys):
+    grid, out = tmp_path / "grid.json", tmp_path / "ablation.json"
+    argv = ["ablation", "--data", str(dataset_dir), "--config", str(config_path), "--grid", str(grid),
+            "--seeds", "0,1", "--out", str(out)]
+    grid.write_text(json.dumps([[0.1, 50, 70], [0, 0, 0]]))
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(out.read_text())
+    report = evaluation.RunReport(
+        [evaluation.ReportRow(r["target"], r["method"], r["accuracies"]) for r in doc["rows"]],
+        fingerprint="", seeds=[0, 1], grid=doc["grid"],
+    )
+    assert captured.out == evaluation.ablation_text(report) + "\n"
+    baseline = evaluation.grid_label(0, 0, 0)
+    assert captured.err == evaluation.paired_text(report, baseline=baseline) + "\n"
+    assert "paired" not in out.read_text()
+    # without the all-zero point there is nothing to pair with
+    grid.write_text(json.dumps([[0.1, 50, 70]]))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_saliency_export(dataset_dir, config_path, tmp_path):
@@ -480,7 +502,7 @@ NOT_INTEGERS = "argument --seeds: expected comma-separated integers, got '1,x'"
 NEGATIVE_SEED = "seed must be a non-negative int64 integer, got -1"
 LODO_FLAGS = {
     # id: (command, flags, message)
-    "unknown-method": ("lodo", ["--methods", "bogus"], f"unknown strategy_mode 'bogus'; choose from {STRATEGY_MODES}"),
+    "unknown-method": ("lodo", ["--methods", "bogus"], f"unknown strategy_mode 'bogus'; choose from {tuple(MODE_STRATEGIES)}"),
     "duplicate-method": ("lodo", ["--methods", "ce_only,ce_only"], "duplicate methods in ['ce_only', 'ce_only']"),
     "seed-not-an-integer": ("lodo", ["--seeds", "1,x"], NOT_INTEGERS),
     "duplicate-seed": ("lodo", ["--seeds", "1,1"], "duplicate seeds in [1, 1]"),
@@ -746,6 +768,22 @@ def test_checkpoint_with_a_wrong_num_classes_exits_one_before_saliency_export_wr
     assert cli.main(args) == 1
     assert capsys.readouterr().err == f"error: {bad}: the head has 3 outputs, but num_classes is 2\n"
     assert list(tmp_path.iterdir()) == [bad]
+
+
+def test_label_the_checkpoint_lacks_exits_one_before_saliency_export_writes(checkpoint_doc, tmp_path, capsys):
+    # the checkpoint has 3 classes; this data has 4, and its first class-3 row is data.csv row 17
+    data = tmp_path / "four"
+    argv = ["generate", "--kind", "spurious-gaussian", "--classes", "4", "--n-per-domain-class", "5", "--out", str(data)]
+    assert cli.main(argv) == 0
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(checkpoint_doc))
+    capsys.readouterr()
+    args = ["saliency-export", "--checkpoint", str(checkpoint), "--data", str(data), "--samples", "80",
+            "--sg-n", "1", "--out", str(tmp_path / "sal.csv")]
+    assert cli.main(args) == 1
+    message = f"error: {data / 'data.csv'}: row 17: label 3 is not a class of the checkpoint, which has 3 classes\n"
+    assert capsys.readouterr() == ("", message)
+    assert not list(tmp_path.glob("sal_*"))
 
 
 def test_negative_saliency_sample_count_exits_one(checkpoint_doc, dataset_dir, tmp_path):

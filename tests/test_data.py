@@ -14,6 +14,7 @@ import pytest
 
 import dglab
 from dglab.data import (
+    WRITE_BLOCK_ROWS,
     DomainDataset,
     TrainView,
     check_every_class,
@@ -442,6 +443,22 @@ def test_write_rows_takes_any_column_prefix(tmp_path):
     write_rows(tmp_path / "f.csv", "f", ds.domain, ds.y, ds.X)
     expected = reference_save_bytes(ds).replace(b",x", b",f", ds.X.shape[1])
     assert (tmp_path / "f.csv").read_bytes() == expected
+
+
+def test_write_rows_peak_memory_does_not_grow_with_the_row_count(tmp_path):
+    # rows become Python values one block at a time, never the whole array at once
+    peaks = []
+    for n in (2 * WRITE_BLOCK_ROWS, 8 * WRITE_BLOCK_ROWS):
+        rng = np.random.default_rng(0)
+        X, y = rng.standard_normal((n, 10)), rng.integers(0, 3, n)
+        domain = np.asarray([f"d{i % 4}" for i in range(n)])
+        tracemalloc.start()
+        try:
+            write_rows(tmp_path / "f.csv", "f", domain, y, X)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 
 def small_saved(tmp_path, **kwargs):

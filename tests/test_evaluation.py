@@ -24,7 +24,7 @@ from dglab.evaluation import (
     paired_text,
 )
 from dglab.models import build_cnn1d, build_mlp, features, forward, model_batch
-from dglab.trainer import TrainConfig, train
+from dglab.trainer import MODE_STRATEGIES, STRATEGY_ALIGN, STRATEGY_CE, STRATEGY_MASK, TrainConfig, train
 
 
 def tiny_dataset(seed=0):
@@ -209,6 +209,16 @@ def test_grid_values_are_checked_as_written_and_run_as_floats():
     ]:
         with pytest.raises(ConfigError, match=message):
             grid_points(tiny_cfg(), [[0, 0, 0], point])
+
+
+@pytest.mark.parametrize(
+    "alpha, m_percent, weighed",
+    [(0, 0, {STRATEGY_CE}), (0.1, 0, {STRATEGY_ALIGN}), (0, 50, {STRATEGY_MASK}), (0.1, 50, {STRATEGY_ALIGN, STRATEGY_MASK})],
+)
+def test_grid_mode_runs_exactly_the_weighed_strategies(alpha, m_percent, weighed):
+    # align when alpha weighs it, mask when m does, plain cross-entropy when neither
+    (cfg,) = grid_points(tiny_cfg(), [[alpha, m_percent, 70]]).values()
+    assert set(MODE_STRATEGIES[cfg.strategy_mode]) == weighed
 
 
 @pytest.mark.parametrize("domain", ["d0", "d2"], ids=["first-domain", "last-domain"])

@@ -296,6 +296,9 @@ def test_each_loss_is_one_node_on_logits_or_probs():
     # the logits; the two terms come back as values
     combined, ce, align = objective_parts(z, labels, 0.1)
     assert combined.lineage == ("soft_label_objective", (z,))
-    assert ce.lineage is None and align.lineage is None
-    assert _bits(ce.values) == _bits(cross_entropy(z, labels).values)
-    assert _bits(align.values) == _bits(alignment_loss(soft).values)
+    assert type(ce) is float and type(align) is float
+    assert _bits(ce) == _bits(cross_entropy(z, labels).values)
+    assert _bits(align) == _bits(alignment_loss(soft).values)
+    # with alpha == 0 the cross-entropy is a float too, and there is no alignment term
+    plain, ce, align = objective_parts(z, labels, 0.0)
+    assert type(ce) is float and ce == float(plain.values) and align is None

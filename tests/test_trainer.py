@@ -5,6 +5,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
+from dglab.autodiff import Tensor
 from dglab.data import TrainView, generate_spurious_gaussian, leave_one_domain_out
 from dglab.errors import ConfigError, ContractError, DataFormatError, NumericError
 from dglab.trainer import (
@@ -58,6 +59,8 @@ def test_choose_strategy_fixed_modes():
     assert choose_strategy("align_only", rng) == STRATEGY_ALIGN
     assert choose_strategy("mask_only", rng) == STRATEGY_MASK
     assert choose_strategy("ce_only", rng) == STRATEGY_CE
+    with pytest.raises(ConfigError, match="^unknown strategy_mode 'bogus'$"):
+        choose_strategy("bogus", rng)
 
 
 def test_choose_strategy_alternate_is_fair_coin():
@@ -256,6 +259,16 @@ def test_alternate_mode_shows_both_strategies():
     assert all(r.loss_align is None for r in mask_records)
 
 
+def test_history_records_hold_python_floats():
+    # numpy 2 scalars repr as np.float64(...), which history.csv would then hold
+    _, hist = train(tiny_view(), tiny_cfg(strategy_mode="alternate", iterations=12, sg_n=1))
+    assert {r.strategy for r in hist.records} == {STRATEGY_ALIGN, STRATEGY_MASK}
+    for r in hist.records:
+        assert type(r.loss_ce) is float
+        assert (r.loss_align is None) == (r.strategy == STRATEGY_MASK)
+        assert r.loss_align is None or type(r.loss_align) is float
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_loss_raises_numeric_error_with_context():
     view = tiny_view()
@@ -276,6 +289,16 @@ def test_align_step_on_non_finite_logits_raises_numeric_error(bad):
         train_step(model, batch, STRATEGY_ALIGN, tiny_cfg(alpha=0.1), 0.01, np.random.default_rng(1), momentum)
     for name, p in model.params.items():
         assert np.array_equal(p.values, before[name], equal_nan=True)
+
+
+def test_non_finite_loss_message_is_built_from_the_float_terms(monkeypatch):
+    nan_objective = lambda logits, labels, alpha: (Tensor(np.array(np.nan)), float("nan"), 0.25)
+    monkeypatch.setattr("dglab.trainer.objective_parts", nan_objective)
+    model = build_mlp([4, 5], 3, seed=0)
+    momentum = {name: np.zeros_like(p.values) for name, p in model.params.items()}
+    batch = (np.random.default_rng(0).standard_normal((6, 4)), np.array([0, 1, 2, 0, 1, 2]))
+    with pytest.raises(NumericError, match=r"^non-finite loss under strategy 'align' \(ce=nan, align=0\.25\)$"):
+        train_step(model, batch, STRATEGY_ALIGN, tiny_cfg(), 0.01, np.random.default_rng(1), momentum)
 
 
 def test_history_csv_export(tmp_path):
