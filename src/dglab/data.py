@@ -30,6 +30,16 @@ META_FILE = "meta.json"
 FLOAT_FORMAT = "%.17g"  # 17 significant digits round-trip float64 exactly
 
 
+def _repeated_name(names) -> str | None:
+    """The first of ``names`` that an earlier entry already holds, or None."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
+
+
 @dataclass
 class DomainDataset:
     """Samples with class labels and a domain tag per row."""
@@ -51,6 +61,9 @@ class DomainDataset:
             )
         if n and (self.y.min() < 0 or self.y.max() >= self.num_classes):
             raise ContractError(f"labels must lie in [0, {self.num_classes})")
+        repeat = _repeated_name(self.domain_names)
+        if repeat is not None:
+            raise ContractError(f"domain name {repeat!r} is listed twice")
         known = set(self.domain_names)
         present = set(self.domain.tolist())
         if not present <= known:
@@ -438,6 +451,10 @@ def load_dataset(path) -> DomainDataset:
         domain_names = [str(d) for d in meta["domain_names"]]
     except (KeyError, TypeError, ValueError) as e:
         raise DataFormatError(f"{meta_path}: bad sidecar fields: {e}") from e
+    # a target listed twice would count twice in a LODO footer
+    repeat = _repeated_name(domain_names)
+    if repeat is not None:
+        raise DataFormatError(f"{meta_path}: domain name {repeat!r} is listed twice in domain_names")
     width = int(np.prod(input_shape, dtype=np.int64)) if input_shape else 1
     known = set(domain_names)
 
@@ -569,7 +586,7 @@ def holdout_rows(y: np.ndarray, fraction: float, seed: int) -> tuple[np.ndarray,
     return np.flatnonzero(kept), held
 
 
-def split_holdout(view: TrainView, fraction: float = 0.1, seed: int = 0):
+def split_holdout(view: TrainView, fraction: float, seed: int):
     """Split off a stratified in-source validation fraction; returns (train, held)."""
     kept, held = holdout_rows(view.y, fraction, seed)
     return (

@@ -282,7 +282,7 @@ def _train_target(
 def method_configs(cfg: TrainConfig, methods: list[str]) -> dict[str, TrainConfig]:
     """Each method's config by name: ``cfg`` with that strategy mode."""
     if not methods:
-        raise ConfigError("lodo_experiment needs at least one method")
+        raise ConfigError("a leave-one-domain-out experiment needs at least one method")
     # a repeated method would count twice in the footer
     if len(set(methods)) < len(methods):
         raise ConfigError(f"duplicate methods in {list(methods)}")

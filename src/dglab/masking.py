@@ -27,12 +27,10 @@ if TYPE_CHECKING:  # trainer imports this module
 PERCENTILE_METHOD = "linear"
 
 
-def sample_threshold(q_max: float, rng, size: int | None = None):
-    """Draw threshold percentiles uniformly from [0, q_max]: one float, or ``size`` of them."""
+def sample_threshold(q_max: float, rng, size: int) -> np.ndarray:
+    """Draw ``size`` threshold percentiles uniformly from [0, q_max]."""
     if not 0.0 <= q_max <= 100.0:
         raise ConfigError(f"q_max must be in [0, 100], got {q_max}")
-    if size is None:
-        return float(rng.uniform(0.0, q_max))
     return rng.uniform(0.0, q_max, size=size)
 
 
@@ -86,7 +84,7 @@ def mask_below_percentile(x, scores, q: float, rng) -> np.ndarray:
     sample always holds the same value multiset as x.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    values = np.asarray(getattr(x, "values", x), dtype=np.float64)
+    values = np.asarray(x, dtype=np.float64)
     if scores.shape != values.shape:
         raise DimensionError(f"saliency shape {scores.shape} does not match sample shape {values.shape}")
     out = mask_rows_below_percentile(values.reshape(1, -1), scores.reshape(1, -1), [q], rng)

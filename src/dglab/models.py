@@ -46,9 +46,6 @@ class Model:
     input_shape: tuple
     seed: int
 
-    def param_count(self) -> int:
-        return sum(p.values.size for p in self.params.values())
-
 
 def _init_affine(params: dict[str, Tensor], name: str, fan_in: int, fan_out: int, rng) -> None:
     bound = 1.0 / math.sqrt(fan_in)

@@ -57,7 +57,7 @@ def smoothgrad(model: Model, x, c, cfg: SmoothGradConfig) -> np.ndarray:
     first replicate, which keeps it exact when every replicate map is
     identical, e.g. for linear models or zero noise.
     """
-    values = np.asarray(getattr(x, "values", x), dtype=np.float64)
+    values = np.asarray(x, dtype=np.float64)
     stacked = values.ndim == len(model.input_shape) + 1
     samples = values if stacked else values[None]
     classes = np.asarray(c, dtype=np.intp).reshape(-1)

@@ -182,12 +182,9 @@ def train_step(model: Model, batch, strategy: str, cfg: TrainConfig, lr: float, 
 
     grads = ad.backward(loss)
     for name, p in model.params.items():
-        g = grads.get(p)
-        if g is None:
-            g = np.zeros_like(p.values)
         v = momentum_state[name]
         v *= cfg.momentum
-        v += g
+        v += grads[p]
         p.values = p.values - lr * v
 
     return {"strategy": strategy, "loss_ce": ce, "loss_align": align}

@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import shutil
 import subprocess
 import sys
 import types
@@ -504,6 +505,7 @@ LODO_FLAGS = {
     # id: (command, flags, message)
     "unknown-method": ("lodo", ["--methods", "bogus"], f"unknown strategy_mode 'bogus'; choose from {tuple(MODE_STRATEGIES)}"),
     "duplicate-method": ("lodo", ["--methods", "ce_only,ce_only"], "duplicate methods in ['ce_only', 'ce_only']"),
+    "no-method": ("lodo", ["--methods", ","], "a leave-one-domain-out experiment needs at least one method"),
     "seed-not-an-integer": ("lodo", ["--seeds", "1,x"], NOT_INTEGERS),
     "duplicate-seed": ("lodo", ["--seeds", "1,1"], "duplicate seeds in [1, 1]"),
     "holdout-past-one": ("lodo", ["--holdout", "2"], "holdout fraction must be in (0, 1), got 2.0"),
@@ -711,8 +713,12 @@ def _exports(checkpoint, dataset_dir, tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ["[1, 2]", "{bad", ("params",), ("params", "fc0_w"), ("layers", 0, "name")],
-    ids=["json-list", "invalid-json", "missing-params", "missing-parameter", "layer-without-name"],
+    [
+        "[1, 2]", "{bad", ("params",), ("params", "fc0_w"), ("layers", 0, "name"), ("format",), ("layers", 0, "kind"),
+        ("params", "fc0_w", "values", 0),
+    ],
+    ids=["json-list", "invalid-json", "missing-params", "missing-parameter", "layer-without-name", "missing-format",
+         "layer-without-kind", "value-count-not-the-shape"],
 )
 def test_malformed_checkpoint_exits_one(text, checkpoint_doc, dataset_dir, tmp_path):
     if isinstance(text, tuple):
@@ -905,6 +911,88 @@ def test_non_finite_data_exits_one_before_any_training(command, value, monkeypat
     assert capsys.readouterr().err == (
         f"error: {data_csv}: row 6: value {value} is not finite, and training needs finite values\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kind", "spurious-gaussian", "--num-domains", "0"], "generate_spurious_gaussian: counts must be positive"),
+        (["--kind", "waveforms", "--classes", "1"], "generate_shifted_waveforms: need >= 2 classes, got 1"),
+    ],
+    ids=["no-domains", "one-class"],
+)
+def test_generate_count_the_generator_refuses_exits_one(argv, message, tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert cli.main(["generate", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def two_class_dir(tmp_path_factory):
+    """A tiny 2-class spurious-gaussian dataset with domains d0 and d1."""
+    path = tmp_path_factory.mktemp("two-class") / "ds"
+    save_dataset(generate_spurious_gaussian(num_domains=2, classes=2, n_per_domain_class=5, seed=1), path)
+    return path
+
+
+def _meta_edit(edit):
+    def apply(data):
+        meta = json.loads((data / "meta.json").read_text())
+        edit(meta)
+        (data / "meta.json").write_text(json.dumps(meta))
+    return apply
+
+
+DATASET_EDITS = {
+    # id: (command, edit of the dataset directory, the file the message names, the message after it)
+    "empty-data-csv": ("train", lambda data: (data / "data.csv").write_text(""), "data.csv", "empty file"),
+    "meta-without-num-classes": (
+        "train", _meta_edit(lambda meta: meta.pop("num_classes")), "meta.json", "bad sidecar fields: 'num_classes'"
+    ),
+    # lodo would run a repeated target twice and count it twice in its Avg row
+    "domain-name-listed-twice": (
+        "lodo", _meta_edit(lambda meta: meta["domain_names"].append("d0")), "meta.json",
+        "domain name 'd0' is listed twice in domain_names",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DATASET_EDITS.values(), ids=DATASET_EDITS.keys())
+def test_dataset_file_the_loader_refuses_exits_one_before_any_training(case, two_class_dir, monkeypatch, tmp_path, capsys):
+    command, edit, named, message = case
+    data = tmp_path / "ds"
+    shutil.copytree(two_class_dir, data)
+    edit(data)
+    monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("trained on a dataset the loader refuses"))
+    monkeypatch.setattr(evaluation, "train", lambda *a: pytest.fail("trained on a dataset the loader refuses"))
+    out = tmp_path / "out"
+    extra = [] if command == "train" else ["--methods", "ce_only", "--seeds", "0"]
+    assert cli.main([command, "--data", str(data), *extra, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {data / named}: {message}\n"
+    assert not out.exists()
+
+
+CONFIGS_THE_DATA_REFUSES = {
+    # id: (command, --config document, message)
+    "cnn1d-on-flat-samples": ("train", {"arch": "cnn1d"}, "cnn1d needs (channels, length) samples, got shape (10,)"),
+    "config-a-json-list": ("train", [1, 2], "a config must be a JSON object, got list"),
+    "class-ratio-the-batch-cannot-hold": (
+        "lodo", {"min_class_ratio": 1.0, "batch_size": 5}, "cannot satisfy min_ratio 1.0 with batch_size 5 and 2 classes"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CONFIGS_THE_DATA_REFUSES.values(), ids=CONFIGS_THE_DATA_REFUSES.keys())
+def test_config_the_run_cannot_take_exits_one(case, two_class_dir, tmp_path, capsys):
+    command, doc, message = case
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    extra = [] if command == "train" else ["--methods", "ce_only", "--seeds", "0"]
+    assert cli.main([command, "--data", str(two_class_dir), "--config", str(config), *extra, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

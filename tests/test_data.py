@@ -32,7 +32,7 @@ from dglab.data import (
     write_json,
     write_rows,
 )
-from dglab.errors import ConfigError, DataFormatError
+from dglab.errors import ConfigError, ContractError, DataFormatError
 
 
 def small_gaussian(**kwargs):
@@ -333,6 +333,23 @@ def test_read_json_raises_the_given_error_naming_the_file(content, tmp_path):
     (tmp_path / "meta.json").write_bytes(content)
     with pytest.raises(DataFormatError, match="meta.json: invalid JSON"):
         load_dataset(tmp_path)
+
+
+def test_domain_name_listed_twice_is_a_contract_error():
+    # a LODO over the names would run that target twice and count it twice in its Avg row
+    with pytest.raises(ContractError, match=r"^domain name 'a' is listed twice$"):
+        DomainDataset(X=np.zeros((2, 1)), y=[0, 1], domain=["a", "a"], num_classes=2, domain_names=["a", "b", "a"])
+
+
+def test_load_rejects_a_domain_name_listed_twice_before_reading_rows(tmp_path):
+    save_dataset(small_gaussian(), tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta["domain_names"].append("d1")
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    (tmp_path / "data.csv").write_text("")  # not read: the sidecar's error comes first
+    with pytest.raises(DataFormatError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'meta.json'}: domain name 'd1' is listed twice in domain_names"
 
 
 def test_load_rejects_unknown_domain(tmp_path):

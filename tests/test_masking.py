@@ -17,26 +17,25 @@ from dglab.trainer import TrainConfig
 
 
 def test_threshold_qmax_zero_always_zero():
-    rng = np.random.default_rng(0)
-    assert all(sample_threshold(0.0, rng) == 0.0 for _ in range(50))
+    assert np.array_equal(sample_threshold(0.0, np.random.default_rng(0), 50), np.zeros(50))
 
 
 def test_threshold_distribution():
     rng = np.random.default_rng(1)
-    draws = np.array([sample_threshold(70.0, rng) for _ in range(10_000)])
+    draws = sample_threshold(70.0, rng, 10_000)
     assert draws.min() >= 0.0 and draws.max() <= 70.0
     assert abs(draws.mean() - 35.0) < 1.0
 
 
 def test_threshold_seeded_reproducibility():
-    a = [sample_threshold(70.0, np.random.default_rng(7)) for _ in range(1)]
-    b = [sample_threshold(70.0, np.random.default_rng(7)) for _ in range(1)]
-    assert a == b
+    a = sample_threshold(70.0, np.random.default_rng(7), 5)
+    b = sample_threshold(70.0, np.random.default_rng(7), 5)
+    assert np.array_equal(a, b)
 
 
 def test_threshold_rejects_out_of_range():
     with pytest.raises(ConfigError):
-        sample_threshold(101.0, np.random.default_rng(0))
+        sample_threshold(101.0, np.random.default_rng(0), 1)
 
 
 def test_q_zero_is_identity():
@@ -100,8 +99,7 @@ def test_lowest_scored_position_masked_most_often():
     rng = np.random.default_rng(8)
     scores = np.linspace(0.0, 1.0, 8)
     hits = np.zeros(8)
-    for _ in range(4000):
-        q = sample_threshold(70.0, rng)
+    for q in sample_threshold(70.0, rng, 4000):
         t = np.percentile(scores, q, method="linear")
         hits += scores < t
     assert hits[0] == hits.max()
@@ -171,9 +169,9 @@ def test_row_percentiles_bitwise_equal_numpy_with_ties_and_end_points():
 
 
 def test_sample_threshold_batch_draw_matches_sequential_draws():
-    batch = sample_threshold(70.0, np.random.default_rng(31), size=5)
+    batch = sample_threshold(70.0, np.random.default_rng(31), 5)
     gen = np.random.default_rng(31)
-    assert np.array_equal(batch, [sample_threshold(70.0, gen) for _ in range(5)])
+    assert np.array_equal(batch, [gen.uniform(0.0, 70.0) for _ in range(5)])
 
 
 @pytest.mark.parametrize("arch", ["mlp", "cnn1d"])

@@ -20,7 +20,9 @@ from dglab.models import (
 
 def test_mlp_param_count():
     model = build_mlp([4, 8], 3, seed=0)
-    assert model.param_count() == 4 * 8 + 8 + 8 * 3 + 3  # 67
+    # 4 * 8 + 8 + 8 * 3 + 3 = 67 values, in layer order
+    shapes = [(name, p.values.shape) for name, p in model.params.items()]
+    assert shapes == [("fc0_w", (4, 8)), ("fc0_b", (8,)), ("head_w", (8, 3)), ("head_b", (3,))]
 
 
 def test_mlp_same_seed_bit_identical():

@@ -1,6 +1,8 @@
 """Source scans over the dglab package that no linter here makes."""
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import dglab
@@ -39,15 +41,32 @@ def test_unused_import_scan_flags_only_unread_names():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # __init__.py imports names to re-export them
     src = Path(dglab.__file__).parent
     offenders = [
         f"{path.name}:{line} {name}"
         for path in sorted(src.glob("*.py"))
-        if path.name != "__init__.py"
         for name, line in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
+
+
+def _loaded_dglab_modules() -> dict:
+    return {name: m for name, m in sys.modules.items() if name.partition(".")[0] == "dglab"}
+
+
+def test_each_module_imports_first():
+    # the package imports nothing up front, so each module must import what it needs itself
+    names = sorted(p.stem for p in Path(dglab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+    saved = _loaded_dglab_modules()
+    try:
+        for name in names:
+            for loaded in _loaded_dglab_modules():
+                del sys.modules[loaded]
+            importlib.import_module(f"dglab.{name}")
+    finally:
+        for loaded in _loaded_dglab_modules():
+            del sys.modules[loaded]
+        sys.modules.update(saved)
 
 
 def imported_modules(source: str) -> set[str]:
