@@ -169,19 +169,27 @@ def affine(x, w, b) -> Tensor:
     return _record(out, "affine", (x, w, b), vjp)
 
 
+def relu_grad(x: Array, g: Array) -> Array:
+    """ReLU's VJP: the gradient ``g`` at the output pulled back to the input ``x``.
+
+    np.where(x > 0, g, 0.0) bit for bit, without its per-element branch
+    (which mispredicts on a random sign pattern): AND g's bits with
+    all-ones where x > 0 and zero elsewhere, in one fresh buffer. ``g`` may
+    be any array of x's shape, a broadcast view included.
+    """
+    bits = (x > 0.0).view(np.int8).astype(np.uint64)
+    np.negative(bits, out=bits)
+    bits &= g.view(np.uint64)
+    return bits.view(np.float64)
+
+
 def relu(x) -> Tensor:
     """Elementwise max(0, x). The derivative at exactly 0 is 0."""
     x = as_tensor(x)
     out = np.maximum(x.values, 0.0)
 
     def vjp(g: Array, need=ALL_PARENTS):
-        # np.where(x > 0, g, 0.0) bit for bit, without its per-element branch
-        # (which mispredicts on a random sign pattern): AND g's bits with
-        # all-ones where x > 0 and zero elsewhere, in one buffer
-        bits = np.array(x.values > 0.0, dtype=np.uint64)
-        np.negative(bits, out=bits)
-        bits &= g.view(np.uint64)
-        return (bits.view(np.float64),)
+        return (relu_grad(x.values, g),)
 
     return _record(out, "relu", (x,), vjp)
 
@@ -353,10 +361,11 @@ def conv1d(x, w, b) -> Tensor:
 
     x is (batch, c_in, length), w is (c_out, c_in, kernel), b is (c_out,);
     output is a C-contiguous (batch, c_out, length) array. The forward pass
-    fills (batch, c_in, kernel, length) columns in place, one tap at a time:
-    tap j's valid span is a contiguous slice of x shifted by j - pad, and
-    the border positions that fall into the padding are set to 0.0. One
-    matmul by the flattened kernel gives the output.
+    copies x once into a buffer with a zero border of (kernel - 1) / 2 on
+    each side, then fills its (batch, c_in, kernel, length) columns with one
+    strided copy of that buffer: tap j's row is the buffer shifted by j, so
+    the positions past either end of x read 0.0. One matmul by the
+    flattened kernel gives the output.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.values.ndim != 3 or w.values.ndim != 3 or b.values.ndim != 1:
@@ -370,14 +379,13 @@ def conv1d(x, w, b) -> Tensor:
     if k % 2 == 0:
         raise ContractError(f"conv1d same-padding requires an odd kernel, got {k}")
     pad = (k - 1) // 2
+    # cols[:, :, j, l] = xp[:, :, l + j], xp being x inside a zero border of
+    # pad on each side: one strided read of xp, one copy into the columns
+    xp = np.zeros((batch, c_in, length + 2 * pad))
+    xp[:, :, pad : pad + length] = x.values
+    s_batch, s_chan, s_len = xp.strides
     cols = np.empty((batch, c_in, k, length))
-    for j in range(k):
-        # columns lo..hi-1 read x[lo+j-pad : hi+j-pad]; the rest is padding
-        lo = max(0, pad - j)
-        hi = max(lo, min(length, length + pad - j))
-        cols[:, :, j, :lo] = 0.0
-        cols[:, :, j, lo:hi] = x.values[:, :, lo + j - pad : hi + j - pad]
-        cols[:, :, j, hi:] = 0.0
+    np.copyto(cols, np.ndarray(cols.shape, buffer=xp, strides=(s_batch, s_chan, s_len, s_len)))
     cols = cols.reshape(batch, c_in * k, length)
     out = np.matmul(w.values.reshape(c_out, c_in * k), cols)
     out += b.values[:, None]
@@ -402,16 +410,24 @@ def conv1d(x, w, b) -> Tensor:
     return _record(out, "conv1d", (x, w, b), vjp)
 
 
+def pool_grad(shape: tuple[int, ...], g: Array) -> Array:
+    """Global average pooling's VJP: the (batch, channels) gradient ``g`` at
+    the output spread over an input of ``shape`` (batch, channels, length).
+
+    Returns a read-only broadcast view; the op's VJP copies it.
+    """
+    return np.broadcast_to(g[:, :, None] / shape[2], shape)
+
+
 def global_avg_pool(x) -> Tensor:
     """Mean over the length axis of a (batch, channels, length) tensor."""
     x = as_tensor(x)
     if x.values.ndim != 3:
         raise DimensionError(f"global_avg_pool expects (batch, channels, length), got {x.shape}")
-    length = x.shape[2]
     out = x.values.mean(axis=2)
 
     def vjp(g: Array, need=ALL_PARENTS):
-        return (np.broadcast_to(g[:, :, None] / length, x.values.shape).copy(),)
+        return (pool_grad(x.values.shape, g).copy(),)
 
     return _record(out, "global_avg_pool", (x,), vjp)
 

@@ -112,7 +112,12 @@ class TrainConfig:
 
     @classmethod
     def load_json(cls, path) -> "TrainConfig":
-        return cls.from_json_dict(read_json(path))
+        """The config at ``path``; every ConfigError names the file."""
+        doc = read_json(path)  # names the file itself
+        try:
+            return cls.from_json_dict(doc)
+        except ConfigError as e:
+            raise ConfigError(f"{path}: {e}") from e
 
 
 @dataclass

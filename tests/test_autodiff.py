@@ -91,6 +91,36 @@ def test_relu_vjp_is_bitwise_np_where():
     assert masked_negative.any() and not np.signbit(vjp_x[masked_negative]).any()
 
 
+def _with_specials(a):
+    """a with signed zeros, nan and infinities planted along its first axis."""
+    a = a.copy()
+    for row, value in enumerate((0.0, -0.0, np.nan, np.inf, -np.inf)):
+        a[row % a.shape[0], ..., : 1 + row] = value
+    return a
+
+
+@pytest.mark.parametrize("shape", [(6, 3, 8), (40, 32)])
+def test_relu_grad_is_bitwise_the_relu_vjp(shape):
+    rng = np.random.default_rng(52)
+    x = _with_specials(rng.standard_normal(shape))
+    g = _with_specials(rng.standard_normal(shape))[::-1]
+    (vjp_x,) = ad.relu(x)._vjp(g)
+    assert ad.relu_grad(x, g).tobytes() == vjp_x.tobytes()
+    # a broadcast gradient, as the input-gradient pass passes, reads as its copy
+    spread = np.broadcast_to(g[:1], shape)
+    assert ad.relu_grad(x, spread).tobytes() == ad.relu(x)._vjp(spread.copy())[0].tobytes()
+
+
+def test_pool_grad_is_bitwise_the_pool_vjp():
+    rng = np.random.default_rng(53)
+    x = rng.standard_normal((6, 4, 7))
+    g = _with_specials(rng.standard_normal((6, 4)))
+    (vjp_x,) = ad.global_avg_pool(x)._vjp(g)
+    assert ad.pool_grad(x.shape, g).tobytes() == vjp_x.tobytes()
+    # the op's own VJP hands backward a writable copy, never the broadcast view
+    assert vjp_x.flags.writeable and vjp_x.flags.owndata
+
+
 def test_softmax_symmetry():
     out = ad.softmax_rows([[0.0, 0.0, 0.0]])
     np.testing.assert_allclose(out.values, [[1 / 3] * 3], rtol=0, atol=1e-15)

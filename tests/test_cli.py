@@ -425,8 +425,7 @@ def test_setting_no_double_or_int64_holds_exits_one_before_loading_data(case, tm
     args += ["--grid", str(grid)] if command == "ablation" and flag == "--config" else []
     assert cli.main(args) == 1
     err = capsys.readouterr().err
-    where = f"{path}: " if flag == "--grid" else ""
-    assert err.count("\n") == 1 and err.startswith(f"error: {where}{name} must be a")
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: {name} must be a")
     assert not (tmp_path / "out").exists()
 
 
@@ -977,7 +976,7 @@ def test_dataset_file_the_loader_refuses_exits_one_before_any_training(case, two
 CONFIGS_THE_DATA_REFUSES = {
     # id: (command, --config document, message)
     "cnn1d-on-flat-samples": ("train", {"arch": "cnn1d"}, "cnn1d needs (channels, length) samples, got shape (10,)"),
-    "config-a-json-list": ("train", [1, 2], "a config must be a JSON object, got list"),
+    "config-a-json-list": ("train", [1, 2], "{config}: a config must be a JSON object, got list"),
     "class-ratio-the-batch-cannot-hold": (
         "lodo", {"min_class_ratio": 1.0, "batch_size": 5}, "cannot satisfy min_ratio 1.0 with batch_size 5 and 2 classes"
     ),
@@ -992,8 +991,32 @@ def test_config_the_run_cannot_take_exits_one(case, two_class_dir, tmp_path, cap
     out = tmp_path / "out"
     extra = [] if command == "train" else ["--methods", "ce_only", "--seeds", "0"]
     assert cli.main([command, "--data", str(two_class_dir), "--config", str(config), *extra, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(config=config)}\n"
     assert not out.exists()
+
+
+CONFIG_FILE_ERRORS = {
+    # id: (--config document, the message after the file's name)
+    "a-json-list": ([1, 2], "a config must be a JSON object, got list"),
+    "negative-alpha": ({"alpha": -1}, "alpha must be >= 0, got -1"),
+    "unknown-key": ({"nope": 1}, "unknown config keys: ['nope']"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "lodo", "ablation"])
+@pytest.mark.parametrize("case", CONFIG_FILE_ERRORS.values(), ids=CONFIG_FILE_ERRORS.keys())
+def test_config_file_error_names_the_file(case, command, tmp_path, capsys):
+    # no --data exists, so each error comes before any data loads
+    doc, message = case
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    grid = tmp_path / "grid.json"
+    grid.write_text("[[0, 0, 0]]")
+    args = [command, "--data", str(tmp_path / "no-data"), "--config", str(config), "--out", str(tmp_path / "out")]
+    args += ["--grid", str(grid)] if command == "ablation" else []
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -1046,6 +1069,6 @@ def test_network_shape_checked_before_loading_data(case, command, tmp_path, caps
     args = [command, "--data", str(tmp_path / "nope"), "--config", str(config), "--out", str(out)]
     args += [] if command == "train" else _grid_or_methods(command, "ce_only", tmp_path)
     assert cli.main(args) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
     assert not out.exists()
 

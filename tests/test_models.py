@@ -214,11 +214,18 @@ def _picked_logit_gradients(model, values, classes):
     return grads
 
 
+def _with_relu_before_head(model):
+    model.layers.insert(len(model.layers) - 1, {"kind": "relu"})
+    return model
+
+
 INPUT_GRADIENT_CASES = {
     "mlp-32": (lambda: build_mlp([18, 32], 3, seed=41), (1600, 18)),
     "mlp-16-8": (lambda: build_mlp([18, 16, 8], 3, seed=42), (1600, 18)),
     "linear": (lambda: build_mlp([18], 3, seed=43), (1600, 18)),
     "cnn1d": (lambda: build_cnn1d([1, 8, 16], 5, 3, seed=44), (250, 1, 64)),
+    # a tail no builder makes (a relu after the pool) is walked, not pulled back
+    "cnn1d-relu-after-pool": (lambda: _with_relu_before_head(build_cnn1d([1, 8], 5, 3, seed=48)), (250, 1, 64)),
 }
 
 
@@ -250,6 +257,23 @@ def test_input_gradients_never_run_the_head(monkeypatch):
         monkeypatch.setattr(ad, op, lambda *a: pytest.fail(f"built a {op} node"))
     grads = class_logit_input_gradients(model, np.random.default_rng(47).standard_normal((5, 4)), [0, 1, 2, 0, 1])
     assert grads.shape == (5, 4)
+
+
+@pytest.mark.parametrize("arch", ["mlp", "cnn1d"])
+def test_input_gradients_never_run_the_parameter_free_tail(arch, monkeypatch):
+    # the walk stops at the last affine or conv1d layer: the MLP's relu and
+    # the CNN's last relu and pool are pulled back, never run
+    if arch == "mlp":
+        model, shape, relus_per_chunk = build_mlp([18, 32], 3, seed=49), (1600, 18), 0
+    else:
+        model, shape, relus_per_chunk = build_cnn1d([1, 8, 16], 5, 3, seed=49), (250, 1, 64), 1
+    rng = np.random.default_rng(50)
+    values, classes = rng.standard_normal(shape), rng.integers(0, 3, shape[0])
+    relu, calls = ad.relu, []
+    monkeypatch.setattr(ad, "relu", lambda x: calls.append(1) or relu(x))
+    monkeypatch.setattr(ad, "global_avg_pool", lambda *a: pytest.fail("ran the pool"))
+    assert class_logit_input_gradients(model, values, classes).shape == shape
+    assert len(calls) == relus_per_chunk * len(models.row_chunks(model, values))
 
 
 @pytest.mark.parametrize("arch", ["mlp", "cnn1d"])
