@@ -2,19 +2,17 @@
 
 Every operation evaluates eagerly on numpy arrays and, while grad mode is
 on, records its parents plus a vector-Jacobian closure on the output
-tensor. ``backward`` replays the graph in reverse topological order and
-returns a fresh :class:`GradMap`; no gradient state survives between
-calls. A scalar root is seeded with 1; any root may instead be seeded with
-an explicit upstream gradient ``grad`` of its own shape, which yields the
-vector-Jacobian product of ``grad`` with the root. Gradients from multiple
-consumers of the same tensor accumulate additively.
+tensor. ``backward`` replays the graph of a scalar root, seeded with 1, in
+reverse topological order and returns a fresh :class:`GradMap` of every
+reachable tensor; no gradient state survives between calls. Every
+vector-Jacobian closure maps the output gradient ``g`` to one gradient per
+parent, and gradients from multiple consumers of the same tensor
+accumulate additively.
 
-Every vector-Jacobian closure has the signature ``vjp(g, need)`` and
-returns one gradient per parent. ``need`` holds one flag per parent; an
-op may return None for a parent whose flag is false instead of computing
-its gradient (affine and conv1d skip their weight and bias products this
-way). ``backward(root, wrt=...)`` sets the flags so only parents on a path
-to the requested tensors are differentiated.
+``relu_grad``, ``conv1d_input_grad`` and ``pool_grad`` are the rules of
+those ops' VJPs toward their input, as plain functions of arrays: the
+input-gradient pass of ``models`` pulls a gradient back through a layer
+stack with them, and no graph.
 
 Cross-entropy and the class-centroid alignment term are one node each,
 ``mean_nll`` and ``centroid_spread``, and cross-entropy plus alpha times
@@ -34,7 +32,6 @@ C-contiguous output, so the ops after it walk memory in order.
 from __future__ import annotations
 
 import contextlib
-from itertools import compress
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -44,9 +41,6 @@ from .errors import ContractError, DimensionError, NumericError
 Array = np.ndarray
 
 _grad_enabled = True
-
-# ``need`` for a full backward pass: every parent (no op has more than three).
-ALL_PARENTS = (True, True, True)
 
 
 @contextlib.contextmanager
@@ -159,12 +153,8 @@ def affine(x, w, b) -> Tensor:
     out = x.values @ w.values
     out += b.values
 
-    def vjp(g: Array, need=ALL_PARENTS):
-        return (
-            g @ w.values.T if need[0] else None,
-            x.values.T @ g if need[1] else None,
-            g.sum(axis=0) if need[2] else None,
-        )
+    def vjp(g: Array):
+        return g @ w.values.T, x.values.T @ g, g.sum(axis=0)
 
     return _record(out, "affine", (x, w, b), vjp)
 
@@ -188,7 +178,7 @@ def relu(x) -> Tensor:
     x = as_tensor(x)
     out = np.maximum(x.values, 0.0)
 
-    def vjp(g: Array, need=ALL_PARENTS):
+    def vjp(g: Array):
         return (relu_grad(x.values, g),)
 
     return _record(out, "relu", (x,), vjp)
@@ -205,7 +195,7 @@ def softmax_rows(logits) -> Tensor:
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
 
-    def vjp(g: Array, need=ALL_PARENTS):
+    def vjp(g: Array):
         inner = (g * p).sum(axis=1, keepdims=True)
         return (p * (g - inner),)
 
@@ -223,7 +213,7 @@ def log_sum_exp_rows(logits) -> Tensor:
     out = (m + np.log(s)).ravel()
     p = e / s
 
-    def vjp(g: Array, need=ALL_PARENTS):
+    def vjp(g: Array):
         return (g[:, None] * p,)
 
     return _record(out, "log_sum_exp_rows", (z,), vjp)
@@ -242,7 +232,7 @@ def take_per_row(a, indices) -> Tensor:
     rows = np.arange(a.shape[0])
     out = a.values[rows, idx]
 
-    def vjp(g: Array, need=ALL_PARENTS):
+    def vjp(g: Array):
         d = np.zeros_like(a.values)
         d[rows, idx] = g
         return (d,)
@@ -260,7 +250,7 @@ def select_rows(a, indices) -> Tensor:
         raise IndexError(f"row index out of range for {a.shape[0]} rows")
     out = a.values[idx]
 
-    def vjp(g: Array, need=ALL_PARENTS):
+    def vjp(g: Array):
         d = np.zeros_like(a.values)
         np.add.at(d, idx, g)
         return (d,)
@@ -280,7 +270,7 @@ def mean_rows(a) -> Tensor:
     n = a.shape[0]
     out = a.values[0] + (a.values - a.values[0]).mean(axis=0)
 
-    def vjp(g: Array, need=ALL_PARENTS):
+    def vjp(g: Array):
         return (np.broadcast_to(g / n, a.values.shape).copy(),)
 
     return _record(out, "mean_rows", (a,), vjp)
@@ -293,7 +283,7 @@ def sub_rowvec(a, v) -> Tensor:
         raise DimensionError(f"sub_rowvec shapes do not agree: {a.shape} minus {v.shape}")
     out = a.values - v.values
 
-    def vjp(g: Array, need=ALL_PARENTS):
+    def vjp(g: Array):
         return g, -g.sum(axis=0)
 
     return _record(out, "sub_rowvec", (a, v), vjp)
@@ -308,7 +298,7 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _same_shape(a, b, "add")
 
-    def vjp(g: Array, need=ALL_PARENTS):
+    def vjp(g: Array):
         return g, g
 
     return _record(a.values + b.values, "add", (a, b), vjp)
@@ -318,7 +308,7 @@ def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _same_shape(a, b, "sub")
 
-    def vjp(g: Array, need=ALL_PARENTS):
+    def vjp(g: Array):
         return g, -g
 
     return _record(a.values - b.values, "sub", (a, b), vjp)
@@ -328,7 +318,7 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _same_shape(a, b, "mul")
 
-    def vjp(g: Array, need=ALL_PARENTS):
+    def vjp(g: Array):
         return g * b.values, g * a.values
 
     return _record(a.values * b.values, "mul", (a, b), vjp)
@@ -339,7 +329,7 @@ def scale(a, s: float) -> Tensor:
     a = as_tensor(a)
     s = float(s)
 
-    def vjp(g: Array, need=ALL_PARENTS):
+    def vjp(g: Array):
         return (g * s,)
 
     return _record(a.values * s, "scale", (a,), vjp)
@@ -350,7 +340,7 @@ def sum_all(a) -> Tensor:
     a = as_tensor(a)
     out = np.asarray(a.values.sum())
 
-    def vjp(g: Array, need=ALL_PARENTS):
+    def vjp(g: Array):
         return (np.broadcast_to(g, a.values.shape).copy(),)
 
     return _record(out, "sum_all", (a,), vjp)
@@ -365,7 +355,9 @@ def conv1d(x, w, b) -> Tensor:
     each side, then fills its (batch, c_in, kernel, length) columns with one
     strided copy of that buffer: tap j's row is the buffer shifted by j, so
     the positions past either end of x read 0.0. One matmul by the
-    flattened kernel gives the output.
+    flattened kernel gives the output. The VJP keeps the columns for the
+    weight gradient and pulls the gradient back to x by
+    ``conv1d_input_grad``.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.values.ndim != 3 or w.values.ndim != 3 or b.values.ndim != 1:
@@ -390,33 +382,41 @@ def conv1d(x, w, b) -> Tensor:
     out = np.matmul(w.values.reshape(c_out, c_in * k), cols)
     out += b.values[:, None]
 
-    def vjp(g: Array, need=ALL_PARENTS):
-        dx = dw = db = None
-        if need[1]:
-            dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        if need[2]:
-            db = g.sum(axis=(0, 2))
-        if need[0]:
-            # dx[:, :, l] = sum_j w[:, :, j].T @ g[:, :, l + pad - j], one product per
-            # tap, each on a full-length slice of g inside a zero border (summing
-            # into sliced dx ranges instead could flip the sign of a zero)
-            gp = np.zeros((batch, c_out, length + 2 * pad))
-            gp[:, :, pad : pad + length] = g
-            dx = np.matmul(w.values[:, :, 0].T, gp[:, :, 2 * pad : 2 * pad + length])
-            for j in range(1, k):
-                dx += np.matmul(w.values[:, :, j].T, gp[:, :, 2 * pad - j : 2 * pad - j + length])
-        return dx, dw, db
+    def vjp(g: Array):
+        dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        return conv1d_input_grad(w.values, g), dw, g.sum(axis=(0, 2))
 
     return _record(out, "conv1d", (x, w, b), vjp)
 
 
-def pool_grad(shape: tuple[int, ...], g: Array) -> Array:
-    """Global average pooling's VJP: the (batch, channels) gradient ``g`` at
-    the output spread over an input of ``shape`` (batch, channels, length).
+def conv1d_input_grad(w: Array, g: Array) -> Array:
+    """conv1d's VJP toward its input: the (batch, c_out, length) gradient
+    ``g`` at the output pulled back through the (c_out, c_in, kernel)
+    weight ``w`` onto a (batch, c_in, length) input.
 
-    Returns a read-only broadcast view; the op's VJP copies it.
+    dx[:, :, l] = sum_j w[:, :, j].T @ g[:, :, l + pad - j], one product per
+    tap, each on a full-length slice of g inside a zero border of pad on each
+    side (summing into sliced dx ranges instead could flip the sign of a
+    zero). ``g`` may be any array of that shape, a broadcast view included.
     """
-    return np.broadcast_to(g[:, :, None] / shape[2], shape)
+    batch, c_out, length = g.shape
+    pad = (w.shape[2] - 1) // 2
+    gp = np.zeros((batch, c_out, length + 2 * pad))
+    gp[:, :, pad : pad + length] = g
+    dx = np.matmul(w[:, :, 0].T, gp[:, :, 2 * pad : 2 * pad + length])
+    for j in range(1, w.shape[2]):
+        dx += np.matmul(w[:, :, j].T, gp[:, :, 2 * pad - j : 2 * pad - j + length])
+    return dx
+
+
+def pool_grad(g: Array, length: int) -> Array:
+    """Global average pooling's VJP: the (batch, channels) gradient ``g`` at
+    the output spread over an input of ``length`` positions.
+
+    Returns a read-only (batch, channels, length) broadcast view; the op's
+    VJP copies it.
+    """
+    return np.broadcast_to(g[:, :, None] / length, (*g.shape, length))
 
 
 def global_avg_pool(x) -> Tensor:
@@ -426,8 +426,8 @@ def global_avg_pool(x) -> Tensor:
         raise DimensionError(f"global_avg_pool expects (batch, channels, length), got {x.shape}")
     out = x.values.mean(axis=2)
 
-    def vjp(g: Array, need=ALL_PARENTS):
-        return (pool_grad(x.values.shape, g).copy(),)
+    def vjp(g: Array):
+        return (pool_grad(g, x.shape[2]).copy(),)
 
     return _record(out, "global_avg_pool", (x,), vjp)
 
@@ -507,7 +507,7 @@ def mean_nll(logits, labels) -> Tensor:
     m, e, s = _exp_rows(z.values)
     out = _nll_value(z.values, m, s, rows, idx)
 
-    def vjp(g: Array, need=ALL_PARENTS):
+    def vjp(g: Array):
         return (_nll_vjp(e / s, rows, idx, g),)
 
     return _record(out, "mean_nll", (z,), vjp)
@@ -528,7 +528,7 @@ def centroid_spread(probs, labels) -> Tensor:
     idx = _check_row_labels(p, labels, "centroid_spread")
     out, groups = _centroid_terms(p.values, idx)
 
-    def vjp(g: Array, need=ALL_PARENTS):
+    def vjp(g: Array):
         return (_centroid_vjp(groups, g, p.shape),)
 
     return _record(out, "centroid_spread", (p,), vjp)
@@ -560,7 +560,7 @@ def soft_label_objective(logits, labels, alpha: float) -> tuple[Tensor, float, f
     ce = _nll_value(z.values, m, s, rows, idx)
     align, groups = _centroid_terms(p, idx)
 
-    def vjp(g: Array, need=ALL_PARENTS):
+    def vjp(g: Array):
         dp = _centroid_vjp(groups, g * alpha, p.shape)
         inner = (dp * p).sum(axis=1, keepdims=True)
         return (_nll_vjp(p, rows, idx, g) + p * (dp - inner),)
@@ -572,31 +572,17 @@ def soft_label_objective(logits, labels, alpha: float) -> tuple[Tensor, float, f
 # backward pass
 
 
-def backward(root: Tensor, wrt: Sequence[Tensor] | None = None, grad=None) -> GradMap:
-    """Reverse-mode gradients of a scalar root, or of a seeded one.
+def backward(root: Tensor) -> GradMap:
+    """Reverse-mode gradients of a scalar root, seeded with 1.
 
-    ``grad`` is the upstream gradient of the root, an array of the root's
-    shape (a ContractError otherwise); every gradient is then that of
-    ``sum(root * grad)``, and the root's own entry is ``grad`` as given.
-    Without it the root must be a scalar and is seeded with 1.
-
-    Without ``wrt`` the map holds every reachable tensor. With ``wrt`` it
-    holds only the listed tensors that the root depends on, and each op is
-    asked only for the parents that lie on a path to one of them (the
-    parameter products of a saliency pass are never formed). Returns a
-    fresh GradMap per call; tensors are left untouched and gradients over
-    multiple paths accumulate additively.
+    The map holds every tensor the root depends on, the root included.
+    Returns a fresh GradMap per call; tensors are left untouched and
+    gradients over multiple paths accumulate additively.
     """
     if not isinstance(root, Tensor):
         raise ContractError("backward expects a Tensor root")
-    if grad is None:
-        if root.values.shape != ():
-            raise ContractError(f"backward root must be scalar, got shape {root.shape}")
-        grad = np.ones((), dtype=np.float64)
-    else:
-        grad = np.asarray(grad, dtype=np.float64)
-        if grad.shape != root.values.shape:
-            raise ContractError(f"backward grad has shape {grad.shape}, the root {root.shape}")
+    if root.values.shape != ():
+        raise ContractError(f"backward root must be scalar, got shape {root.shape}")
 
     topo: list[Tensor] = []
     visited: set[int] = set()
@@ -614,27 +600,12 @@ def backward(root: Tensor, wrt: Sequence[Tensor] | None = None, grad=None) -> Gr
             if id(parent) not in visited:
                 stack.append((parent, False))
 
-    live: set[int] | None = None
-    if wrt is not None:
-        # topo lists parents before children: one forward sweep marks every
-        # node that depends on a requested tensor
-        live = {id(t) for t in wrt}
-        for node in topo:
-            if any(id(p) in live for p in node._parents):
-                live.add(id(node))
-
-    grads: dict[int, Array] = {id(root): grad}
+    grads: dict[int, Array] = {id(root): np.ones((), dtype=np.float64)}
     keep: dict[int, Tensor] = {id(root): root}
     for node in reversed(topo):
-        g = grads.get(id(node))
-        if g is None or node._vjp is None:
+        if node._vjp is None:
             continue
-        if live is None:
-            flow = zip(node._parents, node._vjp(g))
-        else:
-            need = tuple(id(p) in live for p in node._parents)
-            flow = compress(zip(node._parents, node._vjp(g, need)), need)
-        for parent, pg in flow:
+        for parent, pg in zip(node._parents, node._vjp(grads[id(node)])):
             pid = id(parent)
             keep[pid] = parent
             if pid in grads:
@@ -642,8 +613,6 @@ def backward(root: Tensor, wrt: Sequence[Tensor] | None = None, grad=None) -> Gr
             else:
                 grads[pid] = pg
 
-    if wrt is not None:
-        return GradMap({id(t): (t, np.asarray(grads[id(t)])) for t in wrt if id(t) in grads})
     return GradMap({tid: (keep[tid], np.asarray(g)) for tid, g in grads.items()})
 
 

@@ -104,7 +104,7 @@ class TrainView:
 def check_finite(X: np.ndarray, where: str, first_row: int = 0) -> None:
     """Raise DataFormatError naming the first row of ``X``, numbered from
     ``first_row``, that holds nan or +-inf: no run can train on it."""
-    flat = X.reshape(len(X), -1)
+    flat = X.reshape(len(X), math.prod(X.shape[1:]))
     bad = ~np.isfinite(flat)
     if bad.any():
         row, col = divmod(int(bad.argmax()), flat.shape[1])

@@ -135,34 +135,42 @@ def _params(model: Model, layer: dict) -> tuple[Tensor, Tensor]:
     return model.params[f"{name}_w"], model.params[f"{name}_b"]
 
 
-# kind: (the layer's forward on h, and for a parameter-free kind the rule of
-# its op's VJP, pulling a gradient g back onto z, the output of the last
-# parameterised layer; see _TAIL_KINDS)
+# kind: (the layer's forward on h, and the rule of its op's VJP toward the
+# layer's input h, pulling the gradient g at the output back onto h). Only
+# relu reads h's values, and the pool only its length.
 _LAYER_KINDS = {
-    "affine": (lambda model, layer, h: ad.affine(h, *_params(model, layer)), None),
-    "conv1d": (lambda model, layer, h: ad.conv1d(h, *_params(model, layer)), None),
-    "relu": (lambda model, layer, h: ad.relu(h), lambda z, g: ad.relu_grad(z, g)),
-    "gap": (lambda model, layer, h: ad.global_avg_pool(h), lambda z, g: ad.pool_grad(z.shape, g)),
+    "affine": (
+        lambda model, layer, h: ad.affine(h, *_params(model, layer)),
+        lambda model, layer, h, g: g @ _params(model, layer)[0].values.T,
+    ),
+    "conv1d": (
+        lambda model, layer, h: ad.conv1d(h, *_params(model, layer)),
+        lambda model, layer, h, g: ad.conv1d_input_grad(_params(model, layer)[0].values, g),
+    ),
+    "relu": (lambda model, layer, h: ad.relu(h), lambda model, layer, h, g: ad.relu_grad(h, g)),
+    "gap": (lambda model, layer, h: ad.global_avg_pool(h), lambda model, layer, h, g: ad.pool_grad(g, h.shape[-1])),
 }
 
-_PARAMETERISED = {kind for kind, (_, pull) in _LAYER_KINDS.items() if pull is None}
 
-# The parameter-free tails the builders put between the last parameterised
-# layer and the head: none (a linear model), relu (an MLP) and relu, gap (a
-# 1-d CNN). In each, the relu reads z itself and the pool an input of z's
-# shape, so a gradient at the head's input pulls back to z without the tail.
-_TAIL_KINDS = ((), ("relu",), ("relu", "gap"))
+def _layer_rules(layer: dict) -> tuple:
+    kind = layer["kind"]
+    if kind not in _LAYER_KINDS:
+        raise ConfigError(f"unknown layer kind {kind!r}")
+    return _LAYER_KINDS[kind]
 
 
-def _walk(model: Model, x, stop: int) -> Tensor:
-    """Run model.layers[:stop] on a checked input batch."""
+def _walk(model: Model, x, stop: int, inputs: list | None = None) -> Tensor:
+    """Run model.layers[:stop] on a checked input batch.
+
+    With ``inputs``, each walked layer's input values are appended to it, in
+    layer order, for the input-gradient pass to pull back through.
+    """
     h = ad.as_tensor(x)
     _check_batch_shape(model, h.shape)
     for layer in model.layers[:stop]:
-        kind = layer["kind"]
-        if kind not in _LAYER_KINDS:
-            raise ConfigError(f"unknown layer kind {kind!r}")
-        h = _LAYER_KINDS[kind][0](model, layer, h)
+        if inputs is not None:
+            inputs.append(h.values)
+        h = _layer_rules(layer)[0](model, layer, h)
     return h
 
 
@@ -231,45 +239,23 @@ def head_weight(model: Model) -> np.ndarray:
     return model.params[f"{model.layers[-1]['name']}_w"].values
 
 
-def _split_tail(model: Model) -> tuple[int, tuple]:
-    """Where the input-gradient walk stops, and the tail it pulls back instead.
-
-    The walk runs up to the last affine or conv1d layer below the head; the
-    parameter-free layers between it and the head are the tail. A tail that
-    is not one of ``_TAIL_KINDS`` is walked like the rest, and the tail is
-    then empty.
-    """
-    below_head = model.layers[:-1]
-    stop = max((i + 1 for i, layer in enumerate(below_head) if layer["kind"] in _PARAMETERISED), default=0)
-    tail = tuple(layer["kind"] for layer in below_head[stop:])
-    return (stop, tail) if tail in _TAIL_KINDS else (len(below_head), ())
-
-
-def _chunk_input_gradients(model: Model, values: np.ndarray, seed: np.ndarray, stop: int, tail: tuple) -> np.ndarray:
-    """One chunk's input gradients; its graph is freed on return."""
-    leaf = Tensor(values)
-    z = _walk(model, leaf, stop)
-    for kind in reversed(tail):
-        seed = _LAYER_KINDS[kind][1](z.values, seed)
-    return ad.backward(z, wrt=(leaf,), grad=seed)[leaf]
-
-
 def class_logit_input_gradients(model: Model, batch_values: np.ndarray, classes) -> np.ndarray:
     """Per-row gradients d f(x_i)[c_i] / d x_i for a stacked batch.
 
     The class-c logit is affine in the head's input, with gradient column c
-    of the head weight, so the backward pass starts there: seeded with row
-    i's class column, one pass through the layers below the head yields
-    every row's own input gradient (rows pass through the network
-    independently). The forward walk stops at the last affine or conv1d
-    layer below the head, with output z: the seed is pulled back to z
-    through the parameter-free tail (relu, or relu then global average
-    pooling) by ``autodiff.relu_grad`` and ``autodiff.pool_grad``, the
-    rules of those ops' VJPs, so the tail's outputs are never built. A tail
-    the builders never make is walked as before. The pass differentiates
-    only toward the input, never the parameters, and the result is bit for
-    bit the backward pass through the tail. The stack is walked in the
-    chunks of ``row_chunks``.
+    of the head weight, so the pass starts there: row i's class column is
+    pulled back through every layer below the head, in reverse, by that
+    layer kind's VJP rule in ``_LAYER_KINDS`` (rows pass through the network
+    independently, so one pull yields every row's own input gradient). Only
+    relu reads its input's values, so the forward walk, under ``no_grad``,
+    stops at the input of the last relu below the head and keeps each
+    walked layer's input. The layers above it read only their weights, or,
+    for the pool, the length, which every same-padded conv1d keeps: the
+    walk's output stands in for their inputs. No graph is built, no
+    parameter gradient is formed, and the last relu's output and the pooled
+    features are never computed; the result is bit for bit the backward pass
+    of the picked logits. The stack is walked in the chunks of
+    ``row_chunks``.
     """
     values = np.asarray(batch_values, dtype=np.float64)
     chunks = row_chunks(model, values)
@@ -281,11 +267,18 @@ def class_logit_input_gradients(model: Model, batch_values: np.ndarray, classes)
             f"class index out of range: {classes} for {model.num_classes} classes"
         )
     head_w = head_weight(model)
-    stop, tail = _split_tail(model)
+    below_head = model.layers[:-1]
+    stop = max((i for i, layer in enumerate(below_head) if layer["kind"] == "relu"), default=0)
     grads = np.empty_like(values)
     for rows in chunks:
-        seed = np.take(head_w.T, classes[rows], axis=0)
-        grads[rows] = _chunk_input_gradients(model, values[rows], seed, stop, tail)
+        inputs: list[np.ndarray] = []
+        with ad.no_grad():
+            top = _walk(model, values[rows], stop, inputs).values
+        inputs += [top] * (len(below_head) - stop)
+        g = np.take(head_w.T, classes[rows], axis=0)
+        for layer, h in zip(reversed(below_head), reversed(inputs)):
+            g = _layer_rules(layer)[1](model, layer, h, g)
+        grads[rows] = g
     return grads
 
 

@@ -451,6 +451,31 @@ def test_train_on_data_missing_a_declared_class_exits_one(config_path, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("generate", [generate_spurious_gaussian, generate_shifted_waveforms], ids=["spurious-gaussian", "waveforms"])
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("train", "{csv} has no rows of class 0, 1, 2"),
+        ("lodo", "target domain 'd0' has no rows"),
+        ("ablation", "target domain 'd0' has no rows"),
+    ],
+    ids=["train", "lodo", "ablation"],
+)
+def test_header_only_data_exits_one(generate, command, message, tmp_path, capsys):
+    data = tmp_path / "ds"
+    save_dataset(generate(num_domains=2, n_per_domain_class=4, seed=0), data)
+    csv = data / "data.csv"
+    csv.write_text(csv.read_text().splitlines(keepends=True)[0])
+    grid = tmp_path / "grid.json"
+    grid.write_text("[[0, 0, 0]]")
+    out = tmp_path / "out"
+    args = [command, "--data", str(data), "--out", str(out)]
+    args += ["--grid", str(grid)] if command == "ablation" else []
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == f"error: {message.format(csv=csv)}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [

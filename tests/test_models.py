@@ -210,13 +210,31 @@ def _picked_logit_gradients(model, values, classes):
     for start in range(0, values.shape[0], rows):
         leaf = Tensor(values[start : start + rows])
         picked = ad.take_per_row(forward(model, leaf), classes[start : start + rows])
-        grads[start : start + rows] = ad.backward(ad.sum_all(picked), wrt=(leaf,))[leaf]
+        grads[start : start + rows] = ad.backward(ad.sum_all(picked))[leaf]
     return grads
 
 
-def _with_relu_before_head(model):
-    model.layers.insert(len(model.layers) - 1, {"kind": "relu"})
-    return model
+def _stack(kinds, shape, seed, width=8, kernel=5):
+    """A hand-built stack of the given layer kinds below a 3-way affine head,
+    over inputs of the given batch shape; every affine and conv1d is width wide."""
+    rng = np.random.default_rng(seed)
+    layers, params, c = [], {}, shape[1]
+    for i, kind in enumerate(kinds):
+        layers.append({"kind": kind})
+        if kind == "conv1d":
+            layers[-1]["name"] = f"conv{i}"
+            models._init_conv(params, f"conv{i}", c, width, kernel, rng)
+        elif kind == "affine":
+            layers[-1]["name"] = f"fc{i}"
+            models._init_affine(params, f"fc{i}", c, width, rng)
+        c = width if kind in ("conv1d", "affine") else c
+    models._init_affine(params, "head", c, 3, rng)
+    layers.append({"kind": "affine", "name": "head"})
+    return models.Model(layers, params, 3, (shape[1], None) if len(shape) == 3 else (shape[1],), seed)
+
+
+def _stack_case(kinds, shape, seed):
+    return (lambda: _stack(kinds, shape, seed), shape)
 
 
 INPUT_GRADIENT_CASES = {
@@ -224,8 +242,15 @@ INPUT_GRADIENT_CASES = {
     "mlp-16-8": (lambda: build_mlp([18, 16, 8], 3, seed=42), (1600, 18)),
     "linear": (lambda: build_mlp([18], 3, seed=43), (1600, 18)),
     "cnn1d": (lambda: build_cnn1d([1, 8, 16], 5, 3, seed=44), (250, 1, 64)),
-    # a tail no builder makes (a relu after the pool) is walked, not pulled back
-    "cnn1d-relu-after-pool": (lambda: _with_relu_before_head(build_cnn1d([1, 8], 5, 3, seed=48)), (250, 1, 64)),
+    # stacks no builder makes: each layer below the head is still pulled back
+    # by its kind's rule, and only the layers below the last relu are walked
+    "cnn1d-relu-after-pool": _stack_case(("conv1d", "relu", "gap", "relu"), (250, 1, 64), 48),
+    # no relu: nothing is walked
+    "conv-pool": _stack_case(("conv1d", "gap"), (250, 1, 64), 51),
+    # a conv between the last relu and the pool
+    "conv-relu-conv-pool": _stack_case(("conv1d", "relu", "conv1d", "gap"), (250, 1, 64), 52),
+    "relu-affine-relu": _stack_case(("relu", "affine", "relu"), (1600, 18), 53),
+    "conv-relu-relu-conv-relu-pool": _stack_case(("conv1d", "relu", "relu", "conv1d", "relu", "gap"), (250, 1, 64), 54),
 }
 
 
@@ -240,6 +265,19 @@ def test_input_gradients_are_bitwise_the_picked_logit_graph(case):
     classes = rng.integers(0, 3, shape[0])
     got = class_logit_input_gradients(model, values, classes)
     assert got.tobytes() == _picked_logit_gradients(model, values, classes).tobytes()
+
+
+def test_input_gradients_never_call_backward(monkeypatch):
+    # every stack is pulled back by the layer rules alone, with no graph
+    expected = {}
+    for case, (build, shape) in INPUT_GRADIENT_CASES.items():
+        rng = np.random.default_rng(55)
+        values, classes = rng.standard_normal(shape), rng.integers(0, 3, shape[0])
+        expected[case] = (values, classes, _picked_logit_gradients(build(), values, classes))
+    monkeypatch.setattr(ad, "backward", lambda *a: pytest.fail("called backward"))
+    for case, (values, classes, want) in expected.items():
+        got = class_logit_input_gradients(INPUT_GRADIENT_CASES[case][0](), values, classes)
+        assert got.tobytes() == want.tobytes(), case
 
 
 @pytest.mark.parametrize("arch", ["mlp", "cnn1d"])
