@@ -11,7 +11,9 @@ byte as it was. This script runs ``dglab.cli.main`` in-process on the
   mask_only, alternate) and with the 1-d CNN on the waveforms (ce_only,
   mask_only, alternate), seeds 0 and 1, ``--holdout 0.1``;
 - ``train`` with each of the two, then ``saliency-export`` (5 samples)
-  and ``export-features`` from each checkpoint.
+  and ``export-features`` from each checkpoint;
+- ``ablation`` with the MLP on the gaussian data over ``ABLATION_GRID``,
+  seeds 0 and 1.
 
 It prints one ``sha256  path`` line per file written, sorted by path and
 relative to the output directory. ``history.csv`` is digested without its
@@ -48,6 +50,9 @@ MODELS = {
 
 SALIENCY_SAMPLES = 5
 
+# the [alpha, m, q_max] points of the ablation run: off, each strategy alone, both
+ABLATION_GRID = [[0, 0, 0], [0.1, 0, 0], [0, 50, 70], [0.1, 50, 70]]
+
 
 def commands(inputs: Path, out: Path, iterations: int, n_per_domain_class: int | None) -> list[list[str]]:
     """Every command line, in run order; writes the config files into ``inputs``."""
@@ -70,6 +75,10 @@ def commands(inputs: Path, out: Path, iterations: int, n_per_domain_class: int |
             ["export-features", "--checkpoint", str(run / "checkpoint.json"), "--data", data,
              "--out", str(out / f"features-{name}.csv")],
         ]
+    grid = inputs / "grid.json"
+    grid.write_text(json.dumps(ABLATION_GRID))
+    cmds.append(["ablation", "--data", str(out / "gauss"), "--config", str(inputs / "mlp.json"), "--grid", str(grid),
+                 "--seeds", "0,1", "--out", str(out / "ablation-mlp.json")])
     return cmds
 
 

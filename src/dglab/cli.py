@@ -44,17 +44,8 @@ from .saliency import SmoothGradConfig, smoothgrad, vanilla_saliency
 from .trainer import MODE_STRATEGIES, TrainConfig, train
 
 # a path that is missing, or a directory where a file is expected (or the
-# reverse), is the user's to fix
-USER_ERRORS = (
-    ConfigError,
-    ContractError,
-    DataFormatError,
-    IndexError,
-    KeyError,
-    FileNotFoundError,
-    IsADirectoryError,
-    NotADirectoryError,
-)
+# reverse), is the user's to fix; an IndexError or KeyError is a program bug
+USER_ERRORS = (ConfigError, ContractError, DataFormatError, FileNotFoundError, IsADirectoryError, NotADirectoryError)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -419,28 +419,24 @@ def _first_bad_float(lines):
     return None
 
 
-def _non_utf8_row(path) -> tuple[int, str] | None:
-    """(row number, reason) of the first line of ``path`` holding a byte
-    that is not UTF-8, or None.
+def _non_utf8(line: str) -> str | None:
+    """Why ``line``, read with errors="surrogateescape", is not UTF-8, or None.
 
-    Lines split as load_dataset's strict read splits them; each byte the
-    strict read rejects comes back as a lone surrogate.
+    Each byte the decoder rejects comes back as a lone surrogate.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            found = re.search("[\udc80-\udcff]", line)
-            if found:
-                return lineno, f"byte 0x{ord(found.group()) - 0xDC00:02x} is not UTF-8"
-    return None
+    if line.isascii():
+        return None
+    found = re.search("[\udc80-\udcff]", line)
+    return found and f"byte 0x{ord(found.group()) - 0xDC00:02x} is not UTF-8"
 
 
 def load_dataset(path) -> DomainDataset:
     """Read a dataset directory; validates invariants and names bad rows.
 
-    data.csv is read once. Each row's field count, domain and label are
-    checked in Python, with csv's quoting rules on rows holding a quote,
+    data.csv is read once. Each row's bytes, field count, domain and label
+    are checked in Python, with csv's quoting rules on rows holding a quote,
     and all floats are parsed in one call to numpy's C reader. An error
-    names the first bad row, as a row-by-row read would.
+    names the first bad row in file order, as a row-by-row read would.
     """
     meta_path = os.path.join(path, META_FILE)
     data_path = os.path.join(path, DATA_FILE)
@@ -451,6 +447,8 @@ def load_dataset(path) -> DomainDataset:
         domain_names = [str(d) for d in meta["domain_names"]]
     except (KeyError, TypeError, ValueError) as e:
         raise DataFormatError(f"{meta_path}: bad sidecar fields: {e}") from e
+    if num_classes < 1:  # a header-only file holds no label to reject
+        raise DataFormatError(f"{meta_path}: num_classes must be >= 1, got {num_classes}")
     # a target listed twice would count twice in a LODO footer
     repeat = _repeated_name(domain_names)
     if repeat is not None:
@@ -461,56 +459,57 @@ def load_dataset(path) -> DomainDataset:
     # ``lines`` keeps each good row for numpy: as read, or for a row parsed
     # by csv's rules, its float fields behind two empty ones
     lines, labels, domains, bad_row = [], [], [], None
-    try:
-        with open(data_path, "r", encoding="utf-8", newline="") as fh:
-            first = next(fh, None)
-            if first is None:
-                raise DataFormatError(f"{data_path}: empty file")
-            header = next(csv.reader([first]))
-            if len(header) != width + 2 or header[:2] != ["domain", "label"]:
-                raise DataFormatError(
-                    f"{data_path}: header has {len(header) - 2} feature columns, "
-                    f"sidecar input_shape {list(input_shape)} implies {width}"
-                )
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\r\n")
-                # a quote needs csv's rules; \x1c-\x1f need float()'s, as numpy's reader takes them
-                careful = '"' in line or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line
-                if careful:
-                    fields = next(csv.reader([line]))
-                    count = len(fields)
-                else:
-                    fields = line.split(",", 2)
-                    count = line.count(",") + 1 if line else 0
-                if count != width + 2:
-                    bad_row = (lineno, f"expected {width + 2} fields, got {count}")
+    with open(data_path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        first = next(fh, None)
+        if first is None:
+            raise DataFormatError(f"{data_path}: empty file")
+        reason = _non_utf8(first)
+        if reason is not None:
+            raise DataFormatError(f"{data_path}: row 1: {reason}")
+        header = next(csv.reader([first]))
+        if len(header) != width + 2 or header[:2] != ["domain", "label"]:
+            raise DataFormatError(
+                f"{data_path}: header has {len(header) - 2} feature columns, "
+                f"sidecar input_shape {list(input_shape)} implies {width}"
+            )
+        for lineno, line in enumerate(fh, start=2):
+            reason = _non_utf8(line)
+            if reason is not None:
+                bad_row = (lineno, reason)
+                break
+            line = line.rstrip("\r\n")
+            # a quote needs csv's rules; \x1c-\x1f need float()'s, as numpy's reader takes them
+            careful = '"' in line or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line
+            if careful:
+                fields = next(csv.reader([line]))
+                count = len(fields)
+            else:
+                fields = line.split(",", 2)
+                count = line.count(",") + 1 if line else 0
+            if count != width + 2:
+                bad_row = (lineno, f"expected {width + 2} fields, got {count}")
+                break
+            domain = fields[0]
+            if domain not in known:
+                bad_row = (lineno, f"unknown domain {domain!r}")
+                break
+            try:
+                label = int(fields[1])
+            except ValueError:
+                bad_row = (lineno, f"label {fields[1]!r} is not an integer")
+                break
+            if not 0 <= label < num_classes:
+                bad_row = (lineno, f"label {label} outside [0, {num_classes})")
+                break
+            if careful:
+                reason = _float_error(fields[2:])
+                if reason is not None:
+                    bad_row = (lineno, f"bad float: {reason}")
                     break
-                domain = fields[0]
-                if domain not in known:
-                    bad_row = (lineno, f"unknown domain {domain!r}")
-                    break
-                try:
-                    label = int(fields[1])
-                except ValueError:
-                    bad_row = (lineno, f"label {fields[1]!r} is not an integer")
-                    break
-                if not 0 <= label < num_classes:
-                    bad_row = (lineno, f"label {label} outside [0, {num_classes})")
-                    break
-                if careful:
-                    reason = _float_error(fields[2:])
-                    if reason is not None:
-                        bad_row = (lineno, f"bad float: {reason}")
-                        break
-                    line = ",," + ",".join(fields[2:])
-                lines.append(line)
-                labels.append(label)
-                domains.append(domain)
-    except UnicodeDecodeError:
-        bad_row = _non_utf8_row(data_path)
-        if bad_row is None:  # the file changed under us
-            raise
-        raise DataFormatError(f"{data_path}: row {bad_row[0]}: {bad_row[1]}") from None
+                line = ",," + ",".join(fields[2:])
+            lines.append(line)
+            labels.append(label)
+            domains.append(domain)
 
     # the rows before ``bad_row`` are parsed too: a bad float there comes first
     try:
@@ -548,18 +547,10 @@ def target_rows(ds: DomainDataset, target: str) -> np.ndarray:
     return test_mask
 
 
-def leave_one_domain_out(ds: DomainDataset, target: str):
-    """Partition into (domain-free train view, target test set)."""
+def leave_one_domain_out(ds: DomainDataset, target: str) -> tuple[TrainView, TrainView]:
+    """Partition into domain-free views of (the source domains, the target domain)."""
     test_mask = target_rows(ds, target)
-    train = TrainView(X=ds.X[~test_mask], y=ds.y[~test_mask])
-    test = DomainDataset(
-        X=ds.X[test_mask],
-        y=ds.y[test_mask],
-        domain=ds.domain[test_mask],
-        num_classes=ds.num_classes,
-        domain_names=list(ds.domain_names),
-    )
-    return train, test
+    return tuple(TrainView(X=ds.X[rows], y=ds.y[rows]) for rows in (~test_mask, test_mask))
 
 
 def check_holdout_fraction(fraction: float) -> None:
@@ -574,7 +565,7 @@ def holdout_rows(y: np.ndarray, fraction: float, seed: int) -> tuple[np.ndarray,
     its rows, at least one, drawn from a generator seeded with ``seed``."""
     check_holdout_fraction(fraction)
     rng = np.random.default_rng(seed)
-    held = []
+    held = [np.empty(0, dtype=np.intp)]  # no rows hold none out
     for c in np.unique(y):
         pool = np.flatnonzero(y == c)
         take = max(1, int(round(fraction * pool.size)))

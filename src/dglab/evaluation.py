@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
+from .autodiff import no_grad
 from .data import (
     DomainDataset,
     check_every_class,
@@ -179,21 +179,18 @@ def paired_text(report: RunReport, baseline: str = "ce_only") -> str:
     return "\n".join(lines)
 
 
-def _accuracy(model: Model, X: np.ndarray, y: np.ndarray) -> float:
-    batch = model_batch(model, X)
+def evaluate(model: Model, view) -> float:
+    """Fraction of the rows of ``view``, anything with ``X`` and ``y`` (a
+    ``TrainView`` or a ``DomainDataset``), whose highest logit matches the label."""
+    if len(view.y) == 0:
+        raise ContractError("evaluate: empty test set")
+    batch = model_batch(model, view.X)
     predictions = np.empty(len(batch), dtype=np.intp)
     with no_grad():
         for rows in row_chunks(model, batch):
             # argmax ties resolve to the lowest class
-            predictions[rows] = np.argmax(forward(model, Tensor(batch[rows])).values, axis=1)
-    return float(np.mean(predictions == y))
-
-
-def evaluate(model: Model, test: DomainDataset) -> float:
-    """Fraction of test rows whose highest logit matches the label."""
-    if test.n == 0:
-        raise ContractError("evaluate: empty test set")
-    return _accuracy(model, test.X, test.y)
+            predictions[rows] = np.argmax(forward(model, batch[rows]).values, axis=1)
+    return float(np.mean(predictions == view.y))
 
 
 def _dataset_meta(ds: DomainDataset) -> dict:
@@ -241,6 +238,8 @@ def _lodo_report(
 
     # a target domain's row is checked too: argmax scores a nan logit row as class 0
     check_finite(ds.X, "dataset")
+    if not ds.domain_names:  # no target would run; target_rows rejects a lone domain
+        raise ConfigError("leave_one_domain_out needs at least 2 domains")
     after = "" if holdout_fraction is None else " after the holdout split"
     for target in ds.domain_names:
         labels = ds.y[~target_rows(ds, target)]
@@ -274,7 +273,7 @@ def _train_target(
                 raise NumericError(f"target={target} method={row.method} seed={seed}: {e}") from e
             row.accuracies.append(evaluate(model, test))
             if val_view is not None:
-                row.source_val.append(_accuracy(model, val_view.X, val_view.y))
+                row.source_val.append(evaluate(model, val_view))
         del view, val_view
     return rows
 
@@ -372,5 +371,5 @@ def export_features(model: Model, held: DomainDataset, path) -> None:
     feats = np.empty((len(batch), head_weight(model).shape[0]))
     with no_grad():
         for rows in row_chunks(model, batch):
-            feats[rows] = features(model, Tensor(batch[rows])).values
+            feats[rows] = features(model, batch[rows]).values
     write_rows(path, "f", held.domain, held.y, feats)

@@ -557,6 +557,33 @@ def test_byte_that_is_not_utf8_names_its_row(appended, eol, tmp_path):
     assert str(exc.value) == f"{data_file}: row {len(lines) if appended else 3}: byte 0xff is not UTF-8"
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (REJECTED["short-row"], "expected 5 fields, got 4"),
+        (set_field(2, "1_0"), "bad float: could not convert string to float: '1_0'"),
+    ],
+    ids=["field-count", "numpy-only-float"],
+)
+def test_bad_row_before_a_byte_that_is_not_utf8_is_named_first(edit, message, tmp_path):
+    data_file = small_saved(tmp_path)
+    edit_row(data_file, 3, edit)
+    lines = data_file.read_bytes().split(b"\r\n")
+    lines[5] = lines[5].replace(b",", b",\xff", 1)
+    data_file.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(DataFormatError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == f"{data_file}: row 3: {message}"
+
+
+def test_byte_that_is_not_utf8_in_the_header_names_row_one(tmp_path):
+    data_file = small_saved(tmp_path)
+    data_file.write_bytes(data_file.read_bytes().replace(b"label", b"lab\xe9l", 1))
+    with pytest.raises(DataFormatError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == f"{data_file}: row 1: byte 0xe9 is not UTF-8"
+
+
 def test_blank_line_reports_zero_fields(tmp_path):
     data_file = small_saved(tmp_path)
     edit_row(data_file, 4, REJECTED["blank-line"])
@@ -649,6 +676,16 @@ def test_load_header_only_gives_an_empty_dataset(tmp_path):
     assert ds.X.shape == (0, 3) and ds.y.shape == (0,) and ds.domain.shape == (0,)
 
 
+@pytest.mark.parametrize("num_classes", [0, -1])
+def test_load_rejects_a_sidecar_without_a_class(num_classes, tmp_path):
+    small_saved(tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))
+    (tmp_path / "meta.json").write_text(json.dumps({**meta, "num_classes": num_classes}), encoding="utf-8")
+    with pytest.raises(DataFormatError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'meta.json'}: num_classes must be >= 1, got {num_classes}"
+
+
 def test_load_peak_memory_stays_below_the_old_reader(tmp_path):
     save_dataset(generate_shifted_waveforms(n_per_domain_class=50), tmp_path)
     peaks = []
@@ -665,7 +702,7 @@ def test_load_peak_memory_stays_below_the_old_reader(tmp_path):
 def test_lodo_sizes_and_partition():
     ds = small_gaussian()
     train, test = leave_one_domain_out(ds, "d1")
-    assert test.n == ds.n // 3
+    assert len(test.y) == ds.n // 3
     assert train.X.shape[0] == 2 * ds.n // 3
     assert train.y.shape == (train.X.shape[0],)
     # partition: row multisets of X match exactly
@@ -744,6 +781,11 @@ def test_holdout_rows_keep_the_same_class_counts_for_every_seed(fraction):
         seed: np.bincount(y[holdout_rows(y, fraction, seed)[0]], minlength=5).tolist() for seed in range(12)
     }
     assert len(set(map(tuple, counts.values()))) == 1, counts
+
+
+def test_holdout_rows_of_no_labels_hold_none_out():
+    kept, held = holdout_rows(np.zeros(0, dtype=np.int64), 0.1, 0)
+    assert kept.size == held.size == 0 and held.dtype == np.intp
 
 
 def test_balanced_batches_exact_size_and_every_class():

@@ -24,6 +24,7 @@ def test_two_runs_list_every_output_once_with_the_same_digests(monkeypatch, tmp_
     listed = [line.split("  ", 1)[1] for line in listings[0]]
     out = tmp_path / "a" / "out"
     assert listed == sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert "ablation-mlp.json" in listed
     for name in script.MODELS:
         assert {f"lodo-{name}.json", f"train-{name}/checkpoint.json", f"train-{name}/history.csv",
                 f"features-{name}.csv"} <= set(listed)
