@@ -6,7 +6,9 @@ byte as it was. This script runs ``dglab.cli.main`` in-process on the
 ``src`` tree next to it:
 
 - ``generate`` spurious-gaussian data (``--seed 1``) and waveforms data
-  (``--seed 2``);
+  (``--seed 2``), then each again at ``WIDE_DOMAINS`` domains of
+  ``WIDE_PER_DOMAIN_CLASS`` rows per class, which no run trains on (their
+  names, ``d0`` to ``d11``, are of two widths);
 - ``lodo`` with the MLP on the gaussian data (ce_only, align_only,
   mask_only, alternate) and with the 1-d CNN on the waveforms (ce_only,
   mask_only, alternate), seeds 0 and 1, ``--holdout 0.1``;
@@ -15,7 +17,7 @@ byte as it was. This script runs ``dglab.cli.main`` in-process on the
 - ``ablation`` with the MLP on the gaussian data over ``ABLATION_GRID``,
   seeds 0 and 1.
 
-It prints one ``sha256  path`` line per file written, sorted by path and
+It prints one ``sha256  path`` line per file written, sorted by path as text and
 relative to the output directory. ``history.csv`` is digested without its
 ``seconds`` column, the one wall-clock field. To check a change against
 its parent, run the script in both checkouts and diff the two listings:
@@ -48,6 +50,10 @@ MODELS = {
     "cnn1d": ("wave", {"arch": "cnn1d"}, "ce_only,mask_only,alternate"),
 }
 
+# the generate runs of many domains: ``<dataset>-12``
+WIDE_DOMAINS = 12
+WIDE_PER_DOMAIN_CLASS = 5
+
 SALIENCY_SAMPLES = 5
 
 # the [alpha, m, q_max] points of the ablation run: off, each strategy alone, both
@@ -59,6 +65,11 @@ def commands(inputs: Path, out: Path, iterations: int, n_per_domain_class: int |
     sizes = [] if n_per_domain_class is None else ["--n-per-domain-class", str(n_per_domain_class)]
     cmds = [
         ["generate", "--kind", kind, "--seed", str(seed), "--out", str(out / name), *sizes]
+        for name, (kind, seed) in DATASETS.items()
+    ]
+    cmds += [
+        ["generate", "--kind", kind, "--seed", str(seed), "--num-domains", str(WIDE_DOMAINS),
+         "--n-per-domain-class", str(WIDE_PER_DOMAIN_CLASS), "--out", str(out / f"{name}-{WIDE_DOMAINS}")]
         for name, (kind, seed) in DATASETS.items()
     ]
     for name, (dataset, arch, methods) in MODELS.items():
@@ -100,11 +111,13 @@ def without_seconds(text: str) -> str:
 
 def digests(out: Path) -> list[str]:
     lines = []
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+    # sorted as printed: a Path sorts "gauss/data.csv" before "gauss-12/data.csv", text the reverse
+    for name in sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()):
+        path = out / name
         data = path.read_bytes()
         if path.name == "history.csv":
             data = without_seconds(data.decode("utf-8")).encode("utf-8")
-        lines.append(f"{hashlib.sha256(data).hexdigest()}  {path.relative_to(out).as_posix()}")
+        lines.append(f"{hashlib.sha256(data).hexdigest()}  {name}")
     return lines
 
 

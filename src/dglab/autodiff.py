@@ -576,8 +576,10 @@ def backward(root: Tensor) -> GradMap:
     """Reverse-mode gradients of a scalar root, seeded with 1.
 
     The map holds every tensor the root depends on, the root included.
-    Returns a fresh GradMap per call; tensors are left untouched and
-    gradients over multiple paths accumulate additively.
+    Returns a fresh GradMap per call; tensors are left untouched. One
+    ``{id: (tensor, gradient)}`` dict is filled in reverse topological
+    order and becomes the GradMap: a tensor reached over several paths
+    holds ``held + new``, summed in the order its consumers are replayed.
     """
     if not isinstance(root, Tensor):
         raise ContractError("backward expects a Tensor root")
@@ -600,20 +602,16 @@ def backward(root: Tensor) -> GradMap:
             if id(parent) not in visited:
                 stack.append((parent, False))
 
-    grads: dict[int, Array] = {id(root): np.ones((), dtype=np.float64)}
-    keep: dict[int, Tensor] = {id(root): root}
+    grads: dict[int, tuple[Tensor, Array]] = {id(root): (root, np.ones((), dtype=np.float64))}
     for node in reversed(topo):
         if node._vjp is None:
             continue
-        for parent, pg in zip(node._parents, node._vjp(grads[id(node)])):
-            pid = id(parent)
-            keep[pid] = parent
-            if pid in grads:
-                grads[pid] = grads[pid] + pg
-            else:
-                grads[pid] = pg
+        for parent, pg in zip(node._parents, node._vjp(grads[id(node)][1])):
+            held = grads.get(id(parent))
+            # a 0-d gradient times a float is a numpy scalar; the map holds arrays
+            grads[id(parent)] = (parent, np.asarray(pg if held is None else held[1] + pg))
 
-    return GradMap({tid: (keep[tid], np.asarray(g)) for tid, g in grads.items()})
+    return GradMap(grads)
 
 
 def grad_check(f, x, eps: float = 1e-5) -> float:

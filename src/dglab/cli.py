@@ -22,10 +22,10 @@ from .data import (
     generate_shifted_waveforms,
     generate_spurious_gaussian,
     load_dataset,
-    open_for_rewrite,
     read_json,
     save_dataset,
     setting_kinds,
+    write_cells,
 )
 from .errors import ConfigError, ContractError, DataFormatError, NumericError
 from .evaluation import (
@@ -41,7 +41,7 @@ from .evaluation import (
 )
 from .models import load_model, model_batch, save_model
 from .saliency import SmoothGradConfig, smoothgrad, vanilla_saliency
-from .trainer import MODE_STRATEGIES, TrainConfig, train
+from .trainer import MODE_STRATEGIES, TrainConfig, train, write_history
 
 # a path that is missing, or a directory where a file is expected (or the
 # reverse), is the user's to fix; an IndexError or KeyError is a program bug
@@ -167,10 +167,10 @@ def cmd_train(args) -> int:
     # a class the file lacks would shrink the model's head, as in a LODO source split
     check_every_class(ds.y, ds.num_classes, os.path.join(args.data, DATA_FILE))
     view = TrainView(X=ds.X, y=ds.y)  # whole-file training; domains dropped
-    model, history = train(view, cfg)
+    model, records = train(view, cfg)
     os.makedirs(args.out, exist_ok=True)
     save_model(model, os.path.join(args.out, "checkpoint.json"))
-    history.to_csv(os.path.join(args.out, "history.csv"))
+    write_history(os.path.join(args.out, "history.csv"), records)
     cfg.save_json(os.path.join(args.out, "config.json"))
     print(f"trained {cfg.iterations} iterations; checkpoint and history in {args.out}")
     return 0
@@ -231,14 +231,10 @@ def cmd_saliency_export(args) -> int:
         sample, label = samples[k], int(ds.y[k])
         vanilla = vanilla_saliency(model, sample, label)
         smooth = smoothgrad(model, sample, label, sg_cfg)
-        path = f"{stem}_{k:03d}{ext}"
-        with open_for_rewrite(path, newline="") as fh:
-            fh.write("index,value,vanilla,smoothgrad\n")
-            # tolist() gives Python floats, whose repr is the shortest
-            # round-tripping decimal (numpy 2 scalars repr as np.float64(...))
-            columns = (sample.ravel(), vanilla.ravel(), smooth.ravel())
-            for i, (value, plain, smoothed) in enumerate(zip(*(c.tolist() for c in columns))):
-                fh.write(f"{i},{value!r},{plain!r},{smoothed!r}\n")
+        # tolist() gives Python floats, whose repr is the shortest
+        # round-tripping decimal (numpy 2 scalars repr as np.float64(...))
+        columns = (range(sample.size), *(a.ravel().tolist() for a in (sample, vanilla, smooth)))
+        write_cells(f"{stem}_{k:03d}{ext}", ["index", "value", "vanilla", "smoothgrad"], zip(*columns))
     print(f"wrote {count} per-sample saliency files next to {args.out}")
     return 0
 

@@ -158,6 +158,20 @@ def check_settings(owner, values, prefix: str = "") -> None:
 # synthetic generators
 
 
+def _domain_major(X: np.ndarray, num_domains: int, classes: int, n_per_domain_class: int) -> DomainDataset:
+    """The dataset of generated samples ``X``, laid out domain by domain,
+    then class by class, ``n_per_domain_class`` rows each; domains are
+    named ``d0``, ``d1``, ..."""
+    names = [f"d{i}" for i in range(num_domains)]
+    return DomainDataset(
+        X=X,
+        y=np.tile(np.repeat(np.arange(classes, dtype=np.int64), n_per_domain_class), num_domains),
+        domain=np.repeat(names, classes * n_per_domain_class),
+        num_classes=classes,
+        domain_names=names,
+    )
+
+
 def generate_spurious_gaussian(
     num_domains: int = 4,
     classes: int = 3,
@@ -189,8 +203,7 @@ def generate_spurious_gaussian(
     signal_means = np.outer(np.arange(classes), direction)
     nuisance_means = nuisance_strength * rng.standard_normal((num_domains, classes, nuisance_dims))
 
-    blocks, labels, domains = [], [], []
-    names = [f"d{i}" for i in range(num_domains)]
+    blocks = []
     for d in range(num_domains):
         for c in range(classes):
             sig = signal_means[c] + noise_sd * rng.standard_normal((n_per_domain_class, signal_dims))
@@ -198,16 +211,7 @@ def generate_spurious_gaussian(
                 (n_per_domain_class, nuisance_dims)
             )
             blocks.append(np.concatenate([sig, nui], axis=1))
-            labels.append(np.full(n_per_domain_class, c, dtype=np.int64))
-            domains.extend([names[d]] * n_per_domain_class)
-
-    return DomainDataset(
-        X=np.concatenate(blocks, axis=0),
-        y=np.concatenate(labels),
-        domain=np.asarray(domains),
-        num_classes=classes,
-        domain_names=names,
-    )
+    return _domain_major(np.concatenate(blocks, axis=0), num_domains, classes, n_per_domain_class)
 
 
 def generate_shifted_waveforms(
@@ -253,8 +257,7 @@ def generate_shifted_waveforms(
     ramp = np.linspace(-1.0, 1.0, length)
     t_full = np.arange(length)
 
-    rows, labels, domains = [], [], []
-    names = [f"d{i}" for i in range(num_domains)]
+    rows = []
     for d in range(num_domains):
         for c in range(classes):
             for _ in range(n_per_domain_class):
@@ -272,16 +275,7 @@ def generate_shifted_waveforms(
                 series[start : start + window] += burst
                 series += noise_sd * rng.standard_normal(length)
                 rows.append(series)
-                labels.append(c)
-                domains.append(names[d])
-
-    return DomainDataset(
-        X=np.asarray(rows)[:, None, :],
-        y=np.asarray(labels, dtype=np.int64),
-        domain=np.asarray(domains),
-        num_classes=classes,
-        domain_names=names,
-    )
+    return _domain_major(np.asarray(rows)[:, None, :], num_domains, classes, n_per_domain_class)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +313,16 @@ def write_json(path, doc, **json_dump_kwargs) -> None:
     with open_for_rewrite(path) as fh:
         json.dump(doc, fh, sort_keys=True, **json_dump_kwargs)
         fh.write("\n")
+
+
+def write_cells(path, header, rows) -> None:
+    """Write a CSV of the column names ``header`` and the cell tuples
+    ``rows`` through :func:`open_for_rewrite`: a string as is, None empty,
+    a number as its repr. No cell is quoted, so none may hold a comma."""
+    with open_for_rewrite(path, newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else "" if v is None else repr(v) for v in row) + "\n")
 
 
 def read_json(path, error=ConfigError):
@@ -373,8 +377,7 @@ def save_dataset(ds: DomainDataset, path) -> None:
         "domain_names": list(ds.domain_names),
     }
     write_json(os.path.join(path, META_FILE), meta, indent=2)
-    width = int(np.prod(ds.input_shape, dtype=np.int64)) if ds.input_shape else 1
-    write_rows(os.path.join(path, DATA_FILE), "x", ds.domain, ds.y, ds.X.reshape(ds.n, width))
+    write_rows(os.path.join(path, DATA_FILE), "x", ds.domain, ds.y, ds.X.reshape(ds.n, math.prod(ds.input_shape)))
 
 
 # Options of numpy's C text reader for data.csv floats. It gives the bits of
@@ -453,7 +456,7 @@ def load_dataset(path) -> DomainDataset:
     repeat = _repeated_name(domain_names)
     if repeat is not None:
         raise DataFormatError(f"{meta_path}: domain name {repeat!r} is listed twice in domain_names")
-    width = int(np.prod(input_shape, dtype=np.int64)) if input_shape else 1
+    width = math.prod(input_shape)
     known = set(domain_names)
 
     # ``lines`` keeps each good row for numpy: as read, or for a row parsed
@@ -618,7 +621,7 @@ def class_balanced_batches(train: TrainView, batch_size: int, min_ratio: float, 
                 counts = np.bincount(y[idx], minlength=num_classes)
                 majority = int(counts.max())
                 need = math.ceil(min_ratio * majority)
-                deficient = np.flatnonzero((counts < need) | (counts == 0))
+                deficient = np.flatnonzero(counts < need)
                 if deficient.size == 0:
                     break
                 worst = int(deficient[np.argmin(counts[deficient])])

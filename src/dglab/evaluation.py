@@ -107,12 +107,14 @@ class RunReport:
         methods = list(dict.fromkeys(r.method for r in self.rows))
         targets = list(dict.fromkeys(r.target for r in self.rows))
         width = max(12, max((len(m) for m in methods), default=0) + 2)
-        lines = ["Target".ljust(10) + "".join(m.rjust(width) for m in methods)]
+        # the cells' own padding parts a name as long as this column from them
+        first = max([10, *map(len, targets)])
+        lines = ["Target".ljust(first) + "".join(m.rjust(width) for m in methods)]
         for t in targets:
             cells = [f"{self.cell(t, m).mean * 100:.2f}".rjust(width) for m in methods]
-            lines.append(t.ljust(10) + "".join(cells))
+            lines.append(t.ljust(first) + "".join(cells))
         footer_cells = [f"{self.footer[m] * 100:.2f}".rjust(width) for m in methods]
-        lines.append("Avg".ljust(10) + "".join(footer_cells))
+        lines.append("Avg".ljust(first) + "".join(footer_cells))
         return "\n".join(lines)
 
 
@@ -165,15 +167,17 @@ def paired_text(report: RunReport, baseline: str = "ce_only") -> str:
     summary = paired_summary(report, baseline)
     targets = list(next(iter(summary.values())).per_target)
     width = max(12, max(len(m) for m in summary) + 2)
+    # a space before each target's name parts it from the column on its left
+    cell = max([9, *(len(t) + 1 for t in targets)])
     seeds = len(report.rows[0].accuracies)
     lines = [
         f"paired difference to {baseline} in points over {seeds} seed{'s' if seeds > 1 else ''}"
         " (mean, standard error, per target), and the worst target",
-        "Method".ljust(width) + f"{'diff':>8}{'se':>7}" + "".join(f"{t:>9}" for t in targets) + "   worst",
+        "Method".ljust(width) + f"{'diff':>8}{'se':>7}" + "".join(f"{t:>{cell}}" for t in targets) + "   worst",
     ]
     for method, d in summary.items():
         se = "-" if d.stderr is None else f"{d.stderr * 100:.2f}"
-        cells = "".join(f"{v * 100:+9.2f}" for v in d.per_target.values())
+        cells = "".join(f"{v * 100:+{cell}.2f}" for v in d.per_target.values())
         worst = f"{d.worst_target} {d.worst_accuracy * 100:.2f}"
         lines.append(method.ljust(width) + f"{d.mean * 100:+8.2f}{se:>7}" + cells + f"   {worst}")
     return "\n".join(lines)

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Seed, TrainView, check_finite, check_settings, class_balanced_batches, open_for_rewrite, read_json
-from .data import setting_kinds, write_json
+from .data import Seed, TrainView, check_finite, check_settings, class_balanced_batches, read_json, setting_kinds
+from .data import write_cells, write_json
 from .errors import ConfigError, ContractError, NumericError
 from .losses import cross_entropy, objective_parts
 from .masking import augment_batch
@@ -130,21 +130,9 @@ class TrainRecord:
     seconds: float
 
 
-@dataclass
-class TrainHistory:
-    records: list = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def to_csv(self, path) -> None:
-        """One column per TrainRecord field: a string as is, None empty, a number as its repr."""
-        names = [f.name for f in fields(TrainRecord)]
-        with open_for_rewrite(path, newline="") as fh:
-            fh.write(",".join(names) + "\n")
-            for r in self.records:
-                cells = (getattr(r, name) for name in names)
-                fh.write(",".join(v if isinstance(v, str) else "" if v is None else repr(v) for v in cells) + "\n")
+def write_history(path, records: list[TrainRecord]) -> None:
+    """Write ``history.csv``: one column per TrainRecord field, one row per record."""
+    write_cells(path, [f.name for f in fields(TrainRecord)], map(astuple, records))
 
 
 def lr_schedule(base_lr: float, iteration: int, total: int, factor: float, at_fraction: float) -> float:
@@ -198,15 +186,15 @@ def train_step(model: Model, batch, strategy: str, cfg: TrainConfig, lr: float, 
 def build_model_for(cfg: TrainConfig, input_shape: tuple, num_classes: int, model_seed: int) -> Model:
     """Instantiate the configured architecture for the given data shape."""
     if cfg.arch == "mlp":
-        width = int(np.prod(input_shape, dtype=np.int64))
-        return build_mlp([width, *cfg.hidden], num_classes, model_seed)
+        return build_mlp([math.prod(input_shape), *cfg.hidden], num_classes, model_seed)
     if len(input_shape) != 2:
         raise ConfigError(f"cnn1d needs (channels, length) samples, got shape {input_shape}")
     return build_cnn1d([int(input_shape[0]), *cfg.channels], cfg.kernel, num_classes, model_seed)
 
 
 def train(dataset: TrainView, cfg: TrainConfig):
-    """Train on a domain-free view; returns (model, history).
+    """Train on a domain-free view; returns (model, records), one
+    :class:`TrainRecord` per iteration.
 
     Fully deterministic given (dataset, cfg): one master seed sequence
     splits into independent streams for model init, batch sampling, the
@@ -231,7 +219,7 @@ def train(dataset: TrainView, cfg: TrainConfig):
     batches = class_balanced_batches(view, cfg.batch_size, cfg.min_class_ratio, rng_batch)
     momentum_state = {name: np.zeros_like(p.values) for name, p in model.params.items()}
 
-    history = TrainHistory()
+    records = []
     for i in range(cfg.iterations):
         lr = lr_schedule(cfg.base_lr, i, cfg.iterations, cfg.lr_decay_factor, cfg.lr_decay_at_fraction)
         strategy = choose_strategy(cfg.strategy_mode, rng_strategy)
@@ -241,5 +229,5 @@ def train(dataset: TrainView, cfg: TrainConfig):
             rec = train_step(model, batch, strategy, cfg, lr, rng_step, momentum_state)
         except NumericError as e:
             raise NumericError(f"iteration {i}: {e}") from e
-        history.records.append(TrainRecord(iteration=i, **rec, lr=lr, seconds=time.perf_counter() - started))
-    return model, history
+        records.append(TrainRecord(iteration=i, **rec, lr=lr, seconds=time.perf_counter() - started))
+    return model, records

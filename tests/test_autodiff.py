@@ -171,11 +171,15 @@ def test_backward_requires_scalar_root():
 
 
 def test_backward_accumulates_over_two_consumers():
-    # y = sum(x*x) + sum(x): dy/dx = 2x + 1 through two distinct paths
+    # y = sum(x*x) + sum(x) + 3 sum(x): dy/dx = 2x + 1 + 3 through three distinct paths,
+    # exact in floating point whatever the order of the sums
     x = Tensor([1.0, -2.0, 0.5])
-    root = ad.add(ad.sum_all(ad.mul(x, x)), ad.sum_all(x))
+    root = ad.add(ad.add(ad.sum_all(ad.mul(x, x)), ad.sum_all(x)), ad.scale(ad.sum_all(x), 3))
     gm = backward(root)
-    np.testing.assert_allclose(gm[x], 2 * x.values + 1, rtol=0, atol=1e-15)
+    assert np.array_equal(gm[x], [6.0, 0.0, 5.0])
+    # x, mul, three sums, scale, two adds; a 0-d gradient times 3 is an array too
+    assert len(gm) == 8
+    assert all(type(g) is np.ndarray and g.dtype == np.float64 for _, g in gm.items())
 
 
 def test_fresh_gradmap_per_backward_call():

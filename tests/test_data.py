@@ -96,6 +96,22 @@ def test_waveform_length_validation():
         generate_shifted_waveforms(length=8)
 
 
+@pytest.mark.parametrize("generate", [generate_spurious_gaussian, generate_shifted_waveforms])
+@pytest.mark.parametrize("num_domains, classes, n_per", [(12, 3, 2), (2, 4, 1)])
+def test_generators_lay_rows_out_domain_by_domain_then_class_by_class(generate, num_domains, classes, n_per):
+    ds = generate(num_domains=num_domains, classes=classes, n_per_domain_class=n_per, seed=0)
+    names, labels, domains = [f"d{d}" for d in range(num_domains)], [], []
+    for d in range(num_domains):
+        for c in range(classes):
+            for _ in range(n_per):
+                labels.append(c)
+                domains.append(names[d])
+    assert ds.domain_names == names and ds.num_classes == classes and ds.n == len(labels)
+    assert ds.y.dtype == np.int64 and ds.y.tolist() == labels
+    # the names' own width: <U3 up to d11
+    assert ds.domain.dtype == np.dtype(f"<U{len(names[-1])}") and ds.domain.tolist() == domains
+
+
 def test_save_load_round_trip_bit_exact(tmp_path):
     for ds in (small_gaussian(), generate_shifted_waveforms(num_domains=2, classes=2, length=20, n_per_domain_class=4)):
         path = tmp_path / f"ds{ds.X.ndim}"

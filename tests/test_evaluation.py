@@ -418,3 +418,43 @@ def test_paired_text_shows_points():
     assert lines[3].split() == ["m", "+1.67", "3.33", "+6.67", "-3.33", "a", "56.67"]
     one_seed = paired_text(_two_method_report(seeds=1)).splitlines()
     assert "over 1 seed " in one_seed[0] and one_seed[3].split()[:3] == ["m", "+5.00", "-"]
+
+
+def _targets_report(short, long):
+    accuracies = {
+        (short, "ce_only"): [0.5, 0.6], (long, "ce_only"): [0.75, 0.75],
+        (short, "alternate"): [0.75, 0.5], (long, "alternate"): [0.5, 0.5],
+    }
+    rows = [ReportRow(t, m, acc) for (t, m), acc in accuracies.items()]
+    return RunReport(rows, fingerprint="x", seeds=[0, 1])
+
+
+def test_long_target_name_widens_both_tables():
+    long = "d0a_much_longer_domain"
+    report = _targets_report("d1", long)
+    assert report.to_text().splitlines() == [
+        "Target                     ce_only   alternate",
+        "d1                           55.00       62.50",
+        "d0a_much_longer_domain       75.00       50.00",
+        "Avg                          65.00       56.25",
+    ]
+    assert paired_text(report).splitlines()[1:] == [
+        "Method          diff     se                     d1 d0a_much_longer_domain   worst",
+        "ce_only        +0.00   0.00                  +0.00                  +0.00   d1 55.00",
+        "alternate      -8.75   8.75                  +7.50                 -25.00   d0a_much_longer_domain 50.00",
+    ]
+
+
+def test_generated_target_names_keep_the_narrowest_columns():
+    report = _targets_report("d1", "d999")
+    assert report.to_text().splitlines() == [
+        "Target         ce_only   alternate",
+        "d1               55.00       62.50",
+        "d999             75.00       50.00",
+        "Avg              65.00       56.25",
+    ]
+    assert paired_text(report).splitlines()[1:] == [
+        "Method          diff     se       d1     d999   worst",
+        "ce_only        +0.00   0.00    +0.00    +0.00   d1 55.00",
+        "alternate      -8.75   8.75    +7.50   -25.00   d999 50.00",
+    ]

@@ -13,12 +13,12 @@ from dglab.trainer import (
     STRATEGY_CE,
     STRATEGY_MASK,
     TrainConfig,
-    TrainHistory,
     TrainRecord,
     choose_strategy,
     lr_schedule,
     train,
     train_step,
+    write_history,
 )
 from dglab.models import build_mlp
 
@@ -228,7 +228,7 @@ def test_train_is_deterministic():
     m2, h2 = train(view, cfg)
     for name in m1.params:
         assert np.array_equal(m1.params[name].values, m2.params[name].values)
-    assert [r.loss_ce for r in h1.records] == [r.loss_ce for r in h2.records]
+    assert [r.loss_ce for r in h1] == [r.loss_ce for r in h2]
 
 
 def test_history_length_and_lr_column():
@@ -236,7 +236,7 @@ def test_history_length_and_lr_column():
     cfg = tiny_cfg(iterations=10, lr_decay_at_fraction=0.5)
     _, hist = train(view, cfg)
     assert len(hist) == 10
-    for r in hist.records:
+    for r in hist:
         assert r.lr == lr_schedule(cfg.base_lr, r.iteration, 10, cfg.lr_decay_factor, 0.5)
 
 
@@ -244,26 +244,26 @@ def test_initial_ce_loss_near_log_c():
     view = tiny_view()
     cfg = tiny_cfg(strategy_mode="ce_only", iterations=1)
     _, hist = train(view, cfg)
-    assert abs(hist.records[0].loss_ce - math.log(3)) < 0.2 * math.log(3)
+    assert abs(hist[0].loss_ce - math.log(3)) < 0.2 * math.log(3)
 
 
 def test_alternate_mode_shows_both_strategies():
     view = tiny_view()
     cfg = tiny_cfg(strategy_mode="alternate", iterations=50, sg_n=1)
     _, hist = train(view, cfg)
-    kinds = {r.strategy for r in hist.records}
+    kinds = {r.strategy for r in hist}
     assert kinds == {STRATEGY_ALIGN, STRATEGY_MASK}
-    align_records = [r for r in hist.records if r.strategy == STRATEGY_ALIGN]
+    align_records = [r for r in hist if r.strategy == STRATEGY_ALIGN]
     assert all(r.loss_align is not None for r in align_records)
-    mask_records = [r for r in hist.records if r.strategy == STRATEGY_MASK]
+    mask_records = [r for r in hist if r.strategy == STRATEGY_MASK]
     assert all(r.loss_align is None for r in mask_records)
 
 
 def test_history_records_hold_python_floats():
     # numpy 2 scalars repr as np.float64(...), which history.csv would then hold
     _, hist = train(tiny_view(), tiny_cfg(strategy_mode="alternate", iterations=12, sg_n=1))
-    assert {r.strategy for r in hist.records} == {STRATEGY_ALIGN, STRATEGY_MASK}
-    for r in hist.records:
+    assert {r.strategy for r in hist} == {STRATEGY_ALIGN, STRATEGY_MASK}
+    for r in hist:
         assert type(r.loss_ce) is float
         assert (r.loss_align is None) == (r.strategy == STRATEGY_MASK)
         assert r.loss_align is None or type(r.loss_align) is float
@@ -305,7 +305,7 @@ def test_history_csv_export(tmp_path):
     view = tiny_view()
     _, hist = train(view, tiny_cfg(iterations=3, strategy_mode="ce_only"))
     path = tmp_path / "history.csv"
-    hist.to_csv(path)
+    write_history(path, hist)
     lines = path.read_text().splitlines()
     assert lines[0] == "iteration,strategy,loss_ce,loss_align,lr,seconds"
     assert len(lines) == 4
@@ -314,22 +314,22 @@ def test_history_csv_export(tmp_path):
 def history_csv_oracle(history) -> str:
     """history.csv as the hand-written header and f-string rows wrote it."""
     lines = ["iteration,strategy,loss_ce,loss_align,lr,seconds"]
-    for r in history.records:
+    for r in history:
         align = "" if r.loss_align is None else repr(r.loss_align)
         lines.append(f"{r.iteration},{r.strategy},{r.loss_ce!r},{align},{r.lr!r},{r.seconds!r}")
     return "".join(line + "\n" for line in lines)
 
 
 def test_history_csv_columns_are_the_record_fields(tmp_path):
-    written = TrainHistory([
+    written = [
         TrainRecord(iteration=0, strategy=STRATEGY_ALIGN, loss_ce=1.0986, loss_align=0.25, lr=0.001, seconds=0.5),
         TrainRecord(iteration=1, strategy=STRATEGY_MASK, loss_ce=1e-17, loss_align=None, lr=1e-4, seconds=3.25e-05),
-    ])
+    ]
     _, trained = train(tiny_view(), tiny_cfg(iterations=6, strategy_mode="alternate"))
-    assert {r.strategy for r in trained.records} == {STRATEGY_ALIGN, STRATEGY_MASK}
+    assert {r.strategy for r in trained} == {STRATEGY_ALIGN, STRATEGY_MASK}
     for history in (written, trained):
         path = tmp_path / "history.csv"
-        history.to_csv(path)
+        write_history(path, history)
         assert path.read_bytes() == history_csv_oracle(history).encode()
 
 
