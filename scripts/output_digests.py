@@ -8,7 +8,8 @@ byte as it was. This script runs ``dglab.cli.main`` in-process on the
 - ``generate`` spurious-gaussian data (``--seed 1``) and waveforms data
   (``--seed 2``), then each again at ``WIDE_DOMAINS`` domains of
   ``WIDE_PER_DOMAIN_CLASS`` rows per class, which no run trains on (their
-  names, ``d0`` to ``d11``, are of two widths);
+  names, ``d0`` to ``d11``, are of two widths), and once more each with
+  the odd shapes of ``ODD_SHAPES``, which no run trains on either;
 - ``lodo`` with the MLP on the gaussian data (ce_only, align_only,
   mask_only, alternate) and with the 1-d CNN on the waveforms (ce_only,
   mask_only, alternate), seeds 0 and 1, ``--holdout 0.1``;
@@ -54,6 +55,12 @@ MODELS = {
 WIDE_DOMAINS = 12
 WIDE_PER_DOMAIN_CLASS = 5
 
+# the generate runs of odd shapes, ``<dataset>-odd``: their extra generate flags
+ODD_SHAPES = {
+    "gauss": ["--nuisance-dims", "0"],
+    "wave": ["--length", "17", "--classes", "5", "--background-amplitude", "0"],
+}
+
 SALIENCY_SAMPLES = 5
 
 # the [alpha, m, q_max] points of the ablation run: off, each strategy alone, both
@@ -70,6 +77,10 @@ def commands(inputs: Path, out: Path, iterations: int, n_per_domain_class: int |
     cmds += [
         ["generate", "--kind", kind, "--seed", str(seed), "--num-domains", str(WIDE_DOMAINS),
          "--n-per-domain-class", str(WIDE_PER_DOMAIN_CLASS), "--out", str(out / f"{name}-{WIDE_DOMAINS}")]
+        for name, (kind, seed) in DATASETS.items()
+    ]
+    cmds += [
+        ["generate", "--kind", kind, "--seed", str(seed), *ODD_SHAPES[name], "--out", str(out / f"{name}-odd"), *sizes]
         for name, (kind, seed) in DATASETS.items()
     ]
     for name, (dataset, arch, methods) in MODELS.items():

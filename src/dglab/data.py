@@ -158,13 +158,13 @@ def check_settings(owner, values, prefix: str = "") -> None:
 # synthetic generators
 
 
-def _domain_major(X: np.ndarray, num_domains: int, classes: int, n_per_domain_class: int) -> DomainDataset:
-    """The dataset of generated samples ``X``, laid out domain by domain,
-    then class by class, ``n_per_domain_class`` rows each; domains are
-    named ``d0``, ``d1``, ..."""
+def _domain_major(block, num_domains: int, classes: int, n_per_domain_class: int) -> DomainDataset:
+    """The dataset whose ``X`` stacks a generator's ``block(d, c)``, the
+    ``n_per_domain_class`` samples of class ``c`` in domain ``d``, domain by
+    domain, then class by class; domains are named ``d0``, ``d1``, ..."""
     names = [f"d{i}" for i in range(num_domains)]
     return DomainDataset(
-        X=X,
+        X=np.concatenate([block(d, c) for d in range(num_domains) for c in range(classes)]),
         y=np.tile(np.repeat(np.arange(classes, dtype=np.int64), n_per_domain_class), num_domains),
         domain=np.repeat(names, classes * n_per_domain_class),
         num_classes=classes,
@@ -199,19 +199,15 @@ def generate_spurious_gaussian(
         raise ConfigError(f"generate_spurious_gaussian: noise_sd must be >= 0, got {noise_sd}")
 
     rng = np.random.default_rng(seed)
-    direction = np.ones(signal_dims) / math.sqrt(signal_dims)
-    signal_means = np.outer(np.arange(classes), direction)
+    signal_means = np.outer(np.arange(classes), np.ones(signal_dims) / math.sqrt(signal_dims))
     nuisance_means = nuisance_strength * rng.standard_normal((num_domains, classes, nuisance_dims))
 
-    blocks = []
-    for d in range(num_domains):
-        for c in range(classes):
-            sig = signal_means[c] + noise_sd * rng.standard_normal((n_per_domain_class, signal_dims))
-            nui = nuisance_means[d, c] + noise_sd * rng.standard_normal(
-                (n_per_domain_class, nuisance_dims)
-            )
-            blocks.append(np.concatenate([sig, nui], axis=1))
-    return _domain_major(np.concatenate(blocks, axis=0), num_domains, classes, n_per_domain_class)
+    def block(d, c):
+        sig = signal_means[c] + noise_sd * rng.standard_normal((n_per_domain_class, signal_dims))
+        nui = nuisance_means[d, c] + noise_sd * rng.standard_normal((n_per_domain_class, nuisance_dims))
+        return np.concatenate([sig, nui], axis=1)
+
+    return _domain_major(block, num_domains, classes, n_per_domain_class)
 
 
 def generate_shifted_waveforms(
@@ -229,7 +225,10 @@ def generate_shifted_waveforms(
     The class sets the burst frequency inside a fixed central window; the
     domain sets a baseline drift plus periodic interference on every step
     outside that window. With background_amplitude 0 all domains share one
-    distribution. Output shape is (n, 1, length).
+    distribution. Output shape is (n, 1, length). It draws the four
+    per-domain background vectors, then for each sample of each
+    ``block(d, c)``, which ``_domain_major`` builds ``X`` from, the burst
+    phase, the background phase and ``length`` normals.
     """
     check_settings(generate_shifted_waveforms, locals(), "generate_shifted_waveforms: ")
     if length < 16:
@@ -246,8 +245,6 @@ def generate_shifted_waveforms(
     start = (length - window) // 2
     t_window = np.arange(window)
     taper = np.hanning(window)
-    motif_mask = np.zeros(length, dtype=bool)
-    motif_mask[start : start + window] = True
 
     # per-domain background parameters, fixed for the dataset
     slopes = background_amplitude * rng.uniform(-1.0, 1.0, num_domains)
@@ -257,25 +254,23 @@ def generate_shifted_waveforms(
     ramp = np.linspace(-1.0, 1.0, length)
     t_full = np.arange(length)
 
-    rows = []
-    for d in range(num_domains):
-        for c in range(classes):
-            for _ in range(n_per_domain_class):
-                # small phase jitter keeps the burst learnable at desk scale
-                phase = rng.uniform(-0.4, 0.4)
-                burst = 2.0 * taper * np.sin(2.0 * math.pi * (c + 1) * t_window / window + phase)
-                bg_phase = rng.uniform(0.0, 2.0 * math.pi)
-                background = (
-                    slopes[d] * ramp
-                    + offsets[d]
-                    + interference_amp[d]
-                    * np.sin(2.0 * math.pi * interference_freq[d] * t_full / length + bg_phase)
-                )
-                series = np.where(motif_mask, 0.0, background)
-                series[start : start + window] += burst
-                series += noise_sd * rng.standard_normal(length)
-                rows.append(series)
-    return _domain_major(np.asarray(rows)[:, None, :], num_domains, classes, n_per_domain_class)
+    def block(d, c):
+        # sample by sample, as a normal takes a varying number of draws; small phase jitter keeps the burst learnable
+        draws = [
+            (rng.uniform(-0.4, 0.4), rng.uniform(0.0, 2.0 * math.pi), rng.standard_normal(length))
+            for _ in range(n_per_domain_class)
+        ]
+        phase, bg_phase, normals = map(np.array, zip(*draws))
+        burst = 2.0 * taper * np.sin(2.0 * math.pi * (c + 1) * t_window / window + phase[:, None])
+        series = slopes[d] * ramp + offsets[d] + interference_amp[d] * np.sin(
+            2.0 * math.pi * interference_freq[d] * t_full / length + bg_phase[:, None]
+        )
+        series[:, start : start + window] = 0.0
+        series[:, start : start + window] += burst
+        series += noise_sd * normals
+        return series[:, None, :]
+
+    return _domain_major(block, num_domains, classes, n_per_domain_class)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +440,15 @@ def load_dataset(path) -> DomainDataset:
     data_path = os.path.join(path, DATA_FILE)
     meta = read_json(meta_path, DataFormatError)
     try:
-        input_shape = tuple(int(d) for d in meta["input_shape"])
-        num_classes = int(meta["num_classes"])
+        input_shape, num_classes = meta["input_shape"], meta["num_classes"]
         domain_names = [str(d) for d in meta["domain_names"]]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise DataFormatError(f"{meta_path}: bad sidecar fields: {e}") from e
+    # a cast would take 3.7, "3" or true, and a huge count would stall the missing-class scan
+    for name, kind in (("input_shape", tuple), ("num_classes", int)):
+        holds, what = SETTING_KINDS[kind]
+        if not holds(meta[name]):
+            raise DataFormatError(f"{meta_path}: {name} must be {what}, got {meta[name]!r}")
     if num_classes < 1:  # a header-only file holds no label to reject
         raise DataFormatError(f"{meta_path}: num_classes must be >= 1, got {num_classes}")
     # a target listed twice would count twice in a LODO footer

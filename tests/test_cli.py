@@ -1021,6 +1021,11 @@ DATASET_EDITS = {
     "meta-without-num-classes": (
         "train", _meta_edit(lambda meta: meta.pop("num_classes")), "meta.json", "bad sidecar fields: 'num_classes'"
     ),
+    # a cast read 3.7 as 3 classes, and lodo exited 0
+    "num-classes-not-an-integer": (
+        "lodo", _meta_edit(lambda meta: meta.update(num_classes=3.7)), "meta.json",
+        "num_classes must be an int64 integer, got 3.7",
+    ),
     # lodo would run a repeated target twice and count it twice in its Avg row
     "domain-name-listed-twice": (
         "lodo", _meta_edit(lambda meta: meta["domain_names"].append("d0")), "meta.json",

@@ -1,5 +1,6 @@
 import ast
 import csv
+import inspect
 import io
 import json
 import math
@@ -110,6 +111,85 @@ def test_generators_lay_rows_out_domain_by_domain_then_class_by_class(generate, 
     assert ds.y.dtype == np.int64 and ds.y.tolist() == labels
     # the names' own width: <U3 up to d11
     assert ds.domain.dtype == np.dtype(f"<U{len(names[-1])}") and ds.domain.tolist() == domains
+
+
+def replay_gaussian(num_domains, classes, signal_dims, nuisance_dims, nuisance_strength, noise_sd,
+                    n_per_domain_class, seed):
+    """generate_spurious_gaussian's documented draws and arithmetic, block by
+    block: the nuisance means, then per (domain, class) the signal noise and
+    the nuisance noise. Returns ``X`` and the generator after the last draw."""
+    rng = np.random.default_rng(seed)
+    signal_means = np.outer(np.arange(classes), np.ones(signal_dims) / math.sqrt(signal_dims))
+    nuisance_means = nuisance_strength * rng.standard_normal((num_domains, classes, nuisance_dims))
+    blocks = []
+    for d in range(num_domains):
+        for c in range(classes):
+            sig = signal_means[c] + noise_sd * rng.standard_normal((n_per_domain_class, signal_dims))
+            nui = nuisance_means[d, c] + noise_sd * rng.standard_normal((n_per_domain_class, nuisance_dims))
+            blocks.append(np.concatenate([sig, nui], axis=1))
+    return np.concatenate(blocks), rng
+
+
+def replay_waveforms(num_domains, classes, length, n_per_domain_class, seed, background_amplitude, noise_sd):
+    """generate_shifted_waveforms's documented draws and arithmetic, one
+    sample at a time: the four per-domain background vectors, then per
+    sample the burst phase, the background phase and ``length`` normals."""
+    rng = np.random.default_rng(seed)
+    window = length // 2
+    start = (length - window) // 2
+    slopes = background_amplitude * rng.uniform(-1.0, 1.0, num_domains)
+    offsets = background_amplitude * rng.uniform(-0.5, 0.5, num_domains)
+    amplitudes = background_amplitude * rng.uniform(0.5, 1.0, num_domains)
+    frequencies = rng.uniform(2.0, 6.0, num_domains)
+    rows = []
+    for d in range(num_domains):
+        for c in range(classes):
+            for _ in range(n_per_domain_class):
+                phase = rng.uniform(-0.4, 0.4)
+                burst = 2.0 * np.hanning(window) * np.sin(2.0 * math.pi * (c + 1) * np.arange(window) / window + phase)
+                bg_phase = rng.uniform(0.0, 2.0 * math.pi)
+                series = (
+                    slopes[d] * np.linspace(-1.0, 1.0, length)
+                    + offsets[d]
+                    + amplitudes[d] * np.sin(2.0 * math.pi * frequencies[d] * np.arange(length) / length + bg_phase)
+                )
+                series[start : start + window] = 0.0
+                series[start : start + window] += burst
+                series += noise_sd * rng.standard_normal(length)
+                rows.append(series)
+    return np.asarray(rows)[:, None, :], rng
+
+
+REPLAYS = {generate_spurious_gaussian: replay_gaussian, generate_shifted_waveforms: replay_waveforms}
+
+REPLAYED = {
+    "waveforms-defaults": (generate_shifted_waveforms, {}),
+    "waveforms-odd-shape": (
+        generate_shifted_waveforms,
+        dict(length=17, classes=5, num_domains=2, n_per_domain_class=7, background_amplitude=0),
+    ),
+    "waveforms-no-noise": (generate_shifted_waveforms, dict(length=100, noise_sd=0)),
+    "gaussian-defaults": (generate_spurious_gaussian, {}),
+    "gaussian-no-nuisance": (generate_spurious_gaussian, dict(nuisance_dims=0)),
+    "gaussian-wide": (generate_spurious_gaussian, dict(num_domains=12, classes=6, signal_dims=8, nuisance_dims=32)),
+}
+
+
+@pytest.mark.parametrize("generate, kwargs", REPLAYED.values(), ids=REPLAYED.keys())
+def test_generators_make_their_documented_draws_and_arithmetic(generate, kwargs, monkeypatch):
+    params = {name: kwargs.get(name, p.default) for name, p in inspect.signature(generate).parameters.items()}
+    expected, replayed_rng = REPLAYS[generate](**params)
+    made, default_rng = [], np.random.default_rng
+
+    def recording_rng(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    ds = generate(**kwargs)
+    assert ds.X.shape == expected.shape and ds.X.tobytes() == expected.tobytes()
+    # the same number of draws: the generator's stream ends where the replay's does
+    assert len(made) == 1 and made[0].bit_generator.state == replayed_rng.bit_generator.state
 
 
 def test_save_load_round_trip_bit_exact(tmp_path):
@@ -700,6 +780,27 @@ def test_load_rejects_a_sidecar_without_a_class(num_classes, tmp_path):
     with pytest.raises(DataFormatError) as exc:
         load_dataset(tmp_path)
     assert str(exc.value) == f"{tmp_path / 'meta.json'}: num_classes must be >= 1, got {num_classes}"
+
+
+@pytest.mark.parametrize(
+    "field, value, what",
+    [
+        ("num_classes", 3.7, "an int64 integer"),
+        ("num_classes", "3", "an int64 integer"),
+        ("num_classes", True, "an int64 integer"),
+        ("input_shape", [10.9], "a list of int64 integers"),
+        # the missing-class scan would walk every class up to this count
+        ("num_classes", 10**30, "an int64 integer"),
+    ],
+    ids=["float", "string", "bool", "float-in-shape", "past-int64"],
+)
+def test_load_rejects_a_sidecar_integer_field_of_another_kind(field, value, what, tmp_path):
+    small_saved(tmp_path).unlink()  # the sidecar is checked before data.csv is opened
+    meta = json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))
+    (tmp_path / "meta.json").write_text(json.dumps({**meta, field: value}), encoding="utf-8")
+    with pytest.raises(DataFormatError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'meta.json'}: {field} must be {what}, got {value!r}"
 
 
 def test_load_peak_memory_stays_below_the_old_reader(tmp_path):

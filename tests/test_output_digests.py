@@ -26,8 +26,8 @@ def test_two_runs_list_every_output_once_with_the_same_digests(monkeypatch, tmp_
     assert listed == sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
     assert "ablation-mlp.json" in listed
     for name in script.DATASETS:
-        wide = f"{name}-{script.WIDE_DOMAINS}"
-        assert {f"{wide}/data.csv", f"{wide}/meta.json"} <= set(listed)
+        for variant in (f"{name}-{script.WIDE_DOMAINS}", f"{name}-odd"):
+            assert {f"{variant}/data.csv", f"{variant}/meta.json"} <= set(listed)
     for name in script.MODELS:
         assert {f"lodo-{name}.json", f"train-{name}/checkpoint.json", f"train-{name}/history.csv",
                 f"features-{name}.csv"} <= set(listed)
