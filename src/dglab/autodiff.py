@@ -98,10 +98,14 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(values: Array, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    if _grad_enabled:
-        return Tensor(values, op=op, parents=parents, vjp=vjp)
-    return Tensor(values)
+def _record(values, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    """An op's output: ``Tensor(values, op, parents, vjp)`` while grad mode
+    is on, else a leaf; the slots are set directly, as every op passes a
+    tuple of parents."""
+    out = Tensor.__new__(Tensor)
+    out.values = np.asarray(values, dtype=np.float64)
+    out._op, out._parents, out._vjp = (op, parents, vjp) if _grad_enabled else (None, (), None)
+    return out
 
 
 class GradMap:
@@ -142,19 +146,20 @@ class GradMap:
 def affine(x, w, b) -> Tensor:
     """Batched affine map: out[i, j] = sum_k x[i, k] * w[k, j] + b[j]."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.values.ndim != 2 or w.values.ndim != 2 or b.values.ndim != 1:
+    xv, wv, bv = x.values, w.values, b.values
+    if xv.ndim != 2 or wv.ndim != 2 or bv.ndim != 1:
         raise DimensionError(
-            f"affine expects x (batch,in), w (in,out), b (out,); got {x.shape}, {w.shape}, {b.shape}"
+            f"affine expects x (batch,in), w (in,out), b (out,); got {xv.shape}, {wv.shape}, {bv.shape}"
         )
-    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+    if xv.shape[1] != wv.shape[0] or wv.shape[1] != bv.shape[0]:
         raise DimensionError(
-            f"affine shapes do not chain: x {x.shape} @ w {w.shape} + b {b.shape}"
+            f"affine shapes do not chain: x {xv.shape} @ w {wv.shape} + b {bv.shape}"
         )
-    out = x.values @ w.values
-    out += b.values
+    out = xv @ wv
+    out += bv
 
     def vjp(g: Array):
-        return g @ w.values.T, x.values.T @ g, g.sum(axis=0)
+        return g @ wv.T, xv.T @ g, np.add.reduce(g, axis=0)
 
     return _record(out, "affine", (x, w, b), vjp)
 
@@ -438,32 +443,46 @@ def global_avg_pool(x) -> Tensor:
 
 def _check_row_labels(a: Tensor, labels, name: str) -> Array:
     idx = np.asarray(labels, dtype=np.intp)
-    if a.values.ndim != 2 or idx.shape != (a.shape[0],):
+    shape = a.values.shape
+    if len(shape) != 2 or idx.shape != shape[:1]:
         raise DimensionError(
-            f"{name} expects a (batch,C) tensor and one label per row; got {a.shape} and {idx.shape}"
+            f"{name} expects a (batch,C) tensor and one label per row; got {shape} and {idx.shape}"
         )
     if idx.size < 1:
         raise ContractError(f"{name}: empty batch")
-    if idx.min() < 0 or idx.max() >= a.shape[1]:
-        raise IndexError(f"label out of range for {a.shape[1]} columns")
+    # read as unsigned, a negative label is larger than any column count
+    if np.maximum.reduce(idx.view(np.uintp)) >= shape[1]:
+        raise IndexError(f"label out of range for {shape[1]} columns")
     return idx
 
 
 def _exp_rows(z: Array) -> tuple[Array, Array, Array]:
-    """Row max m, e = exp(z - m) and the row sums s of e, m and s kept 2-d."""
-    m = z.max(axis=1, keepdims=True)
+    """Row max m, e = exp(z - m) and the row sums s of e, m and s kept 2-d.
+
+    The max runs down the columns of a transposed copy, one comparison per
+    column over all rows at once, instead of along each short row. A max
+    is exact, so the two orders can differ only in the sign of a zero max,
+    which changes no bit of e, s or m + log(s), or in which NaN a row
+    holding NaNs yields.
+    """
+    m = np.maximum.reduce(z.T.copy(), axis=0)[:, None]
     e = np.exp(z - m)
-    return m, e, e.sum(axis=1, keepdims=True)
+    return m, e, np.add.reduce(e, axis=1, keepdims=True)
 
 
-def _nll_value(z: Array, m: Array, s: Array, rows: Array, idx: Array) -> float:
-    return ((m + np.log(s)).ravel() - z[rows, idx]).sum() * (1.0 / z.shape[0])
+def _label_cells(z: Array, idx: Array) -> Array:
+    """Flat positions in ``z`` of each row's labelled column."""
+    return np.arange(0, z.size, z.shape[1]) + idx
 
 
-def _nll_vjp(p: Array, rows: Array, idx: Array, g: Array) -> Array:
+def _nll_value(z: Array, m: Array, s: Array, cells: Array) -> float:
+    return np.add.reduce((m + np.log(s)).ravel() - z.take(cells)) * (1.0 / z.shape[0])
+
+
+def _nll_vjp(p: Array, cells: Array, g: Array) -> Array:
     gn = g * (1.0 / p.shape[0])
     d = p * gn
-    d[rows, idx] -= gn
+    d.put(cells, d.take(cells) - gn)
     # the composed graph added the softmax term into take_per_row's
     # zeros, which turns every -0.0 into +0.0
     d += 0.0
@@ -471,25 +490,49 @@ def _nll_vjp(p: Array, rows: Array, idx: Array, g: Array) -> Array:
 
 
 def _centroid_terms(p: Array, idx: Array):
-    """The spread value and each class's (member rows, row - centroid)."""
-    groups = []
+    """The spread value, and what its VJP needs.
+
+    The rows are grouped by class once: a stable sort of the labels puts
+    each class's rows, in row order, in one contiguous slice, and each
+    per-class reduction runs on its slice as it ran on that class's rows
+    alone. Returns (value, groups), with groups the (sorting order, each
+    sorted row's class rank, the present classes' (start, end) slices and
+    row counts, row - centroid in sorted order).
+    """
+    order = idx.argsort(kind="stable")
+    counts = np.bincount(idx)
+    n_c = counts[counts.nonzero()[0]]  # the classes present, ascending, as np.unique gives them
+    ends = n_c.cumsum()
+    starts = ends - n_c
+    rank = np.arange(n_c.size).repeat(n_c)
+    spans = list(zip(starts.tolist(), ends.tolist()))
+    rows = p.take(order, axis=0)
+    anchor = rows.take(starts, axis=0)
+    off = rows - anchor.take(rank, axis=0)
+    sums = np.empty_like(anchor)
+    for j, (start, end) in enumerate(spans):
+        np.add.reduce(off[start:end], axis=0, out=sums[j])
+    diff = rows - (anchor + sums / n_c[:, None]).take(rank, axis=0)
+    sq = diff * diff
     out = None
-    for c in np.unique(idx):
-        members = np.flatnonzero(idx == c)
-        rows = p[members]
-        diff = rows - (rows[0] + (rows - rows[0]).mean(axis=0))
-        term = (diff * diff).sum() * (1.0 / members.size)
+    for start, end in spans:
+        term = np.add.reduce(sq[start:end], axis=None) * (1.0 / (end - start))
         out = term if out is None else out + term
-        groups.append((members, diff))
-    return out, groups
+    return out, (order, rank, spans, n_c, diff)
 
 
-def _centroid_vjp(groups, g: Array, shape: tuple[int, ...]) -> Array:
-    d = np.empty(shape)
-    for members, diff in groups:
-        h = g * (1.0 / members.size) * diff
-        h = h + h
-        d[members] = h + -h.sum(axis=0) / members.size
+def _centroid_vjp(groups, g: Array) -> Array:
+    order, rank, spans, n_c, diff = groups
+    h = (g * (1.0 / n_c)).take(rank)[:, None] * diff
+    h = h + h
+    sums = np.empty((len(spans), h.shape[1]))
+    for j, (start, end) in enumerate(spans):
+        np.add.reduce(h[start:end], axis=0, out=sums[j])
+    h += (-sums / n_c[:, None]).take(rank, axis=0)
+    # back from sorted order: row order[i] of the input is sorted row i
+    unsort = np.empty_like(order)
+    unsort[order] = np.arange(order.size)
+    d = h.take(unsort, axis=0)
     # select_rows scattered into zeros, which turns every -0.0 into +0.0
     d += 0.0
     return d
@@ -503,12 +546,12 @@ def mean_nll(logits, labels) -> Tensor:
     """
     z = as_tensor(logits)
     idx = _check_row_labels(z, labels, "mean_nll")
-    rows = np.arange(z.shape[0])
+    cells = _label_cells(z.values, idx)
     m, e, s = _exp_rows(z.values)
-    out = _nll_value(z.values, m, s, rows, idx)
+    out = _nll_value(z.values, m, s, cells)
 
     def vjp(g: Array):
-        return (_nll_vjp(e / s, rows, idx, g),)
+        return (_nll_vjp(e / s, cells, g),)
 
     return _record(out, "mean_nll", (z,), vjp)
 
@@ -529,7 +572,7 @@ def centroid_spread(probs, labels) -> Tensor:
     out, groups = _centroid_terms(p.values, idx)
 
     def vjp(g: Array):
-        return (_centroid_vjp(groups, g, p.shape),)
+        return (_centroid_vjp(groups, g),)
 
     return _record(out, "centroid_spread", (p,), vjp)
 
@@ -548,22 +591,23 @@ def soft_label_objective(logits, labels, alpha: float) -> tuple[Tensor, float, f
     value).
     """
     z = as_tensor(logits)
+    zv = z.values
     idx = _check_row_labels(z, labels, "soft_label_objective")
-    if z.shape[1] < 2:
-        raise DimensionError(f"soft_label_objective expects (batch, C>=2) logits, got {z.shape}")
-    if not np.all(np.isfinite(z.values)):
+    if zv.shape[1] < 2:
+        raise DimensionError(f"soft_label_objective expects (batch, C>=2) logits, got {zv.shape}")
+    if not np.logical_and.reduce(np.isfinite(zv), axis=None):
         raise NumericError("soft_label_objective: non-finite logits")
     alpha = float(alpha)
-    rows = np.arange(z.shape[0])
-    m, e, s = _exp_rows(z.values)
+    cells = _label_cells(zv, idx)
+    m, e, s = _exp_rows(zv)
     p = e / s
-    ce = _nll_value(z.values, m, s, rows, idx)
+    ce = _nll_value(zv, m, s, cells)
     align, groups = _centroid_terms(p, idx)
 
     def vjp(g: Array):
-        dp = _centroid_vjp(groups, g * alpha, p.shape)
-        inner = (dp * p).sum(axis=1, keepdims=True)
-        return (_nll_vjp(p, rows, idx, g) + p * (dp - inner),)
+        dp = _centroid_vjp(groups, g * alpha)
+        inner = np.add.reduce(dp * p, axis=1, keepdims=True)
+        return (_nll_vjp(p, cells, g) + p * (dp - inner),)
 
     return _record(ce + align * alpha, "soft_label_objective", (z,), vjp), ce, align
 
@@ -586,30 +630,31 @@ def backward(root: Tensor) -> GradMap:
     if root.values.shape != ():
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
 
+    # depth-first post-order of the nodes with parents (leaves replay
+    # nothing); a None on the stack marks the node below it as expanded
     topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    visited: set[Tensor] = set()  # a Tensor hashes and compares by identity
+    stack: list[Tensor | None] = [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in visited:
-                stack.append((parent, False))
+        node = stack.pop()
+        if node is None:
+            topo.append(stack.pop())
+        elif node not in visited:
+            visited.add(node)
+            if node._parents:
+                stack += (node, None)
+                stack += [parent for parent in node._parents if parent not in visited]
 
-    grads: dict[int, tuple[Tensor, Array]] = {id(root): (root, np.ones((), dtype=np.float64))}
+    grads: dict[int, tuple[Tensor, Array]] = {id(root): (root, np.array(1.0))}
     for node in reversed(topo):
-        if node._vjp is None:
+        vjp = node._vjp
+        if vjp is None:
             continue
-        for parent, pg in zip(node._parents, node._vjp(grads[id(node)][1])):
-            held = grads.get(id(parent))
+        for parent, pg in zip(node._parents, vjp(grads[id(node)][1])):
+            key = id(parent)
+            held = grads.get(key)
             # a 0-d gradient times a float is a numpy scalar; the map holds arrays
-            grads[id(parent)] = (parent, np.asarray(pg if held is None else held[1] + pg))
+            grads[key] = (parent, np.asarray(pg if held is None else held[1] + pg))
 
     return GradMap(grads)
 

@@ -65,15 +65,16 @@ class DomainDataset:
         if repeat is not None:
             raise ContractError(f"domain name {repeat!r} is listed twice")
         known = set(self.domain_names)
-        present = set(self.domain.tolist())
+        # the tags present, sorted, and each row's position among them
+        tags, tag_of_row = np.unique(self.domain, return_inverse=True)
+        present = set(tags.tolist())
         if not present <= known:
             raise ContractError(f"unknown domain tags: {sorted(present - known)}")
-        missing = [
-            (d, c)
-            for d in sorted(present)
-            for c in range(self.num_classes)
-            if not np.any((self.domain == d) & (self.y == c))
-        ]
+        # rows per (tag, class) pair, counted in one pass over the rows; the
+        # empty pairs come out tag by tag, then class by class
+        pairs = np.bincount(tag_of_row * self.num_classes + self.y, minlength=tags.size * self.num_classes)
+        empty_tag, empty_class = (pairs.reshape(tags.size, self.num_classes) == 0).nonzero()
+        missing = list(zip(tags[empty_tag].tolist(), empty_class.tolist()))
         if missing:
             # stack levels: this method, the generated __init__, the code building the dataset
             warnings.warn(f"classes missing from some domains: {missing}", stacklevel=3)
@@ -616,23 +617,24 @@ def class_balanced_batches(train: TrainView, batch_size: int, min_ratio: float, 
     def stream():
         while True:
             idx = rng.choice(n, size=batch_size, replace=n < batch_size)
+            labels = y[idx]  # kept in step with idx, and yielded
             for _ in range(max_fixes):
-                counts = np.bincount(y[idx], minlength=num_classes)
-                majority = int(counts.max())
-                need = math.ceil(min_ratio * majority)
-                deficient = np.flatnonzero(counts < need)
-                if deficient.size == 0:
+                counts = np.bincount(labels, minlength=num_classes).tolist()
+                majority, fewest = max(counts), min(counts)
+                if fewest >= math.ceil(min_ratio * majority):
                     break
-                worst = int(deficient[np.argmin(counts[deficient])])
-                donor_class = int(np.argmax(counts))
-                donor_positions = np.flatnonzero(y[idx] == donor_class)
-                slot = int(rng.choice(donor_positions))
+                # the smallest count is below the need, so the first class at
+                # it is the first deficient class at the smallest count; the
+                # donor is the first class at the largest
+                worst = counts.index(fewest)
+                slot = int(rng.choice(np.flatnonzero(labels == counts.index(majority))))
                 idx[slot] = int(rng.choice(pools[worst]))
+                labels[slot] = worst
             else:
                 raise ConfigError(
                     f"cannot satisfy min_ratio {min_ratio} with batch_size {batch_size} "
                     f"and {num_classes} classes"
                 )
-            yield train.X[idx], train.y[idx]
+            yield train.X.take(idx, axis=0), labels
 
     return stream()

@@ -10,7 +10,7 @@ models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +45,7 @@ class Model:
     num_classes: int
     input_shape: tuple
     seed: int
+    _plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _init_affine(params: dict[str, Tensor], name: str, fan_in: int, fan_out: int, rng) -> None:
@@ -130,33 +131,41 @@ def _check_batch_shape(model: Model, shape: tuple) -> None:
             raise DimensionError(f"input batch shape {shape} does not match per-sample shape {expected}")
 
 
-def _params(model: Model, layer: dict) -> tuple[Tensor, Tensor]:
-    name = layer["name"]
-    return model.params[f"{name}_w"], model.params[f"{name}_b"]
-
-
 # kind: (the layer's forward on h, and the rule of its op's VJP toward the
-# layer's input h, pulling the gradient g at the output back onto h). Only
-# relu reads h's values, and the pool only its length.
+# layer's input h, pulling the gradient g at the output back onto h), each
+# given the layer's parameter tensors after h (and g). Only relu reads h's
+# values, and the pool only its length.
 _LAYER_KINDS = {
-    "affine": (
-        lambda model, layer, h: ad.affine(h, *_params(model, layer)),
-        lambda model, layer, h, g: g @ _params(model, layer)[0].values.T,
-    ),
-    "conv1d": (
-        lambda model, layer, h: ad.conv1d(h, *_params(model, layer)),
-        lambda model, layer, h, g: ad.conv1d_input_grad(_params(model, layer)[0].values, g),
-    ),
-    "relu": (lambda model, layer, h: ad.relu(h), lambda model, layer, h, g: ad.relu_grad(h, g)),
-    "gap": (lambda model, layer, h: ad.global_avg_pool(h), lambda model, layer, h, g: ad.pool_grad(g, h.shape[-1])),
+    "affine": (lambda h, w, b: ad.affine(h, w, b), lambda h, g, w, b: g @ w.values.T),
+    "conv1d": (lambda h, w, b: ad.conv1d(h, w, b), lambda h, g, w, b: ad.conv1d_input_grad(w.values, g)),
+    "relu": (lambda h: ad.relu(h), lambda h, g: ad.relu_grad(h, g)),
+    "gap": (lambda h: ad.global_avg_pool(h), lambda h, g: ad.pool_grad(g, h.shape[-1])),
 }
+# the kinds whose layer holds the parameters ``<name>_w`` and ``<name>_b``
+_WEIGHTED = ("affine", "conv1d")
 
 
-def _layer_rules(layer: dict) -> tuple:
-    kind = layer["kind"]
-    if kind not in _LAYER_KINDS:
-        raise ConfigError(f"unknown layer kind {kind!r}")
-    return _LAYER_KINDS[kind]
+def _resolved(model: Model) -> list[tuple]:
+    """Each layer's (forward, pull-back rule, parameter tensors), in layer order.
+
+    Resolved once and kept on the model with a copy of the layers and the
+    parameter map it was resolved from; a walk compares them with the
+    model's (a few dict comparisons) and resolves again after a change.
+    """
+    plan = model._plan
+    if plan is not None and plan[0] == model.layers and plan[1] == model.params:
+        return plan[2]
+    steps = []
+    for layer in model.layers:
+        kind = layer["kind"]
+        if kind not in _LAYER_KINDS:
+            raise ConfigError(f"unknown layer kind {kind!r}")
+        params = ()
+        if kind in _WEIGHTED:
+            params = (model.params[f"{layer['name']}_w"], model.params[f"{layer['name']}_b"])
+        steps.append((*_LAYER_KINDS[kind], params))
+    model._plan = ([dict(layer) for layer in model.layers], dict(model.params), steps)
+    return steps
 
 
 def _walk(model: Model, x, stop: int, inputs: list | None = None) -> Tensor:
@@ -166,11 +175,11 @@ def _walk(model: Model, x, stop: int, inputs: list | None = None) -> Tensor:
     layer order, for the input-gradient pass to pull back through.
     """
     h = ad.as_tensor(x)
-    _check_batch_shape(model, h.shape)
-    for layer in model.layers[:stop]:
+    _check_batch_shape(model, h.values.shape)
+    for forward_rule, _, params in _resolved(model)[:stop]:
         if inputs is not None:
             inputs.append(h.values)
-        h = _layer_rules(layer)[0](model, layer, h)
+        h = forward_rule(h, *params)
     return h
 
 
@@ -270,14 +279,15 @@ def class_logit_input_gradients(model: Model, batch_values: np.ndarray, classes)
     below_head = model.layers[:-1]
     stop = max((i for i, layer in enumerate(below_head) if layer["kind"] == "relu"), default=0)
     grads = np.empty_like(values)
+    pulls = [(pull, params) for _, pull, params in reversed(_resolved(model)[:-1])]
     for rows in chunks:
         inputs: list[np.ndarray] = []
         with ad.no_grad():
             top = _walk(model, values[rows], stop, inputs).values
         inputs += [top] * (len(below_head) - stop)
         g = np.take(head_w.T, classes[rows], axis=0)
-        for layer, h in zip(reversed(below_head), reversed(inputs)):
-            g = _layer_rules(layer)[1](model, layer, h, g)
+        for (pull, params), h in zip(pulls, reversed(inputs)):
+            g = pull(h, g, *params)
         grads[rows] = g
     return grads
 

@@ -929,6 +929,51 @@ def test_balanced_batches_heavy_imbalance():
         assert counts.min() >= math.ceil(0.5 * counts.max())
 
 
+def _replayed_batches(y, batch_size, min_ratio, rng, draws):
+    """The row indices of ``draws`` batches drawn as a plain loop: a uniform
+    rng.choice of the batch, then for each fix the donor slot (uniform among
+    the rows of the first class at the largest count) and the pool draw (of
+    the first class at the smallest count below the need). Returns (indices,
+    fixes made)."""
+    num_classes = int(y.max()) + 1
+    pools = [np.flatnonzero(y == c) for c in range(num_classes)]
+    batches, fixes = [], 0
+    for _ in range(draws):
+        idx = rng.choice(y.size, size=batch_size, replace=y.size < batch_size)
+        while True:
+            counts = [int(np.sum(y[idx] == c)) for c in range(num_classes)]
+            need = math.ceil(min_ratio * max(counts))
+            deficient = [c for c in range(num_classes) if counts[c] < need]
+            if not deficient:
+                break
+            worst = min(deficient, key=lambda c: counts[c])
+            donor = counts.index(max(counts))
+            slot = int(rng.choice(np.flatnonzero(y[idx] == donor)))
+            idx[slot] = int(rng.choice(pools[worst]))
+            fixes += 1
+        batches.append(idx)
+    return batches, fixes
+
+
+@pytest.mark.parametrize("case", ["balanced", "990:10"])
+def test_balanced_batches_consume_the_rng_as_the_plain_loop(case):
+    if case == "balanced":
+        ds = small_gaussian()
+        X, y, batch_size, seed = ds.X, ds.y, 16, 0
+    else:  # test_balanced_batches_heavy_imbalance's view, where fixes fire
+        X = np.random.default_rng(1).standard_normal((1000, 4))
+        y = np.concatenate([np.zeros(990, dtype=np.int64), np.ones(10, dtype=np.int64)])
+        batch_size, seed = 128, 2
+    rng, replay_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    stream = class_balanced_batches(TrainView(X=X, y=y), batch_size, 0.5, rng)
+    drawn = [next(stream) for _ in range(40)]
+    replayed, fixes = _replayed_batches(y, batch_size, 0.5, replay_rng, 40)
+    assert fixes > 0 or case == "balanced"
+    for (Xb, yb), idx in zip(drawn, replayed):
+        assert np.array_equal(Xb, X[idx]) and np.array_equal(yb, y[idx])
+    assert rng.bit_generator.state == replay_rng.bit_generator.state
+
+
 def test_balanced_batches_reject_empty_class():
     X = np.zeros((10, 3))
     y = np.array([0, 0, 0, 0, 0, 2, 2, 2, 2, 2])  # class 1 missing
@@ -971,6 +1016,26 @@ def test_missing_class_in_domain_warns():
     with pytest.warns(UserWarning) as seen:
         DomainDataset(X=X, y=y, domain=domain, num_classes=2, domain_names=["a", "b"])
     # the warning points at the code that built the dataset, not into the dataclass machinery
+    assert [w.filename for w in seen] == [__file__]
+
+
+def test_missing_pairs_warning_matches_the_nested_scan():
+    # unsorted tags, a listed domain without rows, and classes absent from one
+    # domain, from several, and from all
+    domain = np.array(["b", "c", "a", "b", "c", "b", "a", "c"])
+    y = np.array([0, 2, 0, 3, 0, 1, 4, 0])
+    num_classes = 6
+    nested = [
+        (d, c)
+        for d in sorted(set(domain.tolist()))
+        for c in range(num_classes)
+        if not np.any((domain == d) & (y == c))
+    ]
+    with pytest.warns(UserWarning) as seen:
+        DomainDataset(
+            X=np.zeros((8, 2)), y=y, domain=domain, num_classes=num_classes, domain_names=["c", "z", "a", "b"]
+        )
+    assert [str(w.message) for w in seen] == [f"classes missing from some domains: {nested}"]
     assert [w.filename for w in seen] == [__file__]
 
 

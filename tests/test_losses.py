@@ -263,16 +263,38 @@ def test_fused_cases_reach_signed_zero_gradients():
         assert np.any(g == 0.0) and not np.any(np.signbit(g[g == 0.0]))
 
 
+def _unsorted_labels(rng, n, c):
+    """n labels below c in random order: some classes absent, some of one row."""
+    present = rng.permutation(c)[: int(rng.integers(1, c + 1))]
+    singles = present[: int(rng.integers(0, min(present.size, n)))]
+    rest = present[singles.size :]
+    return rng.permutation(np.concatenate([singles, rng.choice(rest, size=n - singles.size)]))
+
+
 def test_fused_losses_are_bitwise_composed_graphs_on_random_batches():
     rng = np.random.default_rng(14)
-    for trial in range(150):
-        n, c = int(rng.integers(1, 60)), int(rng.integers(2, 6))
+    for trial in range(300):
+        # up to the training batch size of 128 rows, over 2 to 12 classes
+        n, c = int(rng.integers(1, 129)), int(rng.integers(2, 13))
         z = rng.normal(0, 3, (n, c)) * (300.0 if trial % 7 == 0 else 1.0)
-        labels = rng.integers(0, c, n)
+        if trial % 5 == 0:
+            z = np.round(z)  # tied row maxima and signed zeros
+        labels = rng.integers(0, c, n) if trial % 2 else _unsorted_labels(rng, n, c)
         alpha = (0.1, 0.37, 1.0)[trial % 3]
-        got = _value_and_grad(lambda t: objective_parts(t, labels, alpha)[0], z, 1.0)
-        want = _value_and_grad(lambda t: _objective_oracle(t, labels, alpha), z, 1.0)
-        assert [_bits(a) for a in got] == [_bits(a) for a in want], (trial, n, c)
+        upstream = (1.0, -1.0, 0.37)[trial % 3 - 1]
+        for fused, oracle, x in (
+            (lambda t: objective_parts(t, labels, alpha)[0], lambda t: _objective_oracle(t, labels, alpha), z),
+            (lambda t: cross_entropy(t, labels), lambda t: _ce_oracle(t, labels), z),
+            (lambda t: ad.centroid_spread(t, labels), lambda t: _alignment_oracle(t, labels), _softmax(z)),
+        ):
+            got = _value_and_grad(fused, x, upstream)
+            want = _value_and_grad(oracle, x, upstream)
+            assert [_bits(a) for a in got] == [_bits(a) for a in want], (trial, n, c)
+
+
+def _softmax(z):
+    with ad.no_grad():
+        return ad.softmax_rows(z).values
 
 
 def test_fused_loss_nodes_grad_check():

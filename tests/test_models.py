@@ -181,6 +181,36 @@ def test_unknown_layer_kind_rejected_by_forward_and_features():
             features(model, np.zeros((2, 4)))
 
 
+def test_walks_follow_layers_and_parameters_changed_after_a_pass():
+    # each layer is resolved once per model; a later change to its layers or
+    # to the tensor a parameter name holds is seen by the next pass
+    model = build_mlp([4, 8], 3, seed=0)
+    x = np.random.default_rng(4).standard_normal((5, 4))
+    classes = [0, 1, 2, 0, 1]
+
+    def inline(relu=True):
+        w0, b0, w1, b1 = (model.params[k].values for k in ("fc0_w", "fc0_b", "head_w", "head_b"))
+        h = x @ w0
+        h += b0
+        out = (np.maximum(h, 0.0) if relu else h) @ w1
+        out += b1
+        return out
+
+    assert np.array_equal(forward(model, x).values, inline())
+    grads = class_logit_input_gradients(model, x, classes)
+    model.params["head_b"] = Tensor(model.params["head_b"].values + 1.0)
+    assert np.array_equal(forward(model, x).values, inline())
+    # a doubled first layer keeps the ReLU pattern, so the input gradient doubles
+    for name in ("fc0_w", "fc0_b"):
+        model.params[name] = Tensor(2.0 * model.params[name].values)
+    assert np.array_equal(class_logit_input_gradients(model, x, classes), 2.0 * grads)
+    model.layers.insert(1, {"kind": "bogus"})
+    with pytest.raises(ConfigError, match="unknown layer kind 'bogus'"):
+        forward(model, x)
+    del model.layers[1:3]  # the bogus layer and the relu: the stack is now linear
+    assert np.array_equal(forward(model, x).values, inline(relu=False))
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     for model in (build_mlp([4, 8], 3, seed=3), build_cnn1d([1, 4], 3, 2, seed=3)):
         path = tmp_path / "ckpt.json"
