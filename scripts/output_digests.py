@@ -15,6 +15,9 @@ byte as it was. This script runs ``dglab.cli.main`` in-process on the
   mask_only, alternate), seeds 0 and 1, ``--holdout 0.1``;
 - ``train`` with each of the two, then ``saliency-export`` (5 samples)
   and ``export-features`` from each checkpoint;
+- ``train`` with each of the two again at ``MASK_HEAVY``, into
+  ``train-<model>-masked``: every step masks every row of its batch at
+  thresholds drawn up to the 100th percentile, the picker's widest;
 - ``ablation`` with the MLP on the gaussian data over ``ABLATION_GRID``,
   seeds 0 and 1.
 
@@ -63,6 +66,9 @@ ODD_SHAPES = {
 
 SALIENCY_SAMPLES = 5
 
+# the TrainConfig keys each model's second train run, ``train-<model>-masked``, adds to its own
+MASK_HEAVY = {"strategy_mode": "mask_only", "m_percent": 100, "q_max": 100}
+
 # the [alpha, m, q_max] points of the ablation run: off, each strategy alone, both
 ABLATION_GRID = [[0, 0, 0], [0.1, 0, 0], [0, 50, 70], [0.1, 50, 70]]
 
@@ -97,6 +103,9 @@ def commands(inputs: Path, out: Path, iterations: int, n_per_domain_class: int |
             ["export-features", "--checkpoint", str(run / "checkpoint.json"), "--data", data,
              "--out", str(out / f"features-{name}.csv")],
         ]
+        masked = inputs / f"{name}-masked.json"
+        masked.write_text(json.dumps({**arch, **MASK_HEAVY, "iterations": iterations}))
+        cmds.append(["train", "--data", data, "--config", str(masked), "--out", str(out / f"train-{name}-masked")])
     grid = inputs / "grid.json"
     grid.write_text(json.dumps(ABLATION_GRID))
     cmds.append(["ablation", "--data", str(out / "gauss"), "--config", str(inputs / "mlp.json"), "--grid", str(grid),

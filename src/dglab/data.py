@@ -28,6 +28,7 @@ from .errors import ConfigError, ContractError, DataFormatError
 DATA_FILE = "data.csv"
 META_FILE = "meta.json"
 FLOAT_FORMAT = "%.17g"  # 17 significant digits round-trip float64 exactly
+MISSING_PAIRS_SHOWN = 20  # the missing (domain, class) pairs a warning lists before it counts the rest
 
 
 def _repeated_name(names) -> str | None:
@@ -74,10 +75,13 @@ class DomainDataset:
         # empty pairs come out tag by tag, then class by class
         pairs = np.bincount(tag_of_row * self.num_classes + self.y, minlength=tags.size * self.num_classes)
         empty_tag, empty_class = (pairs.reshape(tags.size, self.num_classes) == 0).nonzero()
-        missing = list(zip(tags[empty_tag].tolist(), empty_class.tolist()))
-        if missing:
+        if empty_tag.size:
+            first = slice(MISSING_PAIRS_SHOWN)
+            shown = list(zip(tags[empty_tag[first]].tolist(), empty_class[first].tolist()))
+            more = empty_tag.size - len(shown)
+            rest = f" and {more} more, {empty_tag.size} pairs in all" if more else ""
             # stack levels: this method, the generated __init__, the code building the dataset
-            warnings.warn(f"classes missing from some domains: {missing}", stacklevel=3)
+            warnings.warn(f"classes missing from some domains: {shown}{rest}", stacklevel=3)
 
     @property
     def n(self) -> int:

@@ -1,11 +1,11 @@
-"""Saliency-guided input masking: threshold sampling and value shuffling.
+"""Saliency-guided input masking: thresholds, the positions below them, and a shuffle.
 
-Observations scoring strictly below a sampled percentile threshold have
-their values randomly permuted among themselves, preserving the sample's
-value multiset. Strict inequality makes a zero threshold percentile and a
+A mask step picks each row's positions scoring strictly below a sampled
+percentile threshold (``positions_below_percentile``) and permutes their
+values within the row (``shuffle_positions``), preserving its value
+multiset. Strict inequality makes a zero threshold percentile and a
 constant score map exact no-ops, and leaves ties at the threshold alone.
-A masked batch is thresholded and shuffled row-wise in one vectorised
-step; the single-sample function is the one-row case of the same code.
+``augment_batch`` masks a batch's chosen rows; ``mask_below_percentile`` one sample.
 """
 
 from __future__ import annotations
@@ -54,41 +54,38 @@ def row_percentiles(scores: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return np.where(gamma >= 0.5, hi - diff * (1 - gamma), lo + diff * gamma)
 
 
-def mask_rows_below_percentile(x, scores, qs, rng) -> np.ndarray:
-    """Row i of (k, d) ``x``: shuffle the values scoring strictly below its qs[i]-th percentile.
+def positions_below_percentile(scores: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, cols) of the (k, d) scores strictly below their row's qs[i]-th percentile, row-major."""
+    return np.nonzero(scores < row_percentiles(scores, qs)[:, None])
 
-    One random key per masked position and one sort by (row, key) shuffle
-    every row at once, so values never leave their row. Positions at or
-    above a row's threshold are bit-identical to the input.
+
+def shuffle_positions(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, rng) -> None:
+    """Permute the values of (k, d) ``x`` at (rows, cols) within each row, in place.
+
+    ``rows`` must be sorted, as the picker returns them. One random key per
+    position and one sort by (row, key) shuffle every row at once, so values
+    never leave their row; every other entry of ``x`` is left as it is.
     """
-    out = np.array(x, dtype=np.float64, copy=True)
-    scores = np.asarray(scores, dtype=np.float64)
-    qs = np.asarray(qs, dtype=np.float64)
-    if out.ndim != 2 or scores.shape != out.shape or qs.shape != out.shape[:1]:
-        raise DimensionError(
-            f"need (k, d) values and scores and k percentiles, got {out.shape}, {scores.shape}, {qs.shape}"
-        )
-    if qs.size and not (0.0 <= qs.min() and qs.max() <= 100.0):
-        raise ConfigError(f"percentiles must be in [0, 100], got {qs.min()}..{qs.max()}")
-    rows, cols = np.nonzero(scores < row_percentiles(scores, qs)[:, None])
     order = np.lexsort((rng.random(rows.size), rows))
-    out[rows, cols] = out[rows, cols[order]]
-    return out
+    x[rows, cols] = x[rows, cols[order]]
 
 
 def mask_below_percentile(x, scores, q: float, rng) -> np.ndarray:
     """Shuffle the values at positions scoring strictly below the q-th percentile.
 
-    The one-row case of :func:`mask_rows_below_percentile`. Positions at or
-    above the threshold are bit-identical to the input, and the returned
-    sample always holds the same value multiset as x.
+    The one-row case of a mask step. Positions at or above the threshold are
+    bit-identical to the input, and the returned sample always holds the
+    same value multiset as x.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    values = np.asarray(x, dtype=np.float64)
-    if scores.shape != values.shape:
-        raise DimensionError(f"saliency shape {scores.shape} does not match sample shape {values.shape}")
-    out = mask_rows_below_percentile(values.reshape(1, -1), scores.reshape(1, -1), [q], rng)
-    return out.reshape(values.shape)
+    out = np.array(x, dtype=np.float64, copy=True)
+    if scores.shape != out.shape:
+        raise DimensionError(f"saliency shape {scores.shape} does not match sample shape {out.shape}")
+    if not 0.0 <= q <= 100.0:
+        raise ConfigError(f"q must be in [0, 100], got {q}")
+    row = out.reshape(1, -1)
+    shuffle_positions(row, *positions_below_percentile(scores.reshape(1, -1), np.array([q], dtype=np.float64)), rng)
+    return row.reshape(out.shape)
 
 
 def augment_batch(x_batch, labels, model: Model, cfg: TrainConfig, rng) -> np.ndarray:
@@ -113,6 +110,7 @@ def augment_batch(x_batch, labels, model: Model, cfg: TrainConfig, rng) -> np.nd
     rows = out[chosen]
     scores = smoothgrad(model, rows, np.asarray(labels)[chosen], sg_cfg)
     qs = sample_threshold(cfg.q_max, rng, size=count)
-    masked = mask_rows_below_percentile(rows.reshape(count, -1), scores.reshape(count, -1), qs, rng)
-    out[chosen] = masked.reshape(rows.shape)
+    flat = rows.reshape(count, -1)
+    shuffle_positions(flat, *positions_below_percentile(scores.reshape(count, -1), qs), rng)
+    out[chosen] = flat.reshape(rows.shape)
     return out

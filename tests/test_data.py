@@ -1039,6 +1039,24 @@ def test_missing_pairs_warning_matches_the_nested_scan():
     assert [w.filename for w in seen] == [__file__]
 
 
+@pytest.mark.parametrize("num_classes", [8, 9, 3000])
+def test_missing_pairs_warning_lists_the_first_20_pairs_and_counts_them_all(num_classes):
+    # four domains holding classes 0-2 only: 4 * (num_classes - 3) pairs are missing,
+    # 20 at 8 classes, 24 at 9 and 11988 at 3000
+    names = ["d0", "d1", "d2", "d3"]
+    domain, y = np.repeat(names, 3), np.tile([0, 1, 2], 4)
+    with pytest.warns(UserWarning) as seen:
+        DomainDataset(X=np.zeros((12, 2)), y=y, domain=domain, num_classes=num_classes, domain_names=names)
+    missing = [(d, c) for d in names for c in range(3, num_classes)]
+    if len(missing) <= 20:
+        expected = f"classes missing from some domains: {missing}"
+    else:
+        rest = f" and {len(missing) - 20} more, {len(missing)} pairs in all"
+        expected = f"classes missing from some domains: {missing[:20]}{rest}"
+    assert [str(w.message) for w in seen] == [expected]
+    assert len(expected) < 500
+
+
 def test_check_finite_names_the_first_bad_row_from_the_given_number():
     X = np.zeros((5, 2, 3))
     check_finite(X, "here")

@@ -3,13 +3,15 @@ import copy
 import numpy as np
 import pytest
 
-from dglab.errors import ConfigError
+from dglab.errors import ConfigError, DimensionError
 from dglab.masking import (
     PERCENTILE_METHOD,
     augment_batch,
     mask_below_percentile,
+    positions_below_percentile,
     row_percentiles,
     sample_threshold,
+    shuffle_positions,
 )
 from dglab.models import build_cnn1d, build_mlp
 from dglab.saliency import SmoothGradConfig, smoothgrad
@@ -74,6 +76,17 @@ def test_positions_at_or_above_threshold_untouched():
         keep = scores >= t
         assert np.array_equal(out[keep], x[keep])
         assert np.array_equal(np.sort(out), np.sort(x))
+
+
+@pytest.mark.parametrize("q", [-0.5, 100.5, float("nan")])
+def test_mask_below_percentile_rejects_q_outside_0_100(q):
+    with pytest.raises(ConfigError, match="q must be in"):
+        mask_below_percentile(np.zeros(4), np.arange(4.0), q, np.random.default_rng(0))
+
+
+def test_mask_below_percentile_rejects_scores_of_another_shape():
+    with pytest.raises(DimensionError, match="does not match sample shape"):
+        mask_below_percentile(np.zeros((2, 3)), np.zeros(6), 50.0, np.random.default_rng(0))
 
 
 def test_masked_set_monotone_in_q():
@@ -158,14 +171,44 @@ def test_augment_deterministic_given_rng_seed():
 
 
 def test_row_percentiles_bitwise_equal_numpy_with_ties_and_end_points():
+    # and the picker takes, row by row, the positions strictly below that percentile
     rng = np.random.default_rng(30)
     for d in (1, 2, 7, 25, 64):
         scores = rng.integers(0, 5, (200, d)) * rng.uniform(0.1, 1.0)  # heavy ties
         scores[::3] = rng.uniform(0.0, 1.0, scores[::3].shape)
+        scores[4:8] = 0.25  # constant rows
         qs = rng.uniform(0.0, 100.0, 200)
-        qs[:4] = [0.0, 100.0, 50.0, 100.0 * (1 - 1e-16)]
+        qs[:8] = [0.0, 100.0, 50.0, 100.0 * (1 - 1e-16), 0.0, 100.0, 50.0, 100.0]
         expected = [np.percentile(row, q, method=PERCENTILE_METHOD) for row, q in zip(scores, qs)]
         assert np.array_equal(row_percentiles(scores, qs), expected)
+        rows, cols = positions_below_percentile(scores, qs)
+        below = [np.flatnonzero(row < np.percentile(row, q, method=PERCENTILE_METHOD)) for row, q in zip(scores, qs)]
+        assert np.array_equal(rows, np.repeat(np.arange(200), [b.size for b in below]))
+        assert np.array_equal(cols, np.concatenate(below))
+        assert not np.isin(rows, [0, 4, 5, 6, 7]).any()  # q = 0 and constant rows pick nothing
+
+
+def test_shuffle_positions_moves_values_within_their_row_only_and_draws_one_key_per_position():
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((50, 9))
+    scores = rng.integers(0, 4, (50, 9)).astype(float)
+    qs = rng.uniform(0.0, 100.0, 50)
+    qs[:3] = [0.0, 100.0, 100.0]
+    scores[2] = 1.0  # a constant row: no position even at q = 100
+    rows, cols = positions_below_percentile(scores, qs)
+    assert rows.size > 0 and not np.isin([0, 2], rows).any()
+    for picked in [(rows, cols), (rows[:0], cols[:0])]:  # every picked position, then none
+        out = x.copy()
+        gen = np.random.default_rng(42)
+        replay = copy.deepcopy(gen)
+        assert shuffle_positions(out, *picked, gen) is None  # in place
+        replay.random(picked[0].size)
+        assert gen.bit_generator.state == replay.bit_generator.state
+        kept = np.ones(x.shape, dtype=bool)
+        kept[picked] = False
+        assert np.array_equal(out[kept], x[kept])  # bit for bit outside the positions
+        assert np.array_equal(np.sort(out, axis=1), np.sort(x, axis=1))  # each row keeps its values
+        assert np.array_equal(out, x) == (picked[0].size == 0)
 
 
 def test_sample_threshold_batch_draw_matches_sequential_draws():

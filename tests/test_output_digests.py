@@ -31,6 +31,8 @@ def test_two_runs_list_every_output_once_with_the_same_digests(monkeypatch, tmp_
     for name in script.MODELS:
         assert {f"lodo-{name}.json", f"train-{name}/checkpoint.json", f"train-{name}/history.csv",
                 f"features-{name}.csv"} <= set(listed)
+        masked = f"train-{name}-masked"
+        assert {f"{masked}/checkpoint.json", f"{masked}/history.csv", f"{masked}/config.json"} <= set(listed)
         assert sum(path.startswith(f"saliency-{name}_") for path in listed) == script.SALIENCY_SAMPLES
 
 
