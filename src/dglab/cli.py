@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: generate, train, lodo, ablation, saliency-export,
-export-features. Exit codes: 0 success, 1 configuration or contract error,
-2 numeric failure (non-finite loss or logits).
+export-features. Exit codes: 0 success, 1 configuration or contract error
+(or a size the host cannot allocate), 2 numeric failure (non-finite loss or
+logits).
 """
 
 from __future__ import annotations
@@ -43,9 +44,13 @@ from .models import load_model, model_batch, save_model
 from .saliency import SmoothGradConfig, smoothgrad, vanilla_saliency
 from .trainer import MODE_STRATEGIES, TrainConfig, train, write_history
 
-# a path that is missing, or a directory where a file is expected (or the
-# reverse), is the user's to fix; an IndexError or KeyError is a program bug
-USER_ERRORS = (ConfigError, ContractError, DataFormatError, FileNotFoundError, IsADirectoryError, NotADirectoryError)
+# a path that is missing, a directory where a file is expected (or the
+# reverse), or a size the host cannot allocate (numpy's "Unable to allocate
+# ..." at the first array of that size) is the user's to fix; an IndexError
+# or KeyError is a program bug
+USER_ERRORS = (
+    ConfigError, ContractError, DataFormatError, FileNotFoundError, IsADirectoryError, NotADirectoryError, MemoryError,
+)
 
 
 class _Parser(argparse.ArgumentParser):

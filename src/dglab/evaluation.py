@@ -201,7 +201,7 @@ def _dataset_meta(ds: DomainDataset) -> dict:
     digest = hashlib.sha256()
     digest.update(ds.X.tobytes())
     digest.update(ds.y.tobytes())
-    digest.update(",".join(str(d) for d in ds.domain).encode("utf-8"))
+    digest.update(",".join(map(str, ds.domain.tolist())).encode("utf-8"))
     return {
         "num_classes": int(ds.num_classes),
         "input_shape": [int(d) for d in ds.input_shape],

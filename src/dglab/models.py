@@ -10,7 +10,7 @@ models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class Model:
     num_classes: int
     input_shape: tuple
     seed: int
-    _plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _init_affine(params: dict[str, Tensor], name: str, fan_in: int, fan_out: int, rng) -> None:
@@ -148,13 +147,10 @@ _WEIGHTED = ("affine", "conv1d")
 def _resolved(model: Model) -> list[tuple]:
     """Each layer's (forward, pull-back rule, parameter tensors), in layer order.
 
-    Resolved once and kept on the model with a copy of the layers and the
-    parameter map it was resolved from; a walk compares them with the
-    model's (a few dict comparisons) and resolves again after a change.
+    Built from ``_LAYER_KINDS`` on every call, so each pass resolves the
+    model's current layers and parameter map once, before its first layer
+    runs.
     """
-    plan = model._plan
-    if plan is not None and plan[0] == model.layers and plan[1] == model.params:
-        return plan[2]
     steps = []
     for layer in model.layers:
         kind = layer["kind"]
@@ -164,19 +160,19 @@ def _resolved(model: Model) -> list[tuple]:
         if kind in _WEIGHTED:
             params = (model.params[f"{layer['name']}_w"], model.params[f"{layer['name']}_b"])
         steps.append((*_LAYER_KINDS[kind], params))
-    model._plan = ([dict(layer) for layer in model.layers], dict(model.params), steps)
     return steps
 
 
-def _walk(model: Model, x, stop: int, inputs: list | None = None) -> Tensor:
-    """Run model.layers[:stop] on a checked input batch.
+def _walk(model: Model, x, steps: list[tuple], inputs: list | None = None) -> Tensor:
+    """Run ``steps`` on a checked input batch: ``_resolved(model)`` or a
+    prefix of it, resolved once per pass (for all of its chunks, too).
 
     With ``inputs``, each walked layer's input values are appended to it, in
     layer order, for the input-gradient pass to pull back through.
     """
     h = ad.as_tensor(x)
     _check_batch_shape(model, h.values.shape)
-    for forward_rule, _, params in _resolved(model)[:stop]:
+    for forward_rule, _, params in steps:
         if inputs is not None:
             inputs.append(h.values)
         h = forward_rule(h, *params)
@@ -185,7 +181,7 @@ def _walk(model: Model, x, stop: int, inputs: list | None = None) -> Tensor:
 
 def forward(model: Model, x) -> Tensor:
     """Run the layer stack; returns logits of shape (batch, num_classes)."""
-    return _walk(model, x, len(model.layers))
+    return _walk(model, x, _resolved(model))
 
 
 def features(model: Model, x) -> Tensor:
@@ -194,7 +190,7 @@ def features(model: Model, x) -> Tensor:
     For a purely linear model this is the input itself.
     """
     _check_head(model)
-    return _walk(model, x, len(model.layers) - 1)
+    return _walk(model, x, _resolved(model)[:-1])
 
 
 def _check_head(model: Model) -> None:
@@ -263,8 +259,8 @@ def class_logit_input_gradients(model: Model, batch_values: np.ndarray, classes)
     walk's output stands in for their inputs. No graph is built, no
     parameter gradient is formed, and the last relu's output and the pooled
     features are never computed; the result is bit for bit the backward pass
-    of the picked logits. The stack is walked in the chunks of
-    ``row_chunks``.
+    of the picked logits. The layers are resolved once for the pass, and
+    the stack is walked in the chunks of ``row_chunks``.
     """
     values = np.asarray(batch_values, dtype=np.float64)
     chunks = row_chunks(model, values)
@@ -279,11 +275,12 @@ def class_logit_input_gradients(model: Model, batch_values: np.ndarray, classes)
     below_head = model.layers[:-1]
     stop = max((i for i, layer in enumerate(below_head) if layer["kind"] == "relu"), default=0)
     grads = np.empty_like(values)
-    pulls = [(pull, params) for _, pull, params in reversed(_resolved(model)[:-1])]
+    steps = _resolved(model)[:-1]
+    pulls = [(pull, params) for _, pull, params in reversed(steps)]
     for rows in chunks:
         inputs: list[np.ndarray] = []
         with ad.no_grad():
-            top = _walk(model, values[rows], stop, inputs).values
+            top = _walk(model, values[rows], steps[:stop], inputs).values
         inputs += [top] * (len(below_head) - stop)
         g = np.take(head_w.T, classes[rows], axis=0)
         for (pull, params), h in zip(pulls, reversed(inputs)):

@@ -1148,3 +1148,38 @@ def test_network_shape_checked_before_loading_data(case, command, tmp_path, caps
     assert capsys.readouterr().err == f"error: {config}: {message}\n"
     assert not out.exists()
 
+
+
+UNALLOCATABLE = 10**12  # elements: far past any host's memory, so numpy refuses at once
+
+
+@pytest.mark.parametrize(
+    "command, setting",
+    [
+        ("generate", ["--n-per-domain-class", str(UNALLOCATABLE)]),
+        ("train", {"sg_n": UNALLOCATABLE}),
+        ("train", {"hidden": [UNALLOCATABLE]}),
+        ("train", {"batch_size": UNALLOCATABLE}),
+        ("lodo", {"sg_n": UNALLOCATABLE}),
+        ("lodo", {"hidden": [UNALLOCATABLE]}),
+        ("saliency-export", ["--sg-n", str(UNALLOCATABLE)]),
+    ],
+    ids=["generate-rows", "train-sg-n", "train-hidden", "train-batch-size", "lodo-sg-n", "lodo-hidden", "saliency-export-sg-n"],
+)
+def test_size_the_host_cannot_allocate_exits_one(command, setting, checkpoint_doc, dataset_dir, config_path, tmp_path, capsys):
+    # the size passes every check and fails at its first allocation, after the data loads
+    out = tmp_path / "out"
+    if command == "generate":
+        args = ["--kind", "spurious-gaussian", *setting]
+    elif command == "saliency-export":
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(checkpoint_doc))
+        args = ["--checkpoint", str(checkpoint), "--data", str(dataset_dir), "--samples", "2", *setting]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**json.loads(config_path.read_text()), **setting}))
+        args = ["--data", str(dataset_dir), "--config", str(config)]
+        args += ["--methods", "alternate", "--seeds", "0"] if command == "lodo" else []
+    assert cli.main([command, *args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
