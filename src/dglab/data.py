@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import hashlib
 import io
 import json
 import math
@@ -27,6 +28,7 @@ from .errors import ConfigError, ContractError, DataFormatError
 
 DATA_FILE = "data.csv"
 META_FILE = "meta.json"
+CACHE_FILE = "data.cache"  # load_dataset's parse of data.csv, keyed by both files' bytes
 FLOAT_FORMAT = "%.17g"  # 17 significant digits round-trip float64 exactly
 MISSING_PAIRS_SHOWN = 20  # the missing (domain, class) pairs a warning lists before it counts the rest
 
@@ -325,11 +327,31 @@ def write_cells(path, header, rows) -> None:
             fh.write(",".join(v if isinstance(v, str) else "" if v is None else repr(v) for v in row) + "\n")
 
 
-def read_json(path, error=ConfigError):
-    """The JSON document at ``path``; invalid JSON, bytes that are not UTF-8
-    (which JSON text must be), or an integer longer than Python converts
-    (4300 digits by default) raise ``error`` naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+def write_replacing(path, chunks) -> None:
+    """Write the bytes-like ``chunks``, in order, to a fresh file in
+    ``path``'s directory, then rename it over ``path``, so a reader sees
+    the old file or the new one, never part of one. The new file gets the
+    umask mode. On an error the fresh file is removed and the error
+    raised; ``path`` is left as it was."""
+    directory, name = os.path.split(os.fspath(path))
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
+def read_json(path, error=ConfigError, raw: bytes | None = None):
+    """The JSON document at ``path``, or in ``raw``, the bytes already read
+    from it, decoded as reading the file would; invalid JSON, bytes that
+    are not UTF-8 (which JSON text must be), or an integer longer than
+    Python converts (4300 digits by default) raise ``error`` naming the file."""
+    text = open(path, "r", encoding="utf-8") if raw is None else io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    with text as fh:
         try:
             return json.load(fh)
         except ValueError as e:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
@@ -433,17 +455,109 @@ def _non_utf8(line: str) -> str | None:
     return found and f"byte 0x{ord(found.group()) - 0xDC00:02x} is not UTF-8"
 
 
+# The records of data.cache, and the parse they hold: change the tag with either.
+_CACHE_TAG = b"dglab data.cache 1"
+
+
+def _npy_record(array: np.ndarray) -> list:
+    """``array`` as one .npy record, in two chunks: the header, which names
+    its dtype and shape, and a byte view of its data, not a copy."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(array))
+    return [header.getvalue(), np.ascontiguousarray(array).reshape(-1).view(np.uint8)]
+
+
+def _key_record(key: bytes, records) -> bytes:
+    """The first record of data.cache: a (64,) uint8 array, ``key`` and
+    then the sha256 of the chunks ``records``, the records after it."""
+    sha256 = hashlib.sha256()
+    for chunk in records:
+        sha256.update(chunk)
+    return b"".join(_npy_record(np.frombuffer(key + sha256.digest(), dtype=np.uint8)))
+
+
+_KEY_RECORD_BYTES = len(_key_record(bytes(32), []))
+
+
+def _cache_key(meta_bytes: bytes, data_sha256: bytes) -> bytes:
+    """The sha256 of the format tag, meta.json's length-prefixed bytes and the sha256 of data.csv's bytes."""
+    return hashlib.sha256(_CACHE_TAG + len(meta_bytes).to_bytes(8, "little") + meta_bytes + data_sha256).digest()
+
+
+class _Sha256Reader(io.RawIOBase):
+    """A binary file whose bytes, as they are read, feed ``self.sha256``."""
+
+    def __init__(self, fh):
+        self.fh, self.sha256 = fh, hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.fh.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+
+def _cached_rows(cache_path, meta_bytes: bytes, data_path):
+    """The (X, y, domain) arrays the cache at ``cache_path`` holds for
+    ``meta_bytes`` and the bytes of the file at ``data_path``, or None when
+    it is missing, unreadable, malformed, or holds another key or format
+    tag. The sha256 of its records must match too, so a truncated or
+    garbled file is a miss wherever the damage lies. data.csv is hashed
+    only when there is a cache to check; an error opening it is raised."""
+    try:
+        with open(cache_path, "rb") as fh:
+            blob = fh.read()
+    except OSError:
+        return None
+    data_sha256 = hashlib.sha256()
+    with open(data_path, "rb") as fh:
+        for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
+            data_sha256.update(chunk)
+    key = _cache_key(meta_bytes, data_sha256.digest())
+    if blob[:_KEY_RECORD_BYTES] != _key_record(key, [memoryview(blob)[_KEY_RECORD_BYTES:]]):
+        return None
+    records = io.BytesIO(blob)
+    records.seek(_KEY_RECORD_BYTES)
+    try:
+        arrays = tuple(np.lib.format.read_array(records, allow_pickle=False) for _ in range(3))
+    except ValueError:
+        return None
+    return arrays if records.tell() == len(blob) else None
+
+
+def _write_cache(cache_path, key: bytes, arrays) -> None:
+    """Keep ``arrays``, the (X, y, domain) parse of the files ``key`` names,
+    at ``cache_path``; a directory that cannot be written gets no cache."""
+    records = [chunk for array in arrays for chunk in _npy_record(array)]
+    try:
+        write_replacing(cache_path, [_key_record(key, records), *records])
+    except OSError:
+        pass
+
+
 def load_dataset(path) -> DomainDataset:
     """Read a dataset directory; validates invariants and names bad rows.
 
-    data.csv is read once. Each row's bytes, field count, domain and label
-    are checked in Python, with csv's quoting rules on rows holding a quote,
-    and all floats are parsed in one call to numpy's C reader. An error
-    names the first bad row in file order, as a row-by-row read would.
+    meta.json is read once and its fields are checked. Then, when
+    ``data.cache`` (CACHE_FILE) in the same directory holds the parse of
+    these meta.json bytes and of data.csv's current bytes, its arrays are
+    used. Its key is the sha256 of a format tag, meta.json's bytes and the
+    sha256 of data.csv's bytes; see :func:`_cached_rows`. Otherwise
+    data.csv is parsed (see :func:`_parse_rows`) and, only when the parse
+    succeeds, the parse is written to data.cache under the key of the
+    bytes parsed: atomically, through :func:`write_replacing`, and best
+    effort, so a directory that cannot be written gets no cache. Either
+    way the dataset is built and checked by the one ``DomainDataset`` call
+    below, so a load returns, raises and warns alike with or without the
+    cache, which is safe to delete.
     """
     meta_path = os.path.join(path, META_FILE)
     data_path = os.path.join(path, DATA_FILE)
-    meta = read_json(meta_path, DataFormatError)
+    with open(meta_path, "rb") as fh:
+        meta_bytes = fh.read()
+    meta = read_json(meta_path, DataFormatError, meta_bytes)
     try:
         input_shape, num_classes = meta["input_shape"], meta["num_classes"]
         domain_names = [str(d) for d in meta["domain_names"]]
@@ -460,13 +574,33 @@ def load_dataset(path) -> DomainDataset:
     repeat = _repeated_name(domain_names)
     if repeat is not None:
         raise DataFormatError(f"{meta_path}: domain name {repeat!r} is listed twice in domain_names")
-    width = math.prod(input_shape)
-    known = set(domain_names)
 
+    cache_path = os.path.join(path, CACHE_FILE)
+    arrays = _cached_rows(cache_path, meta_bytes, data_path)
+    if arrays is None:
+        # keyed by the bytes parsed, which a writer may have changed since they were hashed
+        arrays, data_sha256 = _parse_rows(data_path, input_shape, num_classes, set(domain_names))
+        _write_cache(cache_path, _cache_key(meta_bytes, data_sha256), arrays)
+    X, y, domain = arrays
+    return DomainDataset(X=X, y=y, domain=domain, num_classes=num_classes, domain_names=domain_names)
+
+
+def _parse_rows(data_path, input_shape, num_classes: int, known: set):
+    """The (X, y, domain) arrays of the data.csv at ``data_path`` under the
+    sidecar's fields, and the sha256 of the bytes they were parsed from.
+
+    Each row's bytes, field count, domain and label are checked in Python,
+    with csv's quoting rules on rows holding a quote, and all floats are
+    parsed in one call to numpy's C reader. An error names the first bad
+    row in file order, as a row-by-row read would.
+    """
+    width = math.prod(input_shape)
     # ``lines`` keeps each good row for numpy: as read, or for a row parsed
     # by csv's rules, its float fields behind two empty ones
     lines, labels, domains, bad_row = [], [], [], None
-    with open(data_path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    reader = _Sha256Reader(open(data_path, "rb"))
+    text = io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8", errors="surrogateescape", newline="")
+    with reader.fh, text as fh:
         first = next(fh, None)
         if first is None:
             raise DataFormatError(f"{data_path}: empty file")
@@ -474,11 +608,13 @@ def load_dataset(path) -> DomainDataset:
         if reason is not None:
             raise DataFormatError(f"{data_path}: row 1: {reason}")
         header = next(csv.reader([first]))
-        if len(header) != width + 2 or header[:2] != ["domain", "label"]:
+        if len(header) != width + 2:
             raise DataFormatError(
                 f"{data_path}: header has {len(header) - 2} feature columns, "
                 f"sidecar input_shape {list(input_shape)} implies {width}"
             )
+        if header[:2] != ["domain", "label"]:
+            raise DataFormatError(f"{data_path}: header starts {header[:2]!r}, not ['domain', 'label']")
         for lineno, line in enumerate(fh, start=2):
             reason = _non_utf8(line)
             if reason is not None:
@@ -527,13 +663,9 @@ def load_dataset(path) -> DomainDataset:
             raise
     if bad_row is not None:
         raise DataFormatError(f"{data_path}: row {bad_row[0]}: {bad_row[1]}")
-    return DomainDataset(
-        X=X.reshape(len(lines), *input_shape),
-        y=np.asarray(labels, dtype=np.int64),
-        domain=np.asarray(domains),
-        num_classes=num_classes,
-        domain_names=domain_names,
-    )
+    # a parse that raised nothing read the file to its end
+    arrays = X.reshape(len(lines), *input_shape), np.asarray(labels, dtype=np.int64), np.asarray(domains)
+    return arrays, reader.sha256.digest()
 
 
 # ---------------------------------------------------------------------------

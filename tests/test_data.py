@@ -1,5 +1,8 @@
 import ast
 import csv
+import errno
+import functools
+import importlib.util
 import inspect
 import io
 import json
@@ -7,14 +10,19 @@ import math
 import os
 import re
 import stat
+import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dglab
+from dglab import cli
+from dglab import data as data_module
 from dglab.data import (
+    CACHE_FILE,
     WRITE_BLOCK_ROWS,
     DomainDataset,
     TrainView,
@@ -31,6 +39,7 @@ from dglab.data import (
     save_dataset,
     split_holdout,
     write_json,
+    write_replacing,
     write_rows,
 )
 from dglab.errors import ConfigError, ContractError, DataFormatError
@@ -270,14 +279,17 @@ def test_rewrite_to_the_null_device():
 
 WRITE_MODE_CHARS = set("wax+")
 
+# write_replacing writes a fresh temporary file, which it never truncates
+WRITE_HELPERS = ("open_for_rewrite", "write_replacing")
+
 
 def direct_writes(source: str) -> list[int]:
-    """Lines of ``source`` that open a file for writing other than through open_for_rewrite."""
+    """Lines of ``source`` that open a file for writing other than through open_for_rewrite or write_replacing."""
     tree = ast.parse(source)
     exempt = {
         id(node)
         for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef) and fn.name == "open_for_rewrite"
+        if isinstance(fn, ast.FunctionDef) and fn.name in WRITE_HELPERS
         for node in ast.walk(fn)
     }
     lines = []
@@ -408,6 +420,28 @@ def test_load_rejects_header_sidecar_mismatch(tmp_path):
     meta_file.write_text(json.dumps(meta))
     with pytest.raises(DataFormatError):
         load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("\ufeffdomain,label", "header starts ['\\ufeffdomain', 'label'], not ['domain', 'label']"),
+        ("Domain,label", "header starts ['Domain', 'label'], not ['domain', 'label']"),
+        ("domain, label", "header starts ['domain', ' label'], not ['domain', 'label']"),
+        ("domain,label,extra", "header has 11 feature columns, sidecar input_shape [10] implies 10"),
+    ],
+    ids=["utf8-bom", "capital", "space", "wrong-count"],
+)
+def test_load_names_what_is_wrong_with_the_header(header, message, tmp_path):
+    # a byte-order mark, as Excel's "CSV UTF-8" export writes, is not taken either
+    save_dataset(small_gaussian(), tmp_path)
+    data_file = tmp_path / "data.csv"
+    lines = data_file.read_text(encoding="utf-8").split("\r\n")
+    lines[0] = header + lines[0][len("domain,label"):]
+    data_file.write_text("\r\n".join(lines), encoding="utf-8")
+    with pytest.raises(DataFormatError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == f"{data_file}: {message}"
 
 
 def test_json_round_trip_keeps_each_layout(tmp_path):
@@ -814,6 +848,271 @@ def test_load_peak_memory_stays_below_the_old_reader(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0]
+
+
+# ---------------------------------------------------------------------------
+# data.cache: load_dataset's parse, kept next to data.csv
+
+
+def load_outcome(path):
+    """Everything a load gives: each array's dtype, shape and bytes, the
+    sidecar fields and the warnings, with where they point; or the error."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            ds = load_dataset(path)
+        except Exception as e:  # noqa: BLE001 - the error is the outcome
+            return type(e), str(e)
+    arrays = [(a.dtype.str, a.shape, a.tobytes()) for a in (ds.X, ds.y, ds.domain)]
+    notes = [(w.category, str(w.message), w.filename, w.lineno) for w in seen]
+    return arrays, ds.num_classes, ds.domain_names, notes
+
+
+def parsed_outcome(path):
+    """The outcome of a load that finds no data.cache."""
+    (Path(path) / CACHE_FILE).unlink(missing_ok=True)
+    return load_outcome(path)
+
+
+@pytest.fixture
+def count_parses(monkeypatch):
+    """A list that gains one entry per data.csv parse."""
+    parses = []
+    real = data_module._parse_rows
+
+    def counted(*args):
+        parses.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(data_module, "_parse_rows", counted)
+    return parses
+
+
+def _output_digests_script():
+    spec = importlib.util.spec_from_file_location(
+        "output_digests", Path(__file__).resolve().parents[1] / "scripts" / "output_digests.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    path = list(sys.path)
+    try:
+        spec.loader.exec_module(script)  # it puts src on sys.path
+    finally:
+        sys.path[:] = path
+    return script
+
+
+def _odd_shape_writers():
+    """A writer per odd shape of scripts/output_digests.py: ``generate`` with its flags, at 20 rows per class."""
+    script = _output_digests_script()
+
+    def writer(name):
+        kind, seed = script.DATASETS[name]
+        argv = ["generate", "--kind", kind, "--seed", str(seed), *script.ODD_SHAPES[name], "--n-per-domain-class", "20"]
+
+        def write(path):
+            assert cli.main([*argv, "--out", str(path)]) == 0
+
+        return write
+
+    return {f"odd-{name}": writer(name) for name in script.ODD_SHAPES}
+
+
+def missing_classes_dataset():
+    ds = small_gaussian(n_per_domain_class=5)
+    keep = ~((ds.domain == "d1") & (ds.y == 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return DomainDataset(X=ds.X[keep], y=ds.y[keep], domain=ds.domain[keep], num_classes=3,
+                             domain_names=ds.domain_names)
+
+
+def header_only_dataset():
+    return DomainDataset(X=np.zeros((0, 2, 3)), y=[], domain=np.array([], dtype=str), num_classes=2,
+                         domain_names=["a", "b"])
+
+
+def _saved(make):
+    return lambda path: save_dataset(make(), path)
+
+
+# writers of a dataset directory
+CACHED = {
+    "gaussian": _saved(generate_spurious_gaussian),
+    "waveforms": _saved(generate_shifted_waveforms),
+    **_odd_shape_writers(),
+    "comma-and-quote-names": _saved(odd_names_dataset),
+    "missing-classes": _saved(missing_classes_dataset),
+    "header-only": _saved(header_only_dataset),
+}
+
+
+@pytest.mark.parametrize("write", CACHED.values(), ids=CACHED.keys())
+def test_cached_load_equals_the_parsed_load_bit_for_bit(write, count_parses, tmp_path):
+    for run in ("a", "b"):
+        write(tmp_path / run)
+    parsed = load_outcome(tmp_path / "a")
+    assert count_parses == [str(tmp_path / "a" / "data.csv")]
+    cached = load_outcome(tmp_path / "a")
+    assert len(count_parses) == 1  # the second load read data.cache
+    assert cached == parsed
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # load_outcome has recorded them
+        assert_loads_like_reference(tmp_path / "a")
+    # the cache's bytes are a function of the files' bytes alone
+    assert load_outcome(tmp_path / "b") == parsed
+    assert (tmp_path / "a" / CACHE_FILE).read_bytes() == (tmp_path / "b" / CACHE_FILE).read_bytes()
+
+
+def _set_meta(**fields):
+    def edit(path):
+        meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
+        (path / "meta.json").write_text(json.dumps({**meta, **fields}), encoding="utf-8")
+    return edit
+
+
+def _edit_data(row, edit_fields):
+    return lambda path: edit_row(path / "data.csv", row, edit_fields)
+
+
+# edits after a first load; each changes the parse's result or makes it an error
+EDITS_AFTER_A_LOAD = {
+    "one-float": _edit_data(4, set_field(3, "2.5")),
+    "same-length-float": _edit_data(4, lambda fields: ",".join(fields[:3] + [fields[3][:-1] + "9"] + fields[4:])),
+    "bad-label": _edit_data(5, REJECTED["label-out-of-range"]),
+    "dropped-row": lambda path: (path / "data.csv").write_bytes(
+        b"\r\n".join((path / "data.csv").read_bytes().split(b"\r\n")[:-2] + [b""])),
+    "more-classes": _set_meta(num_classes=4),
+    "fewer-classes": _set_meta(num_classes=2),
+    "other-shape": _set_meta(input_shape=[1, 3]),
+    "renamed-domains": _set_meta(domain_names=["d2", "d1", "d0"]),
+    "unknown-domain-name": _set_meta(domain_names=["d0", "d1", "dx"]),
+    "meta-layout": lambda path: (path / "meta.json").write_bytes((path / "meta.json").read_bytes() + b" "),
+}
+
+
+@pytest.mark.parametrize("edit", EDITS_AFTER_A_LOAD.values(), ids=EDITS_AFTER_A_LOAD.keys())
+def test_load_after_an_edit_gives_the_parse_of_the_new_files(edit, count_parses, tmp_path):
+    small_saved(tmp_path)
+    load_outcome(tmp_path)
+    assert (tmp_path / CACHE_FILE).exists()
+    edit(tmp_path)
+    after = load_outcome(tmp_path)
+    assert len(count_parses) == 2  # any byte of either file is part of the key
+    assert after == parsed_outcome(tmp_path)
+
+
+def _x_data_start(raw):
+    """Where X's values start in a data.cache: after the key record and X's .npy header."""
+    at = data_module._KEY_RECORD_BYTES
+    return at + 10 + int.from_bytes(raw[at + 8:at + 10], "little")  # a version 1.0 header
+
+
+def _truncate(at):
+    return lambda raw: raw[:at(raw)]
+
+
+def _flip(at):
+    """Flip the lowest bit of the byte at ``at(raw)``."""
+    def damage(raw):
+        i = at(raw)
+        return raw[:i] + bytes([raw[i] ^ 0x01]) + raw[i + 1:]
+    return damage
+
+
+# damage to a data.cache; the key record ends at _KEY_RECORD_BYTES with the key, then the records' sha256
+DAMAGED = {
+    "empty": _truncate(lambda raw: 0),
+    "truncated-in-the-key-record": _truncate(lambda raw: data_module._KEY_RECORD_BYTES - 40),
+    "truncated-in-x": _truncate(lambda raw: _x_data_start(raw) + 8),
+    "last-byte-missing": _truncate(lambda raw: -1),
+    "byte-appended": lambda raw: raw + b"\0",
+    "magic-garbled": _flip(lambda raw: 1),
+    "key-garbled": _flip(lambda raw: data_module._KEY_RECORD_BYTES - 50),
+    "records-sha256-garbled": _flip(lambda raw: data_module._KEY_RECORD_BYTES - 1),
+    "header-of-x-garbled": _flip(lambda raw: data_module._KEY_RECORD_BYTES + 20),
+    "value-of-x-garbled": _flip(lambda raw: _x_data_start(raw) + 3),
+    "domain-tag-garbled": _flip(lambda raw: -4),
+    "all-garbled": lambda raw: bytes(b ^ 0x5A for b in raw),
+    "not-npy": lambda raw: b"PK\x03\x04" + raw,
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGED.values(), ids=DAMAGED.keys())
+def test_a_damaged_cache_is_ignored_and_rewritten(damage, count_parses, tmp_path):
+    small_saved(tmp_path)
+    expected = load_outcome(tmp_path)
+    cache = tmp_path / CACHE_FILE
+    good = cache.read_bytes()
+    cache.write_bytes(damage(good))
+    assert load_outcome(tmp_path) == expected
+    assert len(count_parses) == 2
+    assert cache.read_bytes() == good
+    assert load_outcome(tmp_path) == expected and len(count_parses) == 2
+
+
+def test_a_cache_of_another_format_tag_is_ignored_and_rewritten(count_parses, monkeypatch, tmp_path):
+    small_saved(tmp_path)
+    expected = load_outcome(tmp_path)
+    good = (tmp_path / CACHE_FILE).read_bytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(data_module, "_CACHE_TAG", b"dglab data.cache 0")
+        assert parsed_outcome(tmp_path) == expected
+        assert load_outcome(tmp_path) == expected and len(count_parses) == 2  # a hit under that tag
+        assert (tmp_path / CACHE_FILE).read_bytes() != good
+    assert load_outcome(tmp_path) == expected and len(count_parses) == 3
+    assert (tmp_path / CACHE_FILE).read_bytes() == good
+
+
+@pytest.mark.parametrize("fails", ["open", "replace"], ids=["create", "rename"])
+def test_a_cache_write_that_fails_leaves_no_file_and_the_load_succeeds(fails, monkeypatch, tmp_path):
+    # tests may run as root, which may write anywhere, so os.open or os.replace is made to fail
+    small_saved(tmp_path)
+    expected = parsed_outcome(tmp_path)
+    real = getattr(os, fails)
+
+    def refuse(path, *args):
+        if CACHE_FILE in os.fspath(path):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(path, *args)
+
+    monkeypatch.setattr(os, fails, refuse)
+    assert parsed_outcome(tmp_path) == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "meta.json"]
+
+
+def test_write_replacing_keeps_the_old_file_when_the_write_fails(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+
+    def chunks():
+        yield b"new"
+        raise OSError(errno.EIO, "write failed")
+
+    with pytest.raises(OSError, match="write failed"):
+        write_replacing(path, chunks())
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+    write_replacing(path, [b"n", memoryview(b"ew")])
+    assert path.read_bytes() == b"new"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def test_a_load_that_fails_writes_no_cache(tmp_path):
+    data_file = small_saved(tmp_path)
+    edit_row(data_file, 5, REJECTED["bad-float"])
+    for _ in range(2):
+        with pytest.raises(DataFormatError, match="row 5: bad float"):
+            load_dataset(tmp_path)
+        assert not (tmp_path / CACHE_FILE).exists()
+
+
+def test_a_missing_data_csv_is_the_same_error_with_a_cache(tmp_path):
+    data_file = small_saved(tmp_path)
+    load_dataset(tmp_path)
+    data_file.unlink()
+    with pytest.raises(FileNotFoundError) as exc:
+        load_dataset(tmp_path)
+    assert exc.value.filename == str(data_file)
 
 
 def test_lodo_sizes_and_partition():
