@@ -18,6 +18,7 @@ import numbers
 import os
 import re
 import stat
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NewType, get_type_hints
@@ -28,7 +29,7 @@ from .errors import ConfigError, ContractError, DataFormatError
 
 DATA_FILE = "data.csv"
 META_FILE = "meta.json"
-CACHE_FILE = "data.cache"  # load_dataset's parse of data.csv, keyed by both files' bytes
+CACHE_FILE = "data.cache"  # load_dataset's parse of data.csv; see load_dataset for its key
 FLOAT_FORMAT = "%.17g"  # 17 significant digits round-trip float64 exactly
 MISSING_PAIRS_SHOWN = 20  # the missing (domain, class) pairs a warning lists before it counts the rest
 
@@ -345,13 +346,11 @@ def write_replacing(path, chunks) -> None:
         raise
 
 
-def read_json(path, error=ConfigError, raw: bytes | None = None):
-    """The JSON document at ``path``, or in ``raw``, the bytes already read
-    from it, decoded as reading the file would; invalid JSON, bytes that
-    are not UTF-8 (which JSON text must be), or an integer longer than
-    Python converts (4300 digits by default) raise ``error`` naming the file."""
-    text = open(path, "r", encoding="utf-8") if raw is None else io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-    with text as fh:
+def read_json(path, error=ConfigError):
+    """The JSON document at ``path``; invalid JSON, bytes that are not UTF-8
+    (which JSON text must be), or an integer longer than Python converts
+    (4300 digits by default) raise ``error`` naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except ValueError as e:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
@@ -455,8 +454,16 @@ def _non_utf8(line: str) -> str | None:
     return found and f"byte 0x{ord(found.group()) - 0xDC00:02x} is not UTF-8"
 
 
-# The records of data.cache, and the parse they hold: change the tag with either.
-_CACHE_TAG = b"dglab data.cache 1"
+def _source_tag() -> bytes:
+    """data.cache's format tag: the version of its layout, the sha256 of
+    this module's source, which holds the parse, and the numpy and Python
+    versions that run it. A cache that other code wrote is then a miss."""
+    with open(__file__, "rb") as fh:
+        source = hashlib.sha256(fh.read()).hexdigest()
+    return f"dglab data.cache 2\0{source}\0numpy {np.__version__}\0{sys.version}".encode()
+
+
+_CACHE_TAG = _source_tag()
 
 
 def _npy_record(array: np.ndarray) -> list:
@@ -479,9 +486,10 @@ def _key_record(key: bytes, records) -> bytes:
 _KEY_RECORD_BYTES = len(_key_record(bytes(32), []))
 
 
-def _cache_key(meta_bytes: bytes, data_sha256: bytes) -> bytes:
-    """The sha256 of the format tag, meta.json's length-prefixed bytes and the sha256 of data.csv's bytes."""
-    return hashlib.sha256(_CACHE_TAG + len(meta_bytes).to_bytes(8, "little") + meta_bytes + data_sha256).digest()
+def _cache_key(sidecar: bytes, data_sha256: bytes) -> bytes:
+    """The sha256 of the format tag, ``sidecar`` (the meta.json fields the
+    parse reads, as JSON) and the sha256 of data.csv's bytes."""
+    return hashlib.sha256(b"\0".join([_CACHE_TAG, sidecar, data_sha256])).digest()
 
 
 class _Sha256Reader(io.RawIOBase):
@@ -499,9 +507,9 @@ class _Sha256Reader(io.RawIOBase):
         return n
 
 
-def _cached_rows(cache_path, meta_bytes: bytes, data_path):
+def _cached_rows(cache_path, sidecar: bytes, data_path):
     """The (X, y, domain) arrays the cache at ``cache_path`` holds for
-    ``meta_bytes`` and the bytes of the file at ``data_path``, or None when
+    ``sidecar`` and the bytes of the file at ``data_path``, or None when
     it is missing, unreadable, malformed, or holds another key or format
     tag. The sha256 of its records must match too, so a truncated or
     garbled file is a miss wherever the damage lies. data.csv is hashed
@@ -515,7 +523,7 @@ def _cached_rows(cache_path, meta_bytes: bytes, data_path):
     with open(data_path, "rb") as fh:
         for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
             data_sha256.update(chunk)
-    key = _cache_key(meta_bytes, data_sha256.digest())
+    key = _cache_key(sidecar, data_sha256.digest())
     if blob[:_KEY_RECORD_BYTES] != _key_record(key, [memoryview(blob)[_KEY_RECORD_BYTES:]]):
         return None
     records = io.BytesIO(blob)
@@ -540,11 +548,13 @@ def _write_cache(cache_path, key: bytes, arrays) -> None:
 def load_dataset(path) -> DomainDataset:
     """Read a dataset directory; validates invariants and names bad rows.
 
-    meta.json is read once and its fields are checked. Then, when
-    ``data.cache`` (CACHE_FILE) in the same directory holds the parse of
-    these meta.json bytes and of data.csv's current bytes, its arrays are
-    used. Its key is the sha256 of a format tag, meta.json's bytes and the
-    sha256 of data.csv's bytes; see :func:`_cached_rows`. Otherwise
+    meta.json is read and its fields are checked. Then, when ``data.cache``
+    (CACHE_FILE) in the same directory holds the parse of data.csv's
+    current bytes under the sidecar fields the parse reads (input_shape,
+    num_classes and domain_names), its arrays are used. Its key is the
+    sha256 of a format tag, which names this module's source and the
+    numpy and Python versions, of those fields and of the sha256 of
+    data.csv's bytes; see :func:`_cached_rows`. Otherwise
     data.csv is parsed (see :func:`_parse_rows`) and, only when the parse
     succeeds, the parse is written to data.cache under the key of the
     bytes parsed: atomically, through :func:`write_replacing`, and best
@@ -555,9 +565,7 @@ def load_dataset(path) -> DomainDataset:
     """
     meta_path = os.path.join(path, META_FILE)
     data_path = os.path.join(path, DATA_FILE)
-    with open(meta_path, "rb") as fh:
-        meta_bytes = fh.read()
-    meta = read_json(meta_path, DataFormatError, meta_bytes)
+    meta = read_json(meta_path, DataFormatError)
     try:
         input_shape, num_classes = meta["input_shape"], meta["num_classes"]
         domain_names = [str(d) for d in meta["domain_names"]]
@@ -576,11 +584,12 @@ def load_dataset(path) -> DomainDataset:
         raise DataFormatError(f"{meta_path}: domain name {repeat!r} is listed twice in domain_names")
 
     cache_path = os.path.join(path, CACHE_FILE)
-    arrays = _cached_rows(cache_path, meta_bytes, data_path)
+    sidecar = json.dumps([input_shape, num_classes, domain_names]).encode()
+    arrays = _cached_rows(cache_path, sidecar, data_path)
     if arrays is None:
         # keyed by the bytes parsed, which a writer may have changed since they were hashed
         arrays, data_sha256 = _parse_rows(data_path, input_shape, num_classes, set(domain_names))
-        _write_cache(cache_path, _cache_key(meta_bytes, data_sha256), arrays)
+        _write_cache(cache_path, _cache_key(sidecar, data_sha256), arrays)
     X, y, domain = arrays
     return DomainDataset(X=X, y=y, domain=domain, num_classes=num_classes, domain_names=domain_names)
 

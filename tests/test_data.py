@@ -2,6 +2,7 @@ import ast
 import csv
 import errno
 import functools
+import hashlib
 import importlib.util
 import inspect
 import io
@@ -986,7 +987,6 @@ EDITS_AFTER_A_LOAD = {
     "other-shape": _set_meta(input_shape=[1, 3]),
     "renamed-domains": _set_meta(domain_names=["d2", "d1", "d0"]),
     "unknown-domain-name": _set_meta(domain_names=["d0", "d1", "dx"]),
-    "meta-layout": lambda path: (path / "meta.json").write_bytes((path / "meta.json").read_bytes() + b" "),
 }
 
 
@@ -997,8 +997,48 @@ def test_load_after_an_edit_gives_the_parse_of_the_new_files(edit, count_parses,
     assert (tmp_path / CACHE_FILE).exists()
     edit(tmp_path)
     after = load_outcome(tmp_path)
-    assert len(count_parses) == 2  # any byte of either file is part of the key
+    assert len(count_parses) == 2  # data.csv's bytes and the sidecar fields the parse reads are the key
     assert after == parsed_outcome(tmp_path)
+
+
+# edits of meta.json that change no field the parse reads
+META_EDITS_THE_PARSE_DOES_NOT_READ = {
+    "layout": lambda path: (path / "meta.json").write_bytes((path / "meta.json").read_bytes() + b" "),
+    "other-field": _set_meta(note="kept"),
+}
+
+
+@pytest.mark.parametrize("edit", META_EDITS_THE_PARSE_DOES_NOT_READ.values(),
+                         ids=META_EDITS_THE_PARSE_DOES_NOT_READ.keys())
+def test_a_meta_edit_the_parse_does_not_read_keeps_the_cache(edit, count_parses, tmp_path):
+    small_saved(tmp_path)
+    load_outcome(tmp_path)
+    edit(tmp_path)
+    after = load_outcome(tmp_path)
+    assert len(count_parses) == 1
+    assert after == parsed_outcome(tmp_path)
+
+
+def test_the_format_tag_names_the_parser_source_and_versions():
+    source = Path(data_module.__file__).read_bytes()
+    tag = data_module._CACHE_TAG
+    assert hashlib.sha256(source).hexdigest().encode() in tag
+    assert f"numpy {np.__version__}".encode() in tag and sys.version.encode() in tag
+
+
+def test_a_cache_written_by_another_parser_source_is_ignored_and_rewritten(count_parses, monkeypatch, tmp_path):
+    # a later edit to this module's parse, which no one remembered to mark, still makes old caches a miss
+    edited = tmp_path / "data.py"
+    edited.write_bytes(Path(data_module.__file__).read_bytes() + b"# a stricter row check\n")
+    dataset = tmp_path / "ds"
+    small_saved(dataset)
+    expected = load_outcome(dataset)
+    old = (dataset / CACHE_FILE).read_bytes()
+    monkeypatch.setattr(data_module, "__file__", str(edited))
+    monkeypatch.setattr(data_module, "_CACHE_TAG", data_module._source_tag())
+    assert load_outcome(dataset) == expected and len(count_parses) == 2
+    assert (dataset / CACHE_FILE).read_bytes() != old
+    assert load_outcome(dataset) == expected and len(count_parses) == 2
 
 
 def _x_data_start(raw):
