@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import hashlib
 import io
 import json
 import math
@@ -18,7 +17,6 @@ import numbers
 import os
 import re
 import stat
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import NewType, get_type_hints
@@ -29,7 +27,6 @@ from .errors import ConfigError, ContractError, DataFormatError
 
 DATA_FILE = "data.csv"
 META_FILE = "meta.json"
-CACHE_FILE = "data.cache"  # load_dataset's parse of data.csv; see load_dataset for its key
 FLOAT_FORMAT = "%.17g"  # 17 significant digits round-trip float64 exactly
 MISSING_PAIRS_SHOWN = 20  # the missing (domain, class) pairs a warning lists before it counts the rest
 
@@ -328,24 +325,6 @@ def write_cells(path, header, rows) -> None:
             fh.write(",".join(v if isinstance(v, str) else "" if v is None else repr(v) for v in row) + "\n")
 
 
-def write_replacing(path, chunks) -> None:
-    """Write the bytes-like ``chunks``, in order, to a fresh file in
-    ``path``'s directory, then rename it over ``path``, so a reader sees
-    the old file or the new one, never part of one. The new file gets the
-    umask mode. On an error the fresh file is removed and the error
-    raised; ``path`` is left as it was."""
-    directory, name = os.path.split(os.fspath(path))
-    temporary = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
-    try:
-        with open(fd, "wb") as fh:
-            fh.writelines(chunks)
-        os.replace(temporary, path)
-    except BaseException:
-        os.unlink(temporary)
-        raise
-
-
 def read_json(path, error=ConfigError):
     """The JSON document at ``path``; invalid JSON, bytes that are not UTF-8
     (which JSON text must be), or an integer longer than Python converts
@@ -454,114 +433,12 @@ def _non_utf8(line: str) -> str | None:
     return found and f"byte 0x{ord(found.group()) - 0xDC00:02x} is not UTF-8"
 
 
-def _source_tag() -> bytes:
-    """data.cache's format tag: the version of its layout, the sha256 of
-    this module's source, which holds the parse, and the numpy and Python
-    versions that run it. A cache that other code wrote is then a miss."""
-    with open(__file__, "rb") as fh:
-        source = hashlib.sha256(fh.read()).hexdigest()
-    return f"dglab data.cache 2\0{source}\0numpy {np.__version__}\0{sys.version}".encode()
-
-
-_CACHE_TAG = _source_tag()
-
-
-def _npy_record(array: np.ndarray) -> list:
-    """``array`` as one .npy record, in two chunks: the header, which names
-    its dtype and shape, and a byte view of its data, not a copy."""
-    header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(array))
-    return [header.getvalue(), np.ascontiguousarray(array).reshape(-1).view(np.uint8)]
-
-
-def _key_record(key: bytes, records) -> bytes:
-    """The first record of data.cache: a (64,) uint8 array, ``key`` and
-    then the sha256 of the chunks ``records``, the records after it."""
-    sha256 = hashlib.sha256()
-    for chunk in records:
-        sha256.update(chunk)
-    return b"".join(_npy_record(np.frombuffer(key + sha256.digest(), dtype=np.uint8)))
-
-
-_KEY_RECORD_BYTES = len(_key_record(bytes(32), []))
-
-
-def _cache_key(sidecar: bytes, data_sha256: bytes) -> bytes:
-    """The sha256 of the format tag, ``sidecar`` (the meta.json fields the
-    parse reads, as JSON) and the sha256 of data.csv's bytes."""
-    return hashlib.sha256(b"\0".join([_CACHE_TAG, sidecar, data_sha256])).digest()
-
-
-class _Sha256Reader(io.RawIOBase):
-    """A binary file whose bytes, as they are read, feed ``self.sha256``."""
-
-    def __init__(self, fh):
-        self.fh, self.sha256 = fh, hashlib.sha256()
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self.fh.readinto(buffer)
-        self.sha256.update(memoryview(buffer)[:n])
-        return n
-
-
-def _cached_rows(cache_path, sidecar: bytes, data_path):
-    """The (X, y, domain) arrays the cache at ``cache_path`` holds for
-    ``sidecar`` and the bytes of the file at ``data_path``, or None when
-    it is missing, unreadable, malformed, or holds another key or format
-    tag. The sha256 of its records must match too, so a truncated or
-    garbled file is a miss wherever the damage lies. data.csv is hashed
-    only when there is a cache to check; an error opening it is raised."""
-    try:
-        with open(cache_path, "rb") as fh:
-            blob = fh.read()
-    except OSError:
-        return None
-    data_sha256 = hashlib.sha256()
-    with open(data_path, "rb") as fh:
-        for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
-            data_sha256.update(chunk)
-    key = _cache_key(sidecar, data_sha256.digest())
-    if blob[:_KEY_RECORD_BYTES] != _key_record(key, [memoryview(blob)[_KEY_RECORD_BYTES:]]):
-        return None
-    records = io.BytesIO(blob)
-    records.seek(_KEY_RECORD_BYTES)
-    try:
-        arrays = tuple(np.lib.format.read_array(records, allow_pickle=False) for _ in range(3))
-    except ValueError:
-        return None
-    return arrays if records.tell() == len(blob) else None
-
-
-def _write_cache(cache_path, key: bytes, arrays) -> None:
-    """Keep ``arrays``, the (X, y, domain) parse of the files ``key`` names,
-    at ``cache_path``; a directory that cannot be written gets no cache."""
-    records = [chunk for array in arrays for chunk in _npy_record(array)]
-    try:
-        write_replacing(cache_path, [_key_record(key, records), *records])
-    except OSError:
-        pass
-
-
 def load_dataset(path) -> DomainDataset:
     """Read a dataset directory; validates invariants and names bad rows.
 
-    meta.json is read and its fields are checked. Then, when ``data.cache``
-    (CACHE_FILE) in the same directory holds the parse of data.csv's
-    current bytes under the sidecar fields the parse reads (input_shape,
-    num_classes and domain_names), its arrays are used. Its key is the
-    sha256 of a format tag, which names this module's source and the
-    numpy and Python versions, of those fields and of the sha256 of
-    data.csv's bytes; see :func:`_cached_rows`. Otherwise
-    data.csv is parsed (see :func:`_parse_rows`) and, only when the parse
-    succeeds, the parse is written to data.cache under the key of the
-    bytes parsed: atomically, through :func:`write_replacing`, and best
-    effort, so a directory that cannot be written gets no cache. Either
-    way the dataset is built and checked by the one ``DomainDataset`` call
-    below, so a load returns, raises and warns alike with or without the
-    cache, which is safe to delete.
+    meta.json is read and its fields are checked, then data.csv is parsed
+    (see :func:`_parse_rows`) and the dataset is built and checked by
+    ``DomainDataset``. Nothing is written.
     """
     meta_path = os.path.join(path, META_FILE)
     data_path = os.path.join(path, DATA_FILE)
@@ -578,25 +455,19 @@ def load_dataset(path) -> DomainDataset:
             raise DataFormatError(f"{meta_path}: {name} must be {what}, got {meta[name]!r}")
     if num_classes < 1:  # a header-only file holds no label to reject
         raise DataFormatError(f"{meta_path}: num_classes must be >= 1, got {num_classes}")
+    if any(d < 1 for d in input_shape):  # [] stays allowed: scalar features
+        raise DataFormatError(f"{meta_path}: input_shape entries must be >= 1, got {input_shape}")
     # a target listed twice would count twice in a LODO footer
     repeat = _repeated_name(domain_names)
     if repeat is not None:
         raise DataFormatError(f"{meta_path}: domain name {repeat!r} is listed twice in domain_names")
-
-    cache_path = os.path.join(path, CACHE_FILE)
-    sidecar = json.dumps([input_shape, num_classes, domain_names]).encode()
-    arrays = _cached_rows(cache_path, sidecar, data_path)
-    if arrays is None:
-        # keyed by the bytes parsed, which a writer may have changed since they were hashed
-        arrays, data_sha256 = _parse_rows(data_path, input_shape, num_classes, set(domain_names))
-        _write_cache(cache_path, _cache_key(sidecar, data_sha256), arrays)
-    X, y, domain = arrays
+    X, y, domain = _parse_rows(data_path, input_shape, num_classes, set(domain_names))
     return DomainDataset(X=X, y=y, domain=domain, num_classes=num_classes, domain_names=domain_names)
 
 
 def _parse_rows(data_path, input_shape, num_classes: int, known: set):
     """The (X, y, domain) arrays of the data.csv at ``data_path`` under the
-    sidecar's fields, and the sha256 of the bytes they were parsed from.
+    sidecar's fields.
 
     Each row's bytes, field count, domain and label are checked in Python,
     with csv's quoting rules on rows holding a quote, and all floats are
@@ -607,9 +478,7 @@ def _parse_rows(data_path, input_shape, num_classes: int, known: set):
     # ``lines`` keeps each good row for numpy: as read, or for a row parsed
     # by csv's rules, its float fields behind two empty ones
     lines, labels, domains, bad_row = [], [], [], None
-    reader = _Sha256Reader(open(data_path, "rb"))
-    text = io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8", errors="surrogateescape", newline="")
-    with reader.fh, text as fh:
+    with open(data_path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         first = next(fh, None)
         if first is None:
             raise DataFormatError(f"{data_path}: empty file")
@@ -672,9 +541,7 @@ def _parse_rows(data_path, input_shape, num_classes: int, known: set):
             raise
     if bad_row is not None:
         raise DataFormatError(f"{data_path}: row {bad_row[0]}: {bad_row[1]}")
-    # a parse that raised nothing read the file to its end
-    arrays = X.reshape(len(lines), *input_shape), np.asarray(labels, dtype=np.int64), np.asarray(domains)
-    return arrays, reader.sha256.digest()
+    return X.reshape(len(lines), *input_shape), np.asarray(labels, dtype=np.int64), np.asarray(domains)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,5 @@
 import ast
 import csv
-import errno
-import functools
-import hashlib
 import importlib.util
 import inspect
 import io
@@ -23,7 +20,6 @@ import dglab
 from dglab import cli
 from dglab import data as data_module
 from dglab.data import (
-    CACHE_FILE,
     WRITE_BLOCK_ROWS,
     DomainDataset,
     TrainView,
@@ -40,7 +36,6 @@ from dglab.data import (
     save_dataset,
     split_holdout,
     write_json,
-    write_replacing,
     write_rows,
 )
 from dglab.errors import ConfigError, ContractError, DataFormatError
@@ -280,12 +275,11 @@ def test_rewrite_to_the_null_device():
 
 WRITE_MODE_CHARS = set("wax+")
 
-# write_replacing writes a fresh temporary file, which it never truncates
-WRITE_HELPERS = ("open_for_rewrite", "write_replacing")
+WRITE_HELPERS = ("open_for_rewrite",)
 
 
 def direct_writes(source: str) -> list[int]:
-    """Lines of ``source`` that open a file for writing other than through open_for_rewrite or write_replacing."""
+    """Lines of ``source`` that open a file for writing other than through open_for_rewrite."""
     tree = ast.parse(source)
     exempt = {
         id(node)
@@ -817,6 +811,26 @@ def test_load_rejects_a_sidecar_without_a_class(num_classes, tmp_path):
     assert str(exc.value) == f"{tmp_path / 'meta.json'}: num_classes must be >= 1, got {num_classes}"
 
 
+@pytest.mark.parametrize("input_shape", [[0], [-1], [2, -1], [1, 0]], ids=lambda shape: "x".join(map(str, shape)))
+def test_load_rejects_a_sidecar_input_shape_entry_below_one(input_shape, tmp_path):
+    small_saved(tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))
+    (tmp_path / "meta.json").write_text(json.dumps({**meta, "input_shape": input_shape}), encoding="utf-8")
+    (tmp_path / "data.csv").write_text("domain,label\r\nd0,0\r\n", encoding="utf-8")  # what [0] would describe
+    with pytest.raises(DataFormatError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'meta.json'}: input_shape entries must be >= 1, got {input_shape}"
+
+
+def test_load_takes_an_empty_input_shape_as_scalar_features(tmp_path):
+    ds = small_gaussian(n_per_domain_class=3)
+    save_dataset(DomainDataset(X=ds.X[:, 0], y=ds.y, domain=ds.domain, num_classes=ds.num_classes,
+                               domain_names=ds.domain_names), tmp_path)
+    assert json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))["input_shape"] == []
+    loaded = load_dataset(tmp_path)
+    assert loaded.X.shape == (ds.n,) and loaded.X.tobytes() == ds.X[:, 0].tobytes()
+
+
 @pytest.mark.parametrize(
     "field, value, what",
     [
@@ -852,7 +866,7 @@ def test_load_peak_memory_stays_below_the_old_reader(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# data.cache: load_dataset's parse, kept next to data.csv
+# whole loads: against the reference reader, after edits, and what they leave on disk
 
 
 def load_outcome(path):
@@ -867,12 +881,6 @@ def load_outcome(path):
     arrays = [(a.dtype.str, a.shape, a.tobytes()) for a in (ds.X, ds.y, ds.domain)]
     notes = [(w.category, str(w.message), w.filename, w.lineno) for w in seen]
     return arrays, ds.num_classes, ds.domain_names, notes
-
-
-def parsed_outcome(path):
-    """The outcome of a load that finds no data.cache."""
-    (Path(path) / CACHE_FILE).unlink(missing_ok=True)
-    return load_outcome(path)
 
 
 @pytest.fixture
@@ -937,7 +945,7 @@ def _saved(make):
 
 
 # writers of a dataset directory
-CACHED = {
+SAVED = {
     "gaussian": _saved(generate_spurious_gaussian),
     "waveforms": _saved(generate_shifted_waveforms),
     **_odd_shape_writers(),
@@ -947,21 +955,12 @@ CACHED = {
 }
 
 
-@pytest.mark.parametrize("write", CACHED.values(), ids=CACHED.keys())
-def test_cached_load_equals_the_parsed_load_bit_for_bit(write, count_parses, tmp_path):
-    for run in ("a", "b"):
-        write(tmp_path / run)
-    parsed = load_outcome(tmp_path / "a")
-    assert count_parses == [str(tmp_path / "a" / "data.csv")]
-    cached = load_outcome(tmp_path / "a")
-    assert len(count_parses) == 1  # the second load read data.cache
-    assert cached == parsed
+@pytest.mark.parametrize("write", SAVED.values(), ids=SAVED.keys())
+def test_load_equals_the_reference_load_bit_for_bit(write, tmp_path):
+    write(tmp_path)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # load_outcome has recorded them
-        assert_loads_like_reference(tmp_path / "a")
-    # the cache's bytes are a function of the files' bytes alone
-    assert load_outcome(tmp_path / "b") == parsed
-    assert (tmp_path / "a" / CACHE_FILE).read_bytes() == (tmp_path / "b" / CACHE_FILE).read_bytes()
+        warnings.simplefilter("ignore")  # the missing classes of one writer
+        assert_loads_like_reference(tmp_path)
 
 
 def _set_meta(**fields):
@@ -993,166 +992,62 @@ EDITS_AFTER_A_LOAD = {
 @pytest.mark.parametrize("edit", EDITS_AFTER_A_LOAD.values(), ids=EDITS_AFTER_A_LOAD.keys())
 def test_load_after_an_edit_gives_the_parse_of_the_new_files(edit, count_parses, tmp_path):
     small_saved(tmp_path)
-    load_outcome(tmp_path)
-    assert (tmp_path / CACHE_FILE).exists()
+    before = load_outcome(tmp_path)
     edit(tmp_path)
-    after = load_outcome(tmp_path)
-    assert len(count_parses) == 2  # data.csv's bytes and the sidecar fields the parse reads are the key
-    assert after == parsed_outcome(tmp_path)
+    assert load_outcome(tmp_path) != before
+    assert len(count_parses) == 2  # no load reuses an earlier one's result
 
 
-# edits of meta.json that change no field the parse reads
-META_EDITS_THE_PARSE_DOES_NOT_READ = {
-    "layout": lambda path: (path / "meta.json").write_bytes((path / "meta.json").read_bytes() + b" "),
-    "other-field": _set_meta(note="kept"),
-}
+def directory_bytes(directory):
+    """Every entry under ``directory`` by relative path: a file's bytes, or None for a directory."""
+    return {
+        path.relative_to(directory).as_posix(): path.read_bytes() if path.is_file() else None
+        for path in sorted(directory.rglob("*"))
+    }
 
 
-@pytest.mark.parametrize("edit", META_EDITS_THE_PARSE_DOES_NOT_READ.values(),
-                         ids=META_EDITS_THE_PARSE_DOES_NOT_READ.keys())
-def test_a_meta_edit_the_parse_does_not_read_keeps_the_cache(edit, count_parses, tmp_path):
-    small_saved(tmp_path)
-    load_outcome(tmp_path)
-    edit(tmp_path)
-    after = load_outcome(tmp_path)
-    assert len(count_parses) == 1
-    assert after == parsed_outcome(tmp_path)
-
-
-def test_the_format_tag_names_the_parser_source_and_versions():
-    source = Path(data_module.__file__).read_bytes()
-    tag = data_module._CACHE_TAG
-    assert hashlib.sha256(source).hexdigest().encode() in tag
-    assert f"numpy {np.__version__}".encode() in tag and sys.version.encode() in tag
-
-
-def test_a_cache_written_by_another_parser_source_is_ignored_and_rewritten(count_parses, monkeypatch, tmp_path):
-    # a later edit to this module's parse, which no one remembered to mark, still makes old caches a miss
-    edited = tmp_path / "data.py"
-    edited.write_bytes(Path(data_module.__file__).read_bytes() + b"# a stricter row check\n")
-    dataset = tmp_path / "ds"
-    small_saved(dataset)
-    expected = load_outcome(dataset)
-    old = (dataset / CACHE_FILE).read_bytes()
-    monkeypatch.setattr(data_module, "__file__", str(edited))
-    monkeypatch.setattr(data_module, "_CACHE_TAG", data_module._source_tag())
-    assert load_outcome(dataset) == expected and len(count_parses) == 2
-    assert (dataset / CACHE_FILE).read_bytes() != old
-    assert load_outcome(dataset) == expected and len(count_parses) == 2
-
-
-def _x_data_start(raw):
-    """Where X's values start in a data.cache: after the key record and X's .npy header."""
-    at = data_module._KEY_RECORD_BYTES
-    return at + 10 + int.from_bytes(raw[at + 8:at + 10], "little")  # a version 1.0 header
-
-
-def _truncate(at):
-    return lambda raw: raw[:at(raw)]
-
-
-def _flip(at):
-    """Flip the lowest bit of the byte at ``at(raw)``."""
-    def damage(raw):
-        i = at(raw)
-        return raw[:i] + bytes([raw[i] ^ 0x01]) + raw[i + 1:]
-    return damage
-
-
-# damage to a data.cache; the key record ends at _KEY_RECORD_BYTES with the key, then the records' sha256
-DAMAGED = {
-    "empty": _truncate(lambda raw: 0),
-    "truncated-in-the-key-record": _truncate(lambda raw: data_module._KEY_RECORD_BYTES - 40),
-    "truncated-in-x": _truncate(lambda raw: _x_data_start(raw) + 8),
-    "last-byte-missing": _truncate(lambda raw: -1),
-    "byte-appended": lambda raw: raw + b"\0",
-    "magic-garbled": _flip(lambda raw: 1),
-    "key-garbled": _flip(lambda raw: data_module._KEY_RECORD_BYTES - 50),
-    "records-sha256-garbled": _flip(lambda raw: data_module._KEY_RECORD_BYTES - 1),
-    "header-of-x-garbled": _flip(lambda raw: data_module._KEY_RECORD_BYTES + 20),
-    "value-of-x-garbled": _flip(lambda raw: _x_data_start(raw) + 3),
-    "domain-tag-garbled": _flip(lambda raw: -4),
-    "all-garbled": lambda raw: bytes(b ^ 0x5A for b in raw),
-    "not-npy": lambda raw: b"PK\x03\x04" + raw,
-}
-
-
-@pytest.mark.parametrize("damage", DAMAGED.values(), ids=DAMAGED.keys())
-def test_a_damaged_cache_is_ignored_and_rewritten(damage, count_parses, tmp_path):
-    small_saved(tmp_path)
-    expected = load_outcome(tmp_path)
-    cache = tmp_path / CACHE_FILE
-    good = cache.read_bytes()
-    cache.write_bytes(damage(good))
-    assert load_outcome(tmp_path) == expected
-    assert len(count_parses) == 2
-    assert cache.read_bytes() == good
-    assert load_outcome(tmp_path) == expected and len(count_parses) == 2
-
-
-def test_a_cache_of_another_format_tag_is_ignored_and_rewritten(count_parses, monkeypatch, tmp_path):
-    small_saved(tmp_path)
-    expected = load_outcome(tmp_path)
-    good = (tmp_path / CACHE_FILE).read_bytes()
-    with monkeypatch.context() as patch:
-        patch.setattr(data_module, "_CACHE_TAG", b"dglab data.cache 0")
-        assert parsed_outcome(tmp_path) == expected
-        assert load_outcome(tmp_path) == expected and len(count_parses) == 2  # a hit under that tag
-        assert (tmp_path / CACHE_FILE).read_bytes() != good
-    assert load_outcome(tmp_path) == expected and len(count_parses) == 3
-    assert (tmp_path / CACHE_FILE).read_bytes() == good
-
-
-@pytest.mark.parametrize("fails", ["open", "replace"], ids=["create", "rename"])
-def test_a_cache_write_that_fails_leaves_no_file_and_the_load_succeeds(fails, monkeypatch, tmp_path):
-    # tests may run as root, which may write anywhere, so os.open or os.replace is made to fail
-    small_saved(tmp_path)
-    expected = parsed_outcome(tmp_path)
-    real = getattr(os, fails)
-
-    def refuse(path, *args):
-        if CACHE_FILE in os.fspath(path):
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return real(path, *args)
-
-    monkeypatch.setattr(os, fails, refuse)
-    assert parsed_outcome(tmp_path) == expected
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "meta.json"]
-
-
-def test_write_replacing_keeps_the_old_file_when_the_write_fails(tmp_path):
-    path = tmp_path / "out.bin"
-    path.write_bytes(b"old")
-
-    def chunks():
-        yield b"new"
-        raise OSError(errno.EIO, "write failed")
-
-    with pytest.raises(OSError, match="write failed"):
-        write_replacing(path, chunks())
-    assert path.read_bytes() == b"old"
-    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
-    write_replacing(path, [b"n", memoryview(b"ew")])
-    assert path.read_bytes() == b"new"
-    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
-
-
-def test_a_load_that_fails_writes_no_cache(tmp_path):
+def test_a_load_that_fails_writes_nothing(tmp_path):
     data_file = small_saved(tmp_path)
     edit_row(data_file, 5, REJECTED["bad-float"])
+    files = directory_bytes(tmp_path)
     for _ in range(2):
         with pytest.raises(DataFormatError, match="row 5: bad float"):
             load_dataset(tmp_path)
-        assert not (tmp_path / CACHE_FILE).exists()
+        assert directory_bytes(tmp_path) == files
 
 
-def test_a_missing_data_csv_is_the_same_error_with_a_cache(tmp_path):
+def test_a_missing_data_csv_raises_file_not_found_naming_it(tmp_path):
     data_file = small_saved(tmp_path)
-    load_dataset(tmp_path)
     data_file.unlink()
     with pytest.raises(FileNotFoundError) as exc:
         load_dataset(tmp_path)
     assert exc.value.filename == str(data_file)
+
+
+def test_loads_and_commands_that_read_a_dataset_write_nothing_into_it(tmp_path, capsys):
+    dataset, out = tmp_path / "ds", tmp_path / "out"
+    generate = ["generate", "--kind", "spurious-gaussian", "--seed", "3", "--num-domains", "3",
+                "--n-per-domain-class", "20", "--out", str(dataset)]
+    assert cli.main(generate) == 0
+    out.mkdir()
+    config = out / "cfg.json"
+    config.write_text(json.dumps({"iterations": 4, "batch_size": 12, "sg_n": 1, "hidden": [8]}), encoding="utf-8")
+    files = directory_bytes(dataset)
+    assert sorted(files) == ["data.csv", "meta.json"]
+    for _ in range(2):
+        load_dataset(dataset)
+        assert directory_bytes(dataset) == files
+    data = ["--data", str(dataset)]
+    checkpoint = ["--checkpoint", str(out / "run" / "checkpoint.json")]
+    for argv in (
+        ["lodo", *data, "--config", str(config), "--methods", "ce_only,alternate", "--seeds", "0",
+         "--out", str(out / "report.json")],
+        ["train", *data, "--config", str(config), "--out", str(out / "run")],
+        ["saliency-export", *data, *checkpoint, "--samples", "2", "--sg-n", "2", "--out", str(out / "sal.csv")],
+        ["export-features", *data, *checkpoint, "--out", str(out / "features.csv")],
+    ):
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert directory_bytes(dataset) == files, argv[0]
 
 
 def test_lodo_sizes_and_partition():
