@@ -32,7 +32,7 @@ C-contiguous output, so the ops after it walk memory in order.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -58,24 +58,16 @@ def no_grad() -> Iterator[None]:
 class Tensor:
     """Dense float64 array with its lineage.
 
-    Tensors built directly from data are leaves. Tensors produced by an
-    operation carry the producing op's name, its parent tensors and a
-    closure mapping an output gradient to per-parent gradients.
+    ``Tensor(values)`` builds a leaf. Only an operation builds a node, through
+    :func:`_record`: it carries the producing op's name, its parent tensors
+    and a closure mapping an output gradient to per-parent gradients.
     """
 
     __slots__ = ("values", "_op", "_parents", "_vjp")
 
-    def __init__(
-        self,
-        values,
-        op: str | None = None,
-        parents: Sequence["Tensor"] = (),
-        vjp: Callable[[Array], tuple[Array, ...]] | None = None,
-    ):
+    def __init__(self, values):
         self.values = np.asarray(values, dtype=np.float64)
-        self._op = op
-        self._parents = tuple(parents)
-        self._vjp = vjp
+        self._op, self._parents, self._vjp = None, (), None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -99,9 +91,9 @@ def as_tensor(x) -> Tensor:
 
 
 def _record(values, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    """An op's output: ``Tensor(values, op, parents, vjp)`` while grad mode
-    is on, else a leaf; the slots are set directly, as every op passes a
-    tuple of parents."""
+    """An op's output, the one way a node is built: a tensor of ``values``
+    whose slots hold ``op``, the tuple ``parents`` and ``vjp`` while grad
+    mode is on, else a leaf."""
     out = Tensor.__new__(Tensor)
     out.values = np.asarray(values, dtype=np.float64)
     out._op, out._parents, out._vjp = (op, parents, vjp) if _grad_enabled else (None, (), None)
@@ -647,10 +639,7 @@ def backward(root: Tensor) -> GradMap:
 
     grads: dict[int, tuple[Tensor, Array]] = {id(root): (root, np.array(1.0))}
     for node in reversed(topo):
-        vjp = node._vjp
-        if vjp is None:
-            continue
-        for parent, pg in zip(node._parents, vjp(grads[id(node)][1])):
+        for parent, pg in zip(node._parents, node._vjp(grads[id(node)][1])):
             key = id(parent)
             held = grads.get(key)
             # a 0-d gradient times a float is a numpy scalar; the map holds arrays

@@ -374,7 +374,7 @@ def save_dataset(ds: DomainDataset, path) -> None:
     meta = {
         "input_shape": [int(d) for d in ds.input_shape],
         "num_classes": int(ds.num_classes),
-        "domain_names": list(ds.domain_names),
+        "domain_names": [str(name) for name in ds.domain_names],
     }
     write_json(os.path.join(path, META_FILE), meta, indent=2)
     write_rows(os.path.join(path, DATA_FILE), "x", ds.domain, ds.y, ds.X.reshape(ds.n, math.prod(ds.input_shape)))
@@ -444,8 +444,7 @@ def load_dataset(path) -> DomainDataset:
     data_path = os.path.join(path, DATA_FILE)
     meta = read_json(meta_path, DataFormatError)
     try:
-        input_shape, num_classes = meta["input_shape"], meta["num_classes"]
-        domain_names = [str(d) for d in meta["domain_names"]]
+        input_shape, num_classes, domain_names = meta["input_shape"], meta["num_classes"], meta["domain_names"]
     except (KeyError, TypeError) as e:
         raise DataFormatError(f"{meta_path}: bad sidecar fields: {e}") from e
     # a cast would take 3.7, "3" or true, and a huge count would stall the missing-class scan
@@ -457,6 +456,9 @@ def load_dataset(path) -> DomainDataset:
         raise DataFormatError(f"{meta_path}: num_classes must be >= 1, got {num_classes}")
     if any(d < 1 for d in input_shape):  # [] stays allowed: scalar features
         raise DataFormatError(f"{meta_path}: input_shape entries must be >= 1, got {input_shape}")
+    # a cast would split a string into characters, take a dict's keys and name a null 'None'
+    if not (isinstance(domain_names, list) and all(isinstance(d, str) for d in domain_names)):
+        raise DataFormatError(f"{meta_path}: domain_names must be a list of strings, got {domain_names!r}")
     # a target listed twice would count twice in a LODO footer
     repeat = _repeated_name(domain_names)
     if repeat is not None:
@@ -516,6 +518,9 @@ def _parse_rows(data_path, input_shape, num_classes: int, known: set):
                 break
             try:
                 label = int(fields[1])
+                # int() also takes digit underscores and non-ASCII digits, which no float field may hold
+                if "_" in fields[1] or not fields[1].strip().isascii():
+                    raise ValueError
             except ValueError:
                 bad_row = (lineno, f"label {fields[1]!r} is not an integer")
                 break

@@ -5,10 +5,11 @@ materialised probabilities, so log(0) cannot occur. The alignment term
 pulls each sample's soft label toward the mean soft label of its class
 within the batch; gradients flow through the centroid too (no
 stop-gradient). Each of the two terms is one autodiff node
-(``autodiff.mean_nll`` and ``autodiff.centroid_spread``), and a training
-objective with both is one node on the logits too
-(``autodiff.soft_label_objective``), which forms the softmax once for
-both terms.
+(``autodiff.mean_nll`` and ``autodiff.centroid_spread``), and the training
+objective, cross-entropy plus alpha times the alignment, is one node on the
+logits too (``autodiff.soft_label_objective``), which forms the softmax once
+for both terms. alpha = 0 is that objective with zero weight: the same
+node, whose alignment is still measured.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class SoftLabelBatch:
 
 def cross_entropy(logits, labels) -> Tensor:
     """Mean negative log-likelihood of the true classes, from raw logits."""
-    return ad.mean_nll(ad.as_tensor(logits), labels)
+    return ad.mean_nll(logits, labels)
 
 
 def alignment_loss(soft: SoftLabelBatch) -> Tensor:
@@ -66,19 +67,15 @@ def alignment_loss(soft: SoftLabelBatch) -> Tensor:
     return ad.centroid_spread(soft.probs, soft.labels)
 
 
-def objective_parts(logits, labels, alpha: float) -> tuple[Tensor, float, float | None]:
-    """(combined loss node, cross-entropy, alignment or None) for one batch.
+def objective_parts(logits, labels, alpha: float) -> tuple[Tensor, float, float]:
+    """(combined loss node, cross-entropy, alignment) for one batch.
 
-    alpha == 0 skips the alignment term entirely, so the combined loss is
-    the cross-entropy node itself. alpha > 0 builds the one node
-    ``autodiff.soft_label_objective`` on the logits. The two terms come
-    back as Python floats, whose repr is the shortest round-tripping decimal.
+    The combined loss is the one node ``autodiff.soft_label_objective`` on
+    the logits at every alpha; at alpha = 0 its value and logits gradient
+    are bit for bit those of :func:`cross_entropy`. The two terms come back
+    as Python floats, whose repr is the shortest round-tripping decimal.
     """
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
-    z = ad.as_tensor(logits)
-    if alpha == 0.0:
-        ce = cross_entropy(z, labels)
-        return ce, float(ce.values), None
-    loss, ce, align = ad.soft_label_objective(z, labels, alpha)
+    loss, ce, align = ad.soft_label_objective(logits, labels, alpha)
     return loss, float(ce), float(align)

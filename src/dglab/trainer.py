@@ -16,7 +16,6 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .data import Seed, TrainView, check_finite, check_settings, class_balanced_batches, read_json, setting_kinds
 from .data import write_cells, write_json
 from .errors import ConfigError, ContractError, NumericError
@@ -162,7 +161,7 @@ def train_step(model: Model, batch, strategy: str, cfg: TrainConfig, lr: float, 
     if strategy == STRATEGY_MASK:
         x_batch = augment_batch(x_batch, labels, model, cfg, rng)
 
-    logits = forward(model, Tensor(x_batch))
+    logits = forward(model, x_batch)
     if strategy == STRATEGY_ALIGN:
         loss, ce, align = objective_parts(logits, labels, cfg.alpha)
     else:

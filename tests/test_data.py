@@ -513,6 +513,9 @@ def reference_load(path):
                 raise DataFormatError(f"{data_path}: row {lineno}: unknown domain {row[0]!r}")
             try:
                 label = int(row[1])
+                # a label follows the float rule: spaces and a sign, then ASCII digits only
+                if not set(row[1].strip().lstrip("+-")) <= set("0123456789"):
+                    raise ValueError
             except ValueError:
                 raise DataFormatError(f"{data_path}: row {lineno}: label {row[1]!r} is not an integer") from None
             if not 0 <= label < num_classes:
@@ -641,6 +644,8 @@ REJECTED = {
     "label-not-integer": set_field(1, "1.0"),
     "label-out-of-range": set_field(1, "3"),
     "label-negative": set_field(1, "-1"),
+    "label-underscore": set_field(1, "0_1"),
+    "label-non-ascii-digit": set_field(1, "\u0661"),
     "bad-float": set_field(3, "abc"),
     "empty-float": set_field(4, ""),
     "blank-float": set_field(4, " "),
@@ -727,6 +732,7 @@ ACCEPTED = {
     "signs-and-exponents": lambda fields: ",".join(fields[:2] + ["+1E5", "-.5e-3", "5."]),
     "inf-and-nan": lambda fields: ",".join(fields[:2] + ["-Infinity", "inf", "NaN"]),
     "label-with-spaces": set_field(1, " 1 "),
+    "label-with-sign": set_field(1, "\xa0+1"),
     "tiny-and-huge": lambda fields: ",".join(fields[:2] + ["1e-400", "1e400", "-0"]),
 }
 
@@ -850,6 +856,29 @@ def test_load_rejects_a_sidecar_integer_field_of_another_kind(field, value, what
     with pytest.raises(DataFormatError) as exc:
         load_dataset(tmp_path)
     assert str(exc.value) == f"{tmp_path / 'meta.json'}: {field} must be {what}, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "domain_names",
+    ["d0d1d2", {"d0": 1, "d1": 1, "d2": 1}, ["d0", "d1", "d2", None]],
+    ids=["string", "object", "null-entry"],
+)
+def test_load_rejects_domain_names_that_are_not_a_list_of_strings(domain_names, tmp_path):
+    # a cast would split the string into characters, take the object's keys and name the null 'None'
+    small_saved(tmp_path).unlink()  # the sidecar is checked before data.csv is opened
+    meta = json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))
+    (tmp_path / "meta.json").write_text(json.dumps({**meta, "domain_names": domain_names}), encoding="utf-8")
+    with pytest.raises(DataFormatError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'meta.json'}: domain_names must be a list of strings, got {domain_names!r}"
+
+
+def test_save_writes_each_domain_name_as_a_string(tmp_path):
+    ds = small_gaussian(n_per_domain_class=3)
+    tags = np.asarray([int(d[1:]) for d in ds.domain])
+    save_dataset(DomainDataset(X=ds.X, y=ds.y, domain=tags, num_classes=3, domain_names=[0, 1, 2]), tmp_path)
+    loaded = load_dataset(tmp_path)
+    assert loaded.domain_names == ["0", "1", "2"] and loaded.domain.tolist() == [str(t) for t in tags]
 
 
 def test_load_peak_memory_stays_below_the_old_reader(tmp_path):

@@ -104,13 +104,21 @@ def test_alignment_gradient_through_centroid():
 
 
 def test_total_loss_alpha_zero_is_cross_entropy_graph():
+    # alpha = 0 is the align objective with zero weight, not a second loss:
+    # its value and logits gradient are the cross-entropy's, bit for bit
     rng = np.random.default_rng(6)
-    logits = Tensor(rng.standard_normal((6, 3)))
-    labels = rng.integers(0, 3, 6)
-    combined = objective_parts(logits, labels, 0.0)[0]
-    ce = cross_entropy(logits, labels)
-    assert float(combined.values) == float(ce.values)
-    assert np.array_equal(backward(combined)[logits], backward(ce)[logits])
+    for scale in (0.1, 1.0, 50.0):
+        for n in range(1, 130):
+            c = int(rng.integers(2, 11))
+            z = rng.standard_normal((n, c)) * scale
+            if n % 2:
+                z[:, rng.integers(c)] = 0.0
+            logits = Tensor(z)
+            labels = rng.integers(0, c, n)
+            combined = objective_parts(logits, labels, 0.0)[0]
+            ce = cross_entropy(logits, labels)
+            assert _bits(combined.values) == _bits(ce.values), (scale, n, c)
+            assert _bits(backward(combined)[logits]) == _bits(backward(ce)[logits]), (scale, n, c)
 
 
 def test_total_loss_is_weighted_sum():
@@ -140,12 +148,14 @@ def test_total_loss_rejects_negative_alpha():
 
 
 def test_total_loss_rejects_one_column_or_non_finite_logits():
-    # the checks softmax_rows made on the logits before the align objective was one node
-    with pytest.raises(DimensionError):
-        objective_parts(np.zeros((2, 1)), [0, 0], 0.1)
-    for bad in (np.inf, -np.inf, np.nan):
-        with pytest.raises(NumericError, match="non-finite logits"):
-            objective_parts(np.array([[0.0, bad], [1.0, 2.0]]), [0, 1], 0.1)
+    # the checks softmax_rows made on the logits before the align objective
+    # was one node; the zero-weight objective is that node too
+    for alpha in (0.0, 0.1):
+        with pytest.raises(DimensionError):
+            objective_parts(np.zeros((2, 1)), [0, 0], alpha)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(NumericError, match="non-finite logits"):
+                objective_parts(np.array([[0.0, bad], [1.0, 2.0]]), [0, 1], alpha)
 
 
 def test_soft_label_batch_validation():
@@ -313,14 +323,11 @@ def test_each_loss_is_one_node_on_logits_or_probs():
     assert cross_entropy(z, labels).lineage == ("mean_nll", (z,))
     soft = SoftLabelBatch(ad.softmax_rows(z), labels)
     assert alignment_loss(soft).lineage == ("centroid_spread", (soft.probs,))
-    assert objective_parts(z, labels, 0.0)[0].lineage == ("mean_nll", (z,))
-    # with alpha > 0 the whole objective is one node whose only parent is
-    # the logits; the two terms come back as values
-    combined, ce, align = objective_parts(z, labels, 0.1)
-    assert combined.lineage == ("soft_label_objective", (z,))
-    assert type(ce) is float and type(align) is float
-    assert _bits(ce) == _bits(cross_entropy(z, labels).values)
-    assert _bits(align) == _bits(alignment_loss(soft).values)
-    # with alpha == 0 the cross-entropy is a float too, and there is no alignment term
-    plain, ce, align = objective_parts(z, labels, 0.0)
-    assert type(ce) is float and ce == float(plain.values) and align is None
+    # at every alpha, 0 included, the whole objective is one node whose only
+    # parent is the logits; the two terms come back as values
+    for alpha in (0.0, 0.1):
+        combined, ce, align = objective_parts(z, labels, alpha)
+        assert combined.lineage == ("soft_label_objective", (z,))
+        assert type(ce) is float and type(align) is float
+        assert _bits(ce) == _bits(cross_entropy(z, labels).values)
+        assert _bits(align) == _bits(alignment_loss(soft).values)

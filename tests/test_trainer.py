@@ -5,7 +5,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
-from dglab.autodiff import Tensor
+from dglab.autodiff import Tensor, no_grad, softmax_rows
 from dglab.data import TrainView, generate_spurious_gaussian, leave_one_domain_out
 from dglab.errors import ConfigError, ContractError, DataFormatError, NumericError
 from dglab.trainer import (
@@ -20,7 +20,8 @@ from dglab.trainer import (
     train_step,
     write_history,
 )
-from dglab.models import build_mlp
+from dglab.losses import SoftLabelBatch, alignment_loss
+from dglab.models import build_mlp, forward
 
 
 def tiny_view(n_per=40, seed=0):
@@ -179,12 +180,14 @@ def test_config_rejects_unknown_keys(tmp_path):
         TrainConfig.load_json(path)
 
 
-def _run_single_step(strategy, cfg, seed=0):
-    model = build_mlp([10, 8], 3, seed=3)
-    rng = np.random.default_rng(seed)
+def _single_step_inputs():
     gen = np.random.default_rng(11)
-    X = gen.standard_normal((16, 10))
-    y = gen.integers(0, 3, 16)
+    return build_mlp([10, 8], 3, seed=3), gen.standard_normal((16, 10)), gen.integers(0, 3, 16)
+
+
+def _run_single_step(strategy, cfg, seed=0):
+    model, X, y = _single_step_inputs()
+    rng = np.random.default_rng(seed)
     momentum = {name: np.zeros_like(p.values) for name, p in model.params.items()}
     rec = train_step(model, (X, y), strategy, cfg, 0.01, rng, momentum)
     return model, rec
@@ -195,7 +198,11 @@ def test_align_with_alpha_zero_equals_plain_ce_update():
     m1, r1 = _run_single_step(STRATEGY_ALIGN, cfg)
     m2, r2 = _run_single_step(STRATEGY_CE, cfg)
     assert r1["loss_ce"] == r2["loss_ce"]
-    assert r1["loss_align"] is None
+    # the zero-weight alignment is still measured: the spread of the batch's softmax
+    model, X, y = _single_step_inputs()
+    with no_grad():
+        spread = alignment_loss(SoftLabelBatch(softmax_rows(forward(model, X)), y)).values
+    assert np.float64(r1["loss_align"]).tobytes() == spread.tobytes()
     for name in m1.params:
         assert np.array_equal(m1.params[name].values, m2.params[name].values)
 
